@@ -32,15 +32,10 @@ import numpy as np
 
 from .errors import AsymmetricIndicator, BadInterval, EmptyInterior, RealnessViolation
 from .phase_grid import PhaseGrid, WignerField, write_field_binary, write_field_csv
+from .wigner_transform import fourier_over_separation
 
 _EVEN_TOL = 1e-12
 _NUMERIC_REALNESS_TOL = 1e-10
-
-
-def _cell_factor(arg: np.ndarray) -> np.ndarray:
-    """sin(arg)/arg with the removable singularity handled."""
-    safe = np.where(np.abs(arg) < 1e-300, 1.0, arg)
-    return np.where(np.abs(arg) < 1e-300, 1.0, np.sin(safe) / safe)
 
 
 def _sinc_profile(halfwidth: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -133,32 +128,6 @@ def interval_kernel(grid: PhaseGrid, a: float, b: float) -> BoundaryKernel:
                           profile=profile)
 
 
-def numeric_kernel(g_slice: np.ndarray, dy: float, p_axis: np.ndarray) -> np.ndarray:
-    """Transform one sampled indicator slice over y to a kernel row over p.
-
-    ``g_slice`` is a real (or boolean) vector of odd length sampled at
-    y = k dy for k in [-K, K]; it must be even in y. Cell-averaged
-    quadrature: row(p) = (dy/2pi) sinc(p dy/2) sum_k g_k e^{i p y_k},
-    including the 1/(2pi) transform convention.
-
-    Raises AsymmetricIndicator when evenness fails beyond 1e-12, and
-    RealnessViolation if the residual imaginary part survives anyway.
-    """
-    g = np.asarray(g_slice, dtype=np.float64)
-    if g.ndim != 1 or g.size % 2 != 1:
-        raise AsymmetricIndicator("slice must be a 1-D vector of odd length")
-    if float(np.abs(g - g[::-1]).max()) > _EVEN_TOL:
-        raise AsymmetricIndicator("indicator slice is not even in y")
-    K = g.size // 2
-    p = np.asarray(p_axis, dtype=np.float64)
-    y = dy * np.arange(-K, K + 1)
-    row = (dy / (2.0 * np.pi)) * (g @ np.exp(1j * np.outer(y, p)))
-    residue = float(np.abs(row.imag).max())
-    if residue >= _NUMERIC_REALNESS_TOL:
-        raise RealnessViolation(f"imaginary residue {residue:g} in numeric kernel")
-    return row.real * _cell_factor(0.5 * p * dy)
-
-
 @dataclass(frozen=True)
 class ShapeIndicator:
     """Sampled indicator g(x_vec, y_vec) of an n-D hard-wall billiard.
@@ -242,26 +211,49 @@ def kernel_from_indicator(s: ShapeIndicator,
 
     Returns K with shape (*n_x_axes, *n_p_axes), real and even in p.
     One cell-averaged 1-D transform per dimension (the transform tensor
-    factorizes even when g itself does not).
+    factorizes even when g itself does not). The sums use the direct
+    backend: Bluestein's leaves an imaginary residue near the realness
+    tolerance on long y axes.
     """
     if len(p_axes) != s.dimension:
         raise AsymmetricIndicator("need one momentum axis per dimension")
     out = np.asarray(s.g, dtype=np.complex128)
     nx = s.dimension
-    for d in range(s.dimension):
-        ax = s.y_axes[d]
+    for d, ax in enumerate(s.y_axes):
         dy = float(ax[1] - ax[0])
-        K = ax.size // 2
         p = np.asarray(p_axes[d], dtype=np.float64)
-        y = dy * np.arange(-K, K + 1)
-        E = np.exp(1j * np.outer(y, p))
-        E = E * ((dy / (2.0 * np.pi)) * _cell_factor(0.5 * p * dy))[None, :]
+        # each sample stands for its dy-cell, whose transform
+        # (dy/2pi) sinc(p dy/2) is the sinc profile of half-width dy/2;
+        # the separation sum already carries the dy/2pi
+        cell = (2.0 * np.pi / dy) * _sinc_profile([0.5 * dy], p)[0]
         # y axis d sits at position nx + d (earlier ones already replaced by p)
-        out = np.moveaxis(np.tensordot(out, E, axes=([nx + d], [0])), -1, nx + d)
+        sums = fourier_over_separation(np.moveaxis(out, nx + d, -1), ax.size // 2,
+                                       dy, p, backend="direct")
+        out = np.moveaxis(sums * cell, -1, nx + d)
     residue = float(np.abs(out.imag).max())
     if residue >= _NUMERIC_REALNESS_TOL:
         raise RealnessViolation(f"imaginary residue {residue:g} in indicator transform")
     return out.real
+
+
+def numeric_kernel(g_slice: np.ndarray, dy: float, p_axis: np.ndarray) -> np.ndarray:
+    """Transform one sampled indicator slice over y to a kernel row over p.
+
+    ``g_slice`` is a real (or boolean) vector of odd length sampled at
+    y = k dy for k in [-K, K]; it must be even in y. The 1-D case of
+    ``kernel_from_indicator``, with the same cell-averaged quadrature.
+
+    Raises AsymmetricIndicator when evenness fails beyond 1e-12, and
+    RealnessViolation if the residual imaginary part survives anyway.
+    """
+    g = np.asarray(g_slice, dtype=np.float64)
+    if g.ndim != 1 or g.size % 2 != 1:
+        raise AsymmetricIndicator("slice must be a 1-D vector of odd length")
+    if float(np.abs(g - g[::-1]).max()) > _EVEN_TOL:
+        raise AsymmetricIndicator("indicator slice is not even in y")
+    K = g.size // 2
+    s = ShapeIndicator(1, (np.zeros(1),), (dy * np.arange(-K, K + 1),), g[None, :])
+    return kernel_from_indicator(s, [p_axis])[0]
 
 
 def kernel_field_1d(s: ShapeIndicator, grid: PhaseGrid) -> BoundaryKernel:

@@ -16,20 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, boundary_kernels
 from .boundary_kernels import (
     billiard_indicator,
     kernel_from_indicator,
     write_kernel_binary,
     write_kernel_csv,
 )
-from .convolution_engine import (
-    BoundedEvolutionPlan,
-    build_halfline_plan,
-    build_interval_plan,
-    evolve_bounded,
-    kernel_tail_bound,
-)
+from .convolution_engine import BoundedEvolutionPlan, evolve_bounded, kernel_tail_bound
 from .errors import ConfigError, NumericalGuardError, ValidationError
 from .free_evolution import ShearParams, naive_bounded_evolve, wall_violation_mass
 from .oracle import (
@@ -112,7 +106,7 @@ _DEFAULTS = {
     "grid": {"x_min": "-24.0", "x_max": "24.0", "n_x": "513",
              "p_min": "-16.0", "p_max": "16.0", "n_p": "513"},
     "times": {"values": "0, 1, 2, 3, 4"},
-    "run": {"backend": "fft", "threads": "0", "outputs": "fields,marginals,report",
+    "run": {"threads": "0", "outputs": "fields,marginals,report",
             "oracle_oversample": "8", "y_halfwidth": "auto", "n_modes": "64"},
     "kernel2d": {"x_points": "3", "x_half": "0.4", "n_p": "65", "p_half": "2.0",
                  "n_y": "441", "y_half": "2.125", "subsamples": "8"},
@@ -125,7 +119,6 @@ class ScenarioConfig:
     packet: GaussianPacket
     grid: PhaseGrid
     times: list[float]
-    backend: str
     threads: int
     outputs: set[str]
     oracle_oversample: int
@@ -134,13 +127,32 @@ class ScenarioConfig:
     kernel2d: dict
 
 
+_KEYS = {"geometry": {"kind", "wall", "a", "b", "radius"},
+         "packet": {"x0", "p0", "sigma", "mass"},
+         **{section: set(keys) for section, keys in _DEFAULTS.items()}}
+
+
 def _load_ini(text: str) -> configparser.ConfigParser:
+    """Parse INI text; unknown sections and keys are errors, so a typo
+    cannot silently fall back to a default."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = set(cp.options(section)) - _KEYS[section]
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     return cp
+
+
+def _check_threads(threads: int) -> int:
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0 (0 = all cores), got {threads}")
+    return threads
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -201,15 +213,14 @@ def parse_config(text: str) -> ScenarioConfig:
             cp.getint("grid", "n_p"),
         )
         times = [float(v) for v in cp.get("times", "values").split(",")]
-        backend = cp.get("run", "backend")
-        if backend not in ("fft", "direct"):
-            raise ConfigError(f"backend must be fft or direct, got {backend!r}")
-        threads = cp.getint("run", "threads")
+        threads = _check_threads(cp.getint("run", "threads"))
         outputs = {s.strip() for s in cp.get("run", "outputs").split(",") if s.strip()}
         bad = outputs - {"fields", "marginals", "kernel", "report"}
         if bad:
             raise ConfigError(f"unknown outputs {sorted(bad)}")
         oversample = cp.getint("run", "oracle_oversample")
+        if oversample < 1:
+            raise ConfigError(f"oracle_oversample must be >= 1, got {oversample}")
         yh_raw = cp.get("run", "y_halfwidth")
         y_halfwidth = None if yh_raw.strip() == "auto" else float(yh_raw)
         n_modes = cp.getint("run", "n_modes")
@@ -217,12 +228,15 @@ def parse_config(text: str) -> ScenarioConfig:
                         ("x_points", "n_p", "n_y", "subsamples")
                         else cp.getfloat("kernel2d", k))
                     for k in _DEFAULTS["kernel2d"]}
+        if kernel2d["subsamples"] < 1:
+            raise ConfigError(f"[kernel2d] subsamples must be >= 1, "
+                              f"got {kernel2d['subsamples']}")
     except (configparser.Error, ValueError, ValidationError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
 
-    return ScenarioConfig(geometry, packet, grid, times, backend, threads,
+    return ScenarioConfig(geometry, packet, grid, times, threads,
                           outputs, oversample, y_halfwidth, n_modes, kernel2d)
 
 
@@ -257,13 +271,6 @@ def _fine_axis(grid: PhaseGrid, oversample: int) -> tuple[float, float, int]:
     return grid.x_min, grid.dx / oversample, (grid.n_x - 1) * oversample + 1
 
 
-def _halfline_extended(cfg: ScenarioConfig) -> ComplexWave:
-    x = cfg.grid.x_axis()
-    g = cfg.packet
-    values = g.amplitude(x, 0.0) - g.amplitude(-x, 0.0)
-    return ComplexWave(cfg.grid.x_min, cfg.grid.dx, cfg.grid.n_x, values)
-
-
 def _box_extended(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
     """Periodic odd-image extension of the packet, on an axis reaching
     y_halfwidth/2 beyond the grid, plus the y cap actually used.
@@ -291,19 +298,31 @@ def _box_extended(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
 
 
 def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
-    workers = _workers(cfg.threads)
+    """The scenario builder: free Wigner field of the image-extended
+    packet, geometry kernel, and the evolution plan joining them.
+
+    The half line uses the odd extension phi(x) - phi(-x) on the grid
+    axis. The box uses the periodic odd-image train of ``_box_extended``;
+    it fills the window, so the shear support guard is off, and wrapped
+    content lands outside the box rows, which the kernel masks.
+    """
+    grid, g = cfg.grid, cfg.packet
     if cfg.geometry["kind"] == "halfline":
-        psi = _halfline_extended(cfg)
-        return build_halfline_plan(psi, cfg.grid, cfg.packet.m,
-                                   backend=cfg.backend, workers=workers,
-                                   y_halfwidth=cfg.y_halfwidth)
-    if cfg.geometry["kind"] == "box":
+        x = grid.x_axis()
+        psi = ComplexWave(grid.x_min, grid.dx, grid.n_x,
+                          g.amplitude(x, 0.0) - g.amplitude(-x, 0.0))
+        w0 = wigner_of(psi, grid, y_halfwidth=cfg.y_halfwidth)
+        kernel = boundary_kernels.halfline_kernel(grid)
+    elif cfg.geometry["kind"] == "box":
         psi, ycap = _box_extended(cfg)
-        return build_interval_plan(psi, cfg.grid, cfg.geometry["a"],
-                                   cfg.geometry["b"], cfg.packet.m,
-                                   y_halfwidth=ycap, backend=cfg.backend,
-                                   workers=workers)
-    raise ConfigError("dynamics is defined for halfline and box geometries only")
+        w0 = wigner_of(psi, grid, y_halfwidth=ycap)
+        kernel = boundary_kernels.interval_kernel(grid, cfg.geometry["a"],
+                                                  cfg.geometry["b"])
+    else:
+        raise ConfigError("dynamics is defined for halfline and box geometries only")
+    return BoundedEvolutionPlan(kernel, ShearParams(0.0, g.m), w0,
+                                check_support=cfg.geometry["kind"] == "halfline",
+                                workers=_workers(cfg.threads))
 
 
 def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
@@ -341,6 +360,7 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
     if "kernel" in cfg.outputs:
         write_kernel_csv(plan.kernel, os.path.join(out_dir, "kernel.csv"))
         write_kernel_binary(plan.kernel, os.path.join(out_dir, "kernel.bin"))
+        print(f"wrote kernel files to {out_dir}")
     tail = kernel_tail_bound(plan.kernel, plan.initial)
 
     report_rows = []
@@ -470,8 +490,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="path to an INI scenario config")
     sub.add_argument("--preset", help=f"built-in scenario: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--out", default="wignerwall_out", help="output directory")
-    sub.add_argument("--backend", choices=("direct", "fft"),
-                     help="override the convolution backend")
     sub.add_argument("--threads", type=int, default=None,
                      help="FFT worker threads (0 = auto)")
 
@@ -496,23 +514,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.preset)
-        if args.backend:
-            cfg.backend = args.backend
         if args.threads is not None:
-            cfg.threads = args.threads
+            cfg.threads = _check_threads(args.threads)
         if args.command == "simulate":
             return run(cfg, args.out)
         if args.command == "kernel":
-            cfg.outputs = {"kernel"}
-            if cfg.geometry["kind"] == "billiard2d":
-                os.makedirs(args.out, exist_ok=True)
-                return run_billiard_kernel(cfg, args.out)
-            plan = build_plan(cfg)
-            os.makedirs(args.out, exist_ok=True)
-            write_kernel_csv(plan.kernel, os.path.join(args.out, "kernel.csv"))
-            write_kernel_binary(plan.kernel, os.path.join(args.out, "kernel.bin"))
-            print(f"wrote kernel files to {args.out}")
-            return 0
+            cfg.outputs, cfg.times = {"kernel"}, []
+            return run(cfg, args.out)
         if args.command == "validate":
             return validate(cfg)
         if args.command == "demo-naive":

@@ -24,8 +24,8 @@ import scipy.fft as sfft
 from .boundary_kernels import BoundaryKernel
 from .errors import GridMismatch, LengthMismatch, ValidationError
 from .free_evolution import ShearParams, shear_evolve
-from .phase_grid import PhaseGrid, WignerField, marginal_x
-from .wigner_transform import wigner_of
+from .phase_grid import WignerField, marginal_x
+from .wigner_transform import wigner_of  # noqa: F401 -- benchmark/tracer.py wraps it here
 
 _SYMMETRY_TOL = 1e-6
 
@@ -84,10 +84,10 @@ class BoundedEvolutionPlan:
 
     ``initial`` is the free Wigner field of the image-extended state at
     t = 0 (odd extension for the half line; periodic odd images for an
-    interval), sharing one grid with ``kernel``. ``backend`` selects the
-    convolution path; ``shear_method``/``check_support`` are forwarded
-    to the shear (interval scenarios disable the support guard since the
-    image train legitimately fills the window).
+    interval), sharing one grid with ``kernel``. ``shear_method`` and
+    ``check_support`` are forwarded to the shear (interval scenarios
+    disable the support guard since the image train legitimately fills
+    the window).
 
     Half-line plans verify the point-reflection symmetry
     W0(-x, -p) = W0(x, p) of the initial field, the discrete footprint
@@ -97,7 +97,6 @@ class BoundedEvolutionPlan:
     kernel: BoundaryKernel
     shear: ShearParams
     initial: WignerField
-    backend: str = "fft"
     shear_method: str = "auto"
     check_support: bool = True
     workers: int | None = None
@@ -106,8 +105,6 @@ class BoundedEvolutionPlan:
     def __post_init__(self):
         if self.kernel.grid != self.initial.grid:
             raise GridMismatch("kernel and initial field grids differ")
-        if self.backend not in ("fft", "direct"):
-            raise ValidationError(f"unknown convolution backend {self.backend!r}")
         grid = self.initial.grid
         grid.zero_p_index()  # p = 0 must be on the axis for row alignment
         if self.kernel.provenance == "analytic-halfline":
@@ -150,26 +147,14 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float | None = None) -> Wigner
                            method=plan.shear_method,
                            check_support=plan.check_support,
                            workers=plan.workers)
-    out = _convolve_field(sheared.values, plan._kernel_rows, grid, plan.backend,
-                          plan.workers)
+    out = _batched_fft_convolve(sheared.values, plan._kernel_rows, grid.dp,
+                                grid.n_p - 1, plan.workers)
     out[~plan.kernel.inside_rows(), :] = 0.0
     return WignerField(grid, out)
 
 
-def _convolve_field(rows_w: np.ndarray, kernel_rows: np.ndarray, grid: PhaseGrid,
-                    backend: str, workers: int | None = None) -> np.ndarray:
-    if backend == "fft":
-        return _batched_fft_convolve(rows_w, kernel_rows, grid.dp,
-                                     grid.n_p - 1, workers)
-    out = np.empty_like(rows_w)
-    for i in range(grid.n_x):
-        out[i] = convolve_p(rows_w[i], kernel_rows[i], grid.dp)
-    return out
-
-
 def far_field_check(w0: WignerField, x_probe: float,
-                    kernel: BoundaryKernel | None = None,
-                    backend: str = "fft") -> float:
+                    kernel: BoundaryKernel | None = None) -> float:
     """Deviation of the bounded row from the free row at ``x_probe``.
 
     Far from the wall the momentum convolution against the kernel row
@@ -186,7 +171,8 @@ def far_field_check(w0: WignerField, x_probe: float,
     i = grid.index_near_x(x_probe)
     karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
     row_k = k.rows_at(karg)[i]
-    conv = _convolve_field(w0.values[i:i + 1], row_k[None, :], grid, backend)[0]
+    conv = _batched_fft_convolve(w0.values[i:i + 1], row_k[None, :], grid.dp,
+                                 grid.n_p - 1)[0]
     free = w0.values[i] if grid.x_at(i) > 0 else np.zeros(grid.n_p)
     return float(np.abs(conv - free).max())
 
@@ -204,31 +190,3 @@ def kernel_tail_bound(kernel: BoundaryKernel, w0: WignerField) -> float:
     dens = np.abs(marginal_x(w0))
     return float(np.sum(tails[inside] * dens[inside]) * w0.grid.dx)
 
-
-def build_halfline_plan(psi_extended, grid: PhaseGrid, m: float,
-                        backend: str = "fft", workers: int | None = None,
-                        y_halfwidth: float | None = None) -> BoundedEvolutionPlan:
-    """Plan for the wall at the origin from an odd-extended wavefunction."""
-    from .boundary_kernels import halfline_kernel
-
-    w0 = wigner_of(psi_extended, grid, y_halfwidth=y_halfwidth)
-    return BoundedEvolutionPlan(halfline_kernel(grid), ShearParams(0.0, m), w0,
-                                backend=backend, workers=workers)
-
-
-def build_interval_plan(psi_extended, grid: PhaseGrid, a: float, b: float, m: float,
-                        y_halfwidth: float, backend: str = "fft",
-                        workers: int | None = None) -> BoundedEvolutionPlan:
-    """Plan for the box (a, b) from a periodically image-extended state.
-
-    The image train fills the window, so the shear support guard is off;
-    wrapped content lands outside the box rows, which the kernel masks.
-    ``y_halfwidth`` must sit in a gap of the image correlation ladder
-    (separations stride 2(b - a)); see the box scenario builder.
-    """
-    w0 = wigner_of(psi_extended, grid, y_halfwidth=y_halfwidth)
-    from .boundary_kernels import interval_kernel
-
-    return BoundedEvolutionPlan(interval_kernel(grid, a, b), ShearParams(0.0, m),
-                                w0, backend=backend, check_support=False,
-                                workers=workers)

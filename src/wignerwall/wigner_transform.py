@@ -102,17 +102,18 @@ def hermitian_residual(C: np.ndarray) -> float:
 
 def fourier_over_separation(C: np.ndarray, K: int, dy: float,
                             p_axis: np.ndarray, backend: str = "czt") -> np.ndarray:
-    """Complex transform (dy/2pi) sum_k C[:, k+K] e^{i p y_k} at exact p.
+    """Complex transform (dy/2pi) sum_k C[..., k+K] e^{i p y_k} at exact p.
 
-    backend "czt" evaluates the sum with Bluestein's algorithm; "direct"
-    forms the exponential matrix and contracts it, and serves as the slow
-    reference path in tests.
+    The separation y runs along the last axis of ``C``. backend "czt"
+    evaluates the sum with Bluestein's algorithm; "direct" forms the
+    exponential matrix and contracts it, and serves the kernel transforms
+    and the slow reference path in tests.
     """
     p_axis = np.asarray(p_axis, dtype=np.float64)
     if backend == "czt":
         dp = p_axis[1] - p_axis[0]
         S = czt(C, m=len(p_axis), w=np.exp(1j * dp * dy),
-                a=np.exp(-1j * p_axis[0] * dy), axis=1)
+                a=np.exp(-1j * p_axis[0] * dy), axis=-1)
     elif backend == "direct":
         y = dy * np.arange(-K, K + 1)
         S = C @ np.exp(1j * np.outer(y, p_axis))
@@ -120,7 +121,7 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "czt":
         # czt indexes columns from 0; restore the y_{-K} origin
-        S = S * np.exp(-1j * K * dy * p_axis)[None, :]
+        S = S * np.exp(-1j * K * dy * p_axis)
     return (dy / (2.0 * np.pi)) * S
 
 

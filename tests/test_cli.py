@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wignerwall.cli import PRESETS, load_config, main, parse_config
+from wignerwall import boundary_kernels
+from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
 from wignerwall.errors import ConfigError
 from wignerwall.phase_grid import read_field_binary, read_field_csv
 
@@ -49,7 +50,6 @@ sigma = 1.0
 mass = 1.0
 """)
     assert cfg.grid.n_x == 513
-    assert cfg.backend == "fft"
     assert cfg.times == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert cfg.outputs == {"fields", "marginals", "report"}
 
@@ -62,6 +62,12 @@ mass = 1.0
      "a < b"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=1\np0=0\nsigma=-1\nmass=1\n",
      "packet"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\nthreads = -7\n", "threads"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\noracle_oversample = 0\n", "oracle_oversample"),
+    ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\n"
+     "mass=1\n[kernel2d]\nsubsamples = 0\n", "subsamples"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -82,6 +88,7 @@ def test_validate_exit_codes(tmp_path):
     ok = tmp_path / "ok.ini"
     ok.write_text(FAST_HALFLINE)
     assert main(["validate", "--config", str(ok)]) == 0
+    assert main(["validate", "--config", str(ok), "--threads", "-7"]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text(FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"))
     assert main(["validate", "--config", str(bad)]) == 3  # packet on the wall
@@ -200,13 +207,35 @@ def test_guard_failure_exits_3(tmp_path):
                  "--out", str(tmp_path / "out")]) == 3
 
 
-def test_backend_override(tmp_path):
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(FAST_HALFLINE)
-    out1, out2 = tmp_path / "fft", tmp_path / "direct"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2),
-                 "--backend", "direct"]) == 0
-    a, _ = read_field_binary(out1 / "field_t1.5.bin")
-    b, _ = read_field_binary(out2 / "field_t1.5.bin")
-    assert np.abs(a.values - b.values).max() < 1e-9
+def test_unknown_config_keys_exit_2(tmp_path):
+    # a removed option and a misspelt key are errors, not silent defaults
+    for extra in ("backend = direct", "oracle_oversampel = 4"):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(FAST_HALFLINE + extra + "\n")
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text(FAST_HALFLINE + "[grids]\nn_x = 5\n")
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+
+
+def test_build_plan_looks_up_kernels_through_module(monkeypatch):
+    # the benchmark tracer wraps these module attributes; a plan built
+    # without calling through them would record no kernel span
+    calls = []
+
+    def recording(name):
+        original = getattr(boundary_kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("halfline_kernel", "interval_kernel"):
+        monkeypatch.setattr(boundary_kernels, name, recording(name))
+    build_plan(parse_config(FAST_HALFLINE))
+    assert calls == ["halfline_kernel"]
+    box = parse_config(FAST_HALFLINE.replace("kind = halfline",
+                                             "kind = box\na = -4.0\nb = 4.0")
+                       .replace("x0 = 8.0", "x0 = 0.0"))
+    build_plan(box)
+    assert calls == ["halfline_kernel", "interval_kernel"]
