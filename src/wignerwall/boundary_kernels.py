@@ -144,9 +144,6 @@ class ShapeIndicator:
     y_axes: tuple[np.ndarray, ...]
     g: np.ndarray = field(compare=False)
 
-    def y_spacings(self) -> tuple[float, ...]:
-        return tuple(float(ax[1] - ax[0]) for ax in self.y_axes)
-
 
 def _check_symmetric_axis(ax: np.ndarray) -> None:
     if ax.size % 2 != 1 or float(np.abs(ax + ax[::-1]).max()) > 1e-12 * max(1.0, float(np.abs(ax).max())):

@@ -13,6 +13,7 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,14 +103,60 @@ mass = 1.0
 """,
 }
 
-_DEFAULTS = {
-    "grid": {"x_min": "-24.0", "x_max": "24.0", "n_x": "513",
-             "p_min": "-16.0", "p_max": "16.0", "n_p": "513"},
-    "times": {"values": "0, 1, 2, 3, 4"},
-    "run": {"threads": "0", "outputs": "fields,marginals,report",
-            "oracle_oversample": "8", "y_halfwidth": "auto", "n_modes": "64"},
-    "kernel2d": {"x_points": "3", "x_half": "0.4", "n_p": "65", "p_half": "2.0",
-                 "n_y": "441", "y_half": "2.125", "subsamples": "8"},
+class _Key(NamedTuple):
+    """One accepted config key: its parser, its default as INI text (None:
+    the key is required) and its lower bound, inclusive for an integer
+    and exclusive for a float."""
+
+    parse: Callable[[str], object]
+    default: str | None = None
+    low: float | None = None
+
+
+def _kind(raw: str) -> str:
+    if raw not in ("halfline", "box", "billiard2d"):
+        raise ValueError("must be halfline, box, or billiard2d")
+    return raw
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",")]
+
+
+def _outputs(raw: str) -> set[str]:
+    outputs = {s.strip() for s in raw.split(",") if s.strip()}
+    bad = outputs - {"fields", "marginals", "kernel", "report"}
+    if bad:
+        raise ValueError(f"unknown outputs {sorted(bad)}")
+    return outputs
+
+
+def _auto_float(raw: str) -> float | None:
+    return None if raw.strip() == "auto" else float(raw)
+
+
+# Every accepted section and key. Within a section, keys follow the
+# argument order of the object they build (PhaseGrid, GaussianPacket,
+# the [run] fields of ScenarioConfig).
+_CONFIG = {
+    "geometry": {"kind": _Key(_kind), "wall": _Key(float, "0.0"),
+                 "a": _Key(float), "b": _Key(float), "radius": _Key(float, low=0.0)},
+    "packet": {"x0": _Key(float), "p0": _Key(float),
+               "sigma": _Key(float, low=0.0), "mass": _Key(float, low=0.0)},
+    "grid": {"x_min": _Key(float, "-24.0"), "x_max": _Key(float, "24.0"),
+             "n_x": _Key(int, "513", 2),
+             "p_min": _Key(float, "-16.0"), "p_max": _Key(float, "16.0"),
+             "n_p": _Key(int, "513", 2)},
+    "times": {"values": _Key(_floats, "0, 1, 2, 3, 4")},
+    "run": {"threads": _Key(int, "0", 0),
+            "outputs": _Key(_outputs, "fields,marginals,report"),
+            "oracle_oversample": _Key(int, "8", 1),
+            "y_halfwidth": _Key(_auto_float, "auto", 0.0),
+            "n_modes": _Key(int, "64", 1)},
+    "kernel2d": {"x_points": _Key(int, "3", 1), "x_half": _Key(float, "0.4"),
+                 "n_p": _Key(int, "65", 1), "p_half": _Key(float, "2.0", 0.0),
+                 "n_y": _Key(int, "441", 1), "y_half": _Key(float, "2.125", 0.0),
+                 "subsamples": _Key(int, "8", 1)},
 }
 
 
@@ -127,32 +174,52 @@ class ScenarioConfig:
     kernel2d: dict
 
 
-_KEYS = {"geometry": {"kind", "wall", "a", "b", "radius"},
-         "packet": {"x0", "p0", "sigma", "mass"},
-         **{section: set(keys) for section, keys in _DEFAULTS.items()}}
-
-
 def _load_ini(text: str) -> configparser.ConfigParser:
     """Parse INI text; unknown sections and keys are errors, so a typo
     cannot silently fall back to a default."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     for section in cp.sections():
-        if section not in _KEYS:
+        if section not in _CONFIG:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(cp.options(section)) - _KEYS[section]
+        unknown = set(cp.options(section)) - set(_CONFIG[section])
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     return cp
 
 
-def _check_threads(threads: int) -> int:
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0 = all cores), got {threads}")
-    return threads
+def _value(section: str, key: str, raw: str):
+    """Parse one value of a config key and check it against ``_CONFIG``:
+    numbers must be finite and within the key's lower bound."""
+    spec = _CONFIG[section][key]
+    try:
+        value = spec.parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad [{section}] {key} = {raw!r}: {exc}") from exc
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and not np.isfinite(v):
+            raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        if spec.low is None or v is None:
+            continue
+        strict = isinstance(v, float)
+        if v < spec.low or (strict and v == spec.low):
+            raise ConfigError(f"[{section}] {key} must be {'>' if strict else '>='} "
+                              f"{spec.low:g}, got {v:g}")
+    return value
+
+
+def _get(cp: configparser.ConfigParser, section: str, key: str):
+    raw = cp.get(section, key, fallback=_CONFIG[section][key].default)
+    if raw is None:
+        raise ConfigError(f"missing [{section}] {key}")
+    return _value(section, key, raw)
+
+
+def _section(cp: configparser.ConfigParser, section: str) -> dict:
+    return {key: _get(cp, section, key) for key in _CONFIG[section]}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -161,83 +228,24 @@ def parse_config(text: str) -> ScenarioConfig:
     Geometry and packet carry no defaults; everything else does.
     """
     cp = _load_ini(text)
-    for section, keys in _DEFAULTS.items():
-        if not cp.has_section(section):
-            cp.add_section(section)
-        for key, val in keys.items():
-            if not cp.has_option(section, key):
-                cp.set(section, key, val)
-
-    if not cp.has_section("geometry"):
-        raise ConfigError("missing [geometry] section")
-    kind = cp.get("geometry", "kind", fallback=None)
-    if kind not in ("halfline", "box", "billiard2d"):
-        raise ConfigError(f"geometry kind must be halfline, box, or billiard2d, "
-                          f"got {kind!r}")
+    kind = _get(cp, "geometry", "kind")
     geometry: dict = {"kind": kind}
-    try:
-        if kind == "halfline":
-            wall = cp.getfloat("geometry", "wall", fallback=0.0)
-            if wall != 0.0:
-                raise ConfigError("half-line geometry fixes the wall at 0")
-            geometry["wall"] = 0.0
-        elif kind == "box":
-            geometry["a"] = cp.getfloat("geometry", "a")
-            geometry["b"] = cp.getfloat("geometry", "b")
-            if geometry["a"] >= geometry["b"]:
-                raise ConfigError("box needs a < b")
-        else:
-            geometry["radius"] = cp.getfloat("geometry", "radius")
-            if geometry["radius"] <= 0:
-                raise ConfigError("disk radius must be positive")
-    except (configparser.NoOptionError, ValueError) as exc:
-        raise ConfigError(f"bad [geometry]: {exc}") from exc
+    if kind == "halfline":
+        if _get(cp, "geometry", "wall") != 0.0:
+            raise ConfigError("half-line geometry fixes the wall at 0")
+        geometry["wall"] = 0.0
+    elif kind == "box":
+        geometry["a"] = _get(cp, "geometry", "a")
+        geometry["b"] = _get(cp, "geometry", "b")
+        if geometry["a"] >= geometry["b"]:
+            raise ConfigError("box needs a < b")
+    else:
+        geometry["radius"] = _get(cp, "geometry", "radius")
 
-    if not cp.has_section("packet"):
-        raise ConfigError("missing [packet] section")
-    try:
-        packet = GaussianPacket(
-            x0=cp.getfloat("packet", "x0"),
-            p0=cp.getfloat("packet", "p0"),
-            sigma=cp.getfloat("packet", "sigma"),
-            m=cp.getfloat("packet", "mass"),
-        )
-    except (configparser.NoOptionError, ValueError, ValidationError) as exc:
-        raise ConfigError(f"bad [packet]: {exc}") from exc
-
-    try:
-        grid = PhaseGrid(
-            cp.getfloat("grid", "x_min"), cp.getfloat("grid", "x_max"),
-            cp.getint("grid", "n_x"),
-            cp.getfloat("grid", "p_min"), cp.getfloat("grid", "p_max"),
-            cp.getint("grid", "n_p"),
-        )
-        times = [float(v) for v in cp.get("times", "values").split(",")]
-        threads = _check_threads(cp.getint("run", "threads"))
-        outputs = {s.strip() for s in cp.get("run", "outputs").split(",") if s.strip()}
-        bad = outputs - {"fields", "marginals", "kernel", "report"}
-        if bad:
-            raise ConfigError(f"unknown outputs {sorted(bad)}")
-        oversample = cp.getint("run", "oracle_oversample")
-        if oversample < 1:
-            raise ConfigError(f"oracle_oversample must be >= 1, got {oversample}")
-        yh_raw = cp.get("run", "y_halfwidth")
-        y_halfwidth = None if yh_raw.strip() == "auto" else float(yh_raw)
-        n_modes = cp.getint("run", "n_modes")
-        kernel2d = {k: (cp.getint("kernel2d", k) if k in
-                        ("x_points", "n_p", "n_y", "subsamples")
-                        else cp.getfloat("kernel2d", k))
-                    for k in _DEFAULTS["kernel2d"]}
-        if kernel2d["subsamples"] < 1:
-            raise ConfigError(f"[kernel2d] subsamples must be >= 1, "
-                              f"got {kernel2d['subsamples']}")
-    except (configparser.Error, ValueError, ValidationError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
-
-    return ScenarioConfig(geometry, packet, grid, times, threads,
-                          outputs, oversample, y_halfwidth, n_modes, kernel2d)
+    packet = GaussianPacket(*_section(cp, "packet").values())
+    grid = PhaseGrid(**_section(cp, "grid"))
+    return ScenarioConfig(geometry, packet, grid, _get(cp, "times", "values"),
+                          kernel2d=_section(cp, "kernel2d"), **_section(cp, "run"))
 
 
 def load_config(path: str | None, preset: str | None) -> ScenarioConfig:
@@ -452,33 +460,22 @@ def demo_naive(cfg: ScenarioConfig, out_dir: str) -> int:
 
 
 def validate(cfg: ScenarioConfig) -> int:
-    """Check geometry, packet, and grid compatibility without running."""
-    checks: list[str] = []
-    grid = cfg.grid
-    grid.zero_p_index()
-    checks.append("p = 0 lies on the momentum axis")
-    dy = 2.0 * grid.dx
-    pmax = max(abs(grid.p_min), abs(grid.p_max))
-    if pmax * dy >= np.pi:
-        raise ValidationError(
-            f"momentum window {pmax:g} exceeds the band pi/dy = {np.pi / dy:g}")
-    checks.append(f"momentum window inside the representable band "
-                  f"({pmax:g} < {np.pi / dy:.4g})")
-    xmax = max(abs(grid.x_min), abs(grid.x_max))
-    if 2.0 * xmax >= np.pi / grid.dp:
-        raise ValidationError(
-            "kernel separation reach 2|x| exceeds pi/dp; refine the p axis")
-    checks.append("kernel reach inside the alias-free band")
-    g = cfg.packet
+    """Run the set-up of ``simulate`` without evolving: build the plan
+    (the transform's band check, the plan's p = 0, kernel-reach and
+    symmetry checks), then check the oracle's preconditions at t = 0."""
+    if cfg.geometry["kind"] == "billiard2d":
+        print("ok: disk kernel settings within their bounds")
+        return 0
+    build_plan(cfg)
+    print("ok: plan built (p = 0 on the momentum axis, momentum window inside "
+          "the band, kernel reach inside the alias-free band)")
+    g, grid = cfg.packet, cfg.grid
     if cfg.geometry["kind"] == "halfline":
         images_reflect(g, 0.0, grid.x_min, grid.dx, grid.n_x)
-        checks.append("packet clear of the wall and inside the grid")
-    elif cfg.geometry["kind"] == "box":
-        project_gaussian_to_box(g, cfg.geometry["a"], cfg.geometry["b"],
-                                cfg.n_modes)
-        checks.append("packet inside the box and representable by the modes")
-    for line in checks:
-        print(f"ok: {line}")
+        print("ok: packet clear of the wall and inside the grid")
+    else:
+        project_gaussian_to_box(g, cfg.geometry["a"], cfg.geometry["b"], cfg.n_modes)
+        print("ok: packet inside the box and representable by the modes")
     return 0
 
 
@@ -490,7 +487,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="path to an INI scenario config")
     sub.add_argument("--preset", help=f"built-in scenario: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--out", default="wignerwall_out", help="output directory")
-    sub.add_argument("--threads", type=int, default=None,
+    sub.add_argument("--threads", default=None,
                      help="FFT worker threads (0 = auto)")
 
 
@@ -515,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.preset)
         if args.threads is not None:
-            cfg.threads = _check_threads(args.threads)
+            cfg.threads = _value("run", "threads", args.threads)
         if args.command == "simulate":
             return run(cfg, args.out)
         if args.command == "kernel":

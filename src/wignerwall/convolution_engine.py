@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from .boundary_kernels import BoundaryKernel
+from .boundary_kernels import BoundaryKernel, halfline_kernel
 from .errors import GridMismatch, LengthMismatch, ValidationError
 from .free_evolution import ShearParams, shear_evolve
 from .phase_grid import WignerField, marginal_x
@@ -84,20 +84,19 @@ class BoundedEvolutionPlan:
 
     ``initial`` is the free Wigner field of the image-extended state at
     t = 0 (odd extension for the half line; periodic odd images for an
-    interval), sharing one grid with ``kernel``. ``shear_method`` and
-    ``check_support`` are forwarded to the shear (interval scenarios
-    disable the support guard since the image train legitimately fills
-    the window).
+    interval), sharing one grid with ``kernel``. ``check_support`` is
+    forwarded to the shear (interval scenarios disable the support guard
+    since the image train legitimately fills the window).
 
-    Half-line plans verify the point-reflection symmetry
-    W0(-x, -p) = W0(x, p) of the initial field, the discrete footprint
-    of the odd-state requirement.
+    The grid must resolve the kernel: its rows oscillate in p at the
+    separation reach 2|x|, so 2 max|x| < pi/dp. Half-line plans also
+    verify the point-reflection symmetry W0(-x, -p) = W0(x, p) of the
+    initial field, the discrete footprint of the odd-state requirement.
     """
 
     kernel: BoundaryKernel
     shear: ShearParams
     initial: WignerField
-    shear_method: str = "auto"
     check_support: bool = True
     workers: int | None = None
     _kernel_rows: np.ndarray = field(init=False, repr=False, compare=False)
@@ -107,6 +106,10 @@ class BoundedEvolutionPlan:
             raise GridMismatch("kernel and initial field grids differ")
         grid = self.initial.grid
         grid.zero_p_index()  # p = 0 must be on the axis for row alignment
+        xmax = max(abs(grid.x_min), abs(grid.x_max))
+        if 2.0 * xmax >= np.pi / grid.dp:
+            raise ValidationError(
+                "kernel separation reach 2|x| exceeds pi/dp; refine the p axis")
         if self.kernel.provenance == "analytic-halfline":
             defect = point_symmetry_defect(self.initial)
             if defect > _SYMMETRY_TOL:
@@ -144,7 +147,6 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float | None = None) -> Wigner
     grid = plan.initial.grid
     time = plan.shear.t if t is None else t
     sheared = shear_evolve(plan.initial, ShearParams(time, plan.shear.m),
-                           method=plan.shear_method,
                            check_support=plan.check_support,
                            workers=plan.workers)
     out = _batched_fft_convolve(sheared.values, plan._kernel_rows, grid.dp,
@@ -153,24 +155,18 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float | None = None) -> Wigner
     return WignerField(grid, out)
 
 
-def far_field_check(w0: WignerField, x_probe: float,
-                    kernel: BoundaryKernel | None = None) -> float:
-    """Deviation of the bounded row from the free row at ``x_probe``.
+def far_field_check(w0: WignerField, x_probe: float) -> float:
+    """Deviation of the half-line bounded row from the free row at ``x_probe``.
 
     Far from the wall the momentum convolution against the kernel row
     tends to the identity, so for a state far inside the region the
     bounded row approaches theta(x) W0; the return value is the max
     absolute difference at the grid row nearest to ``x_probe`` (t = 0).
     """
-    from .boundary_kernels import halfline_kernel
-
     grid = w0.grid
-    k = kernel if kernel is not None else halfline_kernel(grid)
-    if k.grid != grid:
-        raise GridMismatch("kernel and field grids differ")
     i = grid.index_near_x(x_probe)
     karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
-    row_k = k.rows_at(karg)[i]
+    row_k = halfline_kernel(grid).rows_at(karg)[i]
     conv = _batched_fft_convolve(w0.values[i:i + 1], row_k[None, :], grid.dp,
                                  grid.n_p - 1)[0]
     free = w0.values[i] if grid.x_at(i) > 0 else np.zeros(grid.n_p)

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import GridMismatch, SupportEscaped, TruncationTooSevere, ValidationError
 from .phase_grid import ComplexWave, WignerField, total_mass, wave_edge_fraction
 
+_QUAD_POINTS = 20001  # box projection quadrature nodes over [a, b]
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -90,11 +92,6 @@ class BoxSpectrum:
         return 4.0 * self.m * self.length**2 / np.pi
 
 
-def _wave_axis(x_min: float, x_max: float, dx: float) -> np.ndarray:
-    n = int(round((x_max - x_min) / dx)) + 1
-    return x_min + dx * np.arange(n)
-
-
 def free_gaussian(g: GaussianPacket, t: float,
                   x_min: float, dx: float, n: int) -> ComplexWave:
     """Sample the dispersed packet on the requested axis at time t.
@@ -134,7 +131,7 @@ def _left_overlap(g: GaussianPacket) -> float:
 
 
 def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
-                            n_max: int, quad_points: int = 20001) -> BoxSpectrum:
+                            n_max: int) -> BoxSpectrum:
     """Sine-mode coefficients of the packet by quadrature on a fine axis.
 
     Raises TruncationTooSevere when the reconstruction misses more than
@@ -146,7 +143,7 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
     if wall_overlap > 1e-8:
         raise SupportEscaped("packet overlaps a box wall at t = 0")
     L = b - a
-    x = np.linspace(a, b, quad_points)
+    x = np.linspace(a, b, _QUAD_POINTS)
     psi0 = g.amplitude(x, 0.0)
     n = np.arange(1, n_max + 1)
     basis = np.sqrt(2.0 / L) * np.sin(np.outer(n, np.pi * (x - a) / L))

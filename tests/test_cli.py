@@ -68,6 +68,24 @@ mass = 1.0
      "[run]\noracle_oversample = 0\n", "oracle_oversample"),
     ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\n"
      "mass=1\n[kernel2d]\nsubsamples = 0\n", "subsamples"),
+    ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\n"
+     "mass=1\n[kernel2d]\nx_points = 0\n", "[kernel2d] x_points"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=nan\nmass=1\n",
+     "[packet] sigma"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=inf\np0=0\nsigma=1\nmass=1\n",
+     "[packet] x0"),
+    ("[geometry]\nkind = box\na = nan\nb = 2\n[packet]\nx0=1\np0=0\nsigma=1\nmass=1\n",
+     "[geometry] a"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[times]\nvalues = 0, nan\n", "[times] values"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\ny_halfwidth = nan\n", "[run] y_halfwidth"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\ny_halfwidth = -1\n", "[run] y_halfwidth"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\ny_halfwidth = 0\n", "[run] y_halfwidth"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\nn_modes = 0\n", "[run] n_modes"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -95,6 +113,24 @@ def test_validate_exit_codes(tmp_path):
     broken = tmp_path / "broken.ini"
     broken.write_text("[geometry]\nkind = nowhere\n")
     assert main(["validate", "--config", str(broken)]) == 2
+
+
+@pytest.mark.parametrize("text,code", [
+    # kernel reach 2|x| = 52 is beyond pi/dp = 16.8: exit 2, never a wrong field
+    (PRESETS["box-traversal"].replace("n_p = 513", "n_p = 129")
+     + "\n[run]\noracle_oversample = 4\n", 2),
+    # momentum window beyond the band of the coarse x axis
+    (PRESETS["halfline-bounce"].replace("n_x = 513", "n_x = 129"), 3),
+    (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"), 3),  # packet on the wall
+    (FAST_HALFLINE + "y_halfwidth = nan\n", 2),
+    (FAST_HALFLINE, 0),
+], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok"])
+def test_validate_agrees_with_simulate(tmp_path, text, code):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path)]) == code
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == code
 
 
 def test_simulate_writes_artifacts(tmp_path):

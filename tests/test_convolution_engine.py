@@ -154,6 +154,15 @@ def test_plan_rejects_grid_mismatch():
         BoundedEvolutionPlan(halfline_kernel(other), ShearParams(0.0, 1.0), w0)
 
 
+def test_plan_rejects_kernel_reach_beyond_band():
+    # 2 max|x| = 48 against pi/dp = 12.6: kernel rows alias on this p axis
+    coarse = PhaseGrid(-24.0, 24.0, 512, -16.0, 16.0, 129)
+    assert 2.0 * 24.0 * coarse.dp >= np.pi
+    w0 = WignerField(coarse, np.zeros((coarse.n_x, coarse.n_p)))
+    with pytest.raises(ValidationError, match="pi/dp"):
+        BoundedEvolutionPlan(halfline_kernel(coarse), ShearParams(0.0, 1.0), w0)
+
+
 def test_evolution_tracks_images_oracle_small():
     g, plan = bounce_plan()
     q = 8  # the oracle transform must be finer than the method's grid
