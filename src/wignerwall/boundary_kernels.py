@@ -63,10 +63,9 @@ class BoundaryKernel:
 
     grid: PhaseGrid
     values: np.ndarray = field(compare=False)
-    provenance: str = "numeric"
-    geometry: dict = field(default_factory=dict, compare=False)
-    profile: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
+    provenance: str
+    geometry: dict = field(compare=False)
+    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -78,8 +77,6 @@ class BoundaryKernel:
 
     def rows_at(self, p_arguments: np.ndarray) -> np.ndarray:
         """Kernel rows sampled at the given momentum arguments."""
-        if self.profile is None:
-            raise ValueError("kernel has no row profile; resampling unsupported")
         return self.profile(np.asarray(p_arguments, dtype=np.float64))
 
     def inside_rows(self) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import __version__, boundary_kernels
 from .boundary_kernels import (
@@ -33,6 +34,7 @@ from .oracle import (
     compare_fields,
     images_reflect,
     project_gaussian_to_box,
+    require_inside,
 )
 from .phase_grid import (
     ComplexWave,
@@ -191,31 +193,32 @@ def _load_ini(text: str) -> configparser.ConfigParser:
     return cp
 
 
-def _value(section: str, key: str, raw: str):
-    """Parse one value of a config key and check it against ``_CONFIG``:
-    numbers must be finite and within the key's lower bound."""
-    spec = _CONFIG[section][key]
+def _value(spec: _Key, name: str, raw: str):
+    """Parse one value of a config key and check it against its ``_CONFIG``
+    entry ``spec``: numbers must be finite and within the key's lower
+    bound. ``name`` is where the value came from, for the messages."""
     try:
         value = spec.parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad [{section}] {key} = {raw!r}: {exc}") from exc
+        raise ConfigError(f"bad {name} = {raw!r}: {exc}") from exc
     for v in value if isinstance(value, list) else [value]:
         if isinstance(v, float) and not np.isfinite(v):
-            raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+            raise ConfigError(f"{name} must be finite, got {raw!r}")
         if spec.low is None or v is None:
             continue
         strict = isinstance(v, float)
         if v < spec.low or (strict and v == spec.low):
-            raise ConfigError(f"[{section}] {key} must be {'>' if strict else '>='} "
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} "
                               f"{spec.low:g}, got {v:g}")
     return value
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str):
-    raw = cp.get(section, key, fallback=_CONFIG[section][key].default)
+    spec = _CONFIG[section][key]
+    raw = cp.get(section, key, fallback=spec.default)
     if raw is None:
         raise ConfigError(f"missing [{section}] {key}")
-    return _value(section, key, raw)
+    return _value(spec, f"[{section}] {key}", raw)
 
 
 def _section(cp: configparser.ConfigParser, section: str) -> dict:
@@ -263,10 +266,6 @@ def load_config(path: str | None, preset: str | None) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _workers(threads: int) -> int:
-    return -1 if threads == 0 else threads
-
-
 def _fmt_t(t: float) -> str:
     return f"{t:g}".replace("-", "m")
 
@@ -309,28 +308,30 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
     """The scenario builder: free Wigner field of the image-extended
     packet, geometry kernel, and the evolution plan joining them.
 
-    The half line uses the odd extension phi(x) - phi(-x) on the grid
-    axis. The box uses the periodic odd-image train of ``_box_extended``;
-    it fills the window, so the shear support guard is off, and wrapped
+    The packet must start inside the region (``require_inside``). The
+    half line uses the odd extension phi(x) - phi(-x) on the grid axis.
+    The box uses the periodic odd-image train of ``_box_extended``; it
+    fills the window, so the shear support guard is off, and wrapped
     content lands outside the box rows, which the kernel masks.
     """
     grid, g = cfg.grid, cfg.packet
     if cfg.geometry["kind"] == "halfline":
+        require_inside(g, 0.0, np.inf)
         x = grid.x_axis()
         psi = ComplexWave(grid.x_min, grid.dx, grid.n_x,
                           g.amplitude(x, 0.0) - g.amplitude(-x, 0.0))
         w0 = wigner_of(psi, grid, y_halfwidth=cfg.y_halfwidth)
         kernel = boundary_kernels.halfline_kernel(grid)
     elif cfg.geometry["kind"] == "box":
+        a, b = cfg.geometry["a"], cfg.geometry["b"]
+        require_inside(g, a, b)
         psi, ycap = _box_extended(cfg)
         w0 = wigner_of(psi, grid, y_halfwidth=ycap)
-        kernel = boundary_kernels.interval_kernel(grid, cfg.geometry["a"],
-                                                  cfg.geometry["b"])
+        kernel = boundary_kernels.interval_kernel(grid, a, b)
     else:
         raise ConfigError("dynamics is defined for halfline and box geometries only")
     return BoundedEvolutionPlan(kernel, ShearParams(0.0, g.m), w0,
-                                check_support=cfg.geometry["kind"] == "halfline",
-                                workers=_workers(cfg.threads))
+                                check_support=cfg.geometry["kind"] == "halfline")
 
 
 def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
@@ -461,21 +462,25 @@ def demo_naive(cfg: ScenarioConfig, out_dir: str) -> int:
 
 def validate(cfg: ScenarioConfig) -> int:
     """Run the set-up of ``simulate`` without evolving: build the plan
-    (the transform's band check, the plan's p = 0, kernel-reach and
-    symmetry checks), then check the oracle's preconditions at t = 0."""
+    (the packet-in-region check, the transform's band check, the plan's
+    p = 0, kernel-reach and symmetry checks), then, when ``outputs`` has
+    ``report``, check the oracle's preconditions at t = 0."""
     if cfg.geometry["kind"] == "billiard2d":
         print("ok: disk kernel settings within their bounds")
         return 0
     build_plan(cfg)
-    print("ok: plan built (p = 0 on the momentum axis, momentum window inside "
-          "the band, kernel reach inside the alias-free band)")
+    print("ok: plan built (packet inside the region, p = 0 on the momentum "
+          "axis, momentum window inside the band, kernel reach inside the "
+          "alias-free band)")
+    if "report" not in cfg.outputs:
+        return 0
     g, grid = cfg.packet, cfg.grid
     if cfg.geometry["kind"] == "halfline":
-        images_reflect(g, 0.0, grid.x_min, grid.dx, grid.n_x)
-        print("ok: packet clear of the wall and inside the grid")
+        images_reflect(g, 0.0, *_fine_axis(grid, cfg.oracle_oversample))
+        print("ok: reflected packet inside the oracle axis")
     else:
         project_gaussian_to_box(g, cfg.geometry["a"], cfg.geometry["b"], cfg.n_modes)
-        print("ok: packet inside the box and representable by the modes")
+        print("ok: packet representable by the box modes")
     return 0
 
 
@@ -488,7 +493,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", help=f"built-in scenario: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--out", default="wignerwall_out", help="output directory")
     sub.add_argument("--threads", default=None,
-                     help="FFT worker threads (0 = auto)")
+                     help="workers of every FFT in the run (0 = all cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,16 +517,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.preset)
         if args.threads is not None:
-            cfg.threads = _value("run", "threads", args.threads)
-        if args.command == "simulate":
-            return run(cfg, args.out)
-        if args.command == "kernel":
-            cfg.outputs, cfg.times = {"kernel"}, []
-            return run(cfg, args.out)
-        if args.command == "validate":
-            return validate(cfg)
-        if args.command == "demo-naive":
-            return demo_naive(cfg, args.out)
+            cfg.threads = _value(_CONFIG["run"]["threads"], "--threads", args.threads)
+        # one scope sets the workers of every FFT of the run, the czt
+        # transforms included; threads = 0 means every core
+        with sfft.set_workers(cfg.threads or -1):
+            if args.command == "simulate":
+                return run(cfg, args.out)
+            if args.command == "kernel":
+                cfg.outputs, cfg.times = {"kernel"}, []
+                return run(cfg, args.out)
+            if args.command == "validate":
+                return validate(cfg)
+            if args.command == "demo-naive":
+                return demo_naive(cfg, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

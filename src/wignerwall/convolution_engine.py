@@ -30,45 +30,29 @@ from .wigner_transform import wigner_of  # noqa: F401 -- benchmark/tracer.py wra
 _SYMMETRY_TOL = 1e-6
 
 
-def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float,
-               zero_index: int | None = None) -> np.ndarray:
-    """Linear discrete convolution along p with measure dp.
+def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float) -> np.ndarray:
+    """Linear discrete convolution along p with measure dp; the direct
+    reference for the engine's FFT path.
 
-    out[j] = dp * sum_l row_w[l] * row_k[(j - l) + z0], zero padded.
-
-    ``row_k`` is either a kernel row on the same momentum axis as
-    ``row_w`` (equal lengths; ``zero_index`` locates p = 0 on that axis,
-    defaulting to the center of an odd-length symmetric axis) or a row
-    on the momentum difference lattice (length 2 n - 1, center implied).
+    ``row_k`` is a kernel row on the momentum difference lattice: for an
+    n-sample ``row_w`` it has 2 n - 1 samples with p = 0 at index n - 1,
+    and out[j] = dp * sum_l row_w[l] * row_k[j - l + n - 1].
     """
     u = np.asarray(row_w, dtype=np.float64)
     v = np.asarray(row_k, dtype=np.float64)
     n = u.size
-    if v.size == n:
-        if zero_index is None:
-            if n % 2 == 0:
-                raise LengthMismatch(
-                    "even-length kernel row needs an explicit zero_index")
-            z0 = (n - 1) // 2
-        else:
-            z0 = int(zero_index)
-            if not 0 <= z0 < n:
-                raise LengthMismatch("zero_index outside the row")
-    elif v.size == 2 * n - 1:
-        if zero_index is not None:
-            raise LengthMismatch("difference-lattice rows imply their center")
-        z0 = n - 1
-    else:
+    if v.size != 2 * n - 1:
         raise LengthMismatch(
-            f"kernel row length {v.size} matches neither {n} nor {2 * n - 1}")
+            f"kernel row length {v.size} is not 2 n - 1 = {2 * n - 1}")
     full = np.convolve(u, v)
-    return dp * full[z0:z0 + n]
+    return dp * full[n - 1:2 * n - 1]
 
 
 def _batched_fft_convolve(rows_w: np.ndarray, rows_k: np.ndarray, dp: float,
                           z0: int, workers: int | None = None) -> np.ndarray:
     """FFT path of the row convolutions; identical contract to convolve_p
-    applied row-wise, padded to at least full linear length."""
+    applied row-wise, padded to at least full linear length. ``workers``
+    None takes the count of the enclosing ``scipy.fft.set_workers``."""
     n = rows_w.shape[1]
     m = rows_k.shape[1]
     L = sfft.next_fast_len(n + m - 1)
@@ -84,7 +68,8 @@ class BoundedEvolutionPlan:
 
     ``initial`` is the free Wigner field of the image-extended state at
     t = 0 (odd extension for the half line; periodic odd images for an
-    interval), sharing one grid with ``kernel``. ``check_support`` is
+    interval), sharing one grid with ``kernel``. ``shear`` supplies the
+    mass; ``evolve_bounded`` takes the time. ``check_support`` is
     forwarded to the shear (interval scenarios disable the support guard
     since the image train legitimately fills the window).
 
@@ -98,7 +83,6 @@ class BoundedEvolutionPlan:
     shear: ShearParams
     initial: WignerField
     check_support: bool = True
-    workers: int | None = None
     _kernel_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -138,19 +122,17 @@ def point_symmetry_defect(w: WignerField) -> float:
     return float(np.abs(sub - mirrored).max())
 
 
-def evolve_bounded(plan: BoundedEvolutionPlan, t: float | None = None) -> WignerField:
-    """Bounded field at time t (defaults to the plan's shear time).
+def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
+    """Bounded field at time t.
 
     Shear first, then convolve each x row along p with its kernel row;
     rows whose kernel row vanishes (outside the walls) are exactly zero.
     """
     grid = plan.initial.grid
-    time = plan.shear.t if t is None else t
-    sheared = shear_evolve(plan.initial, ShearParams(time, plan.shear.m),
-                           check_support=plan.check_support,
-                           workers=plan.workers)
+    sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
+                           check_support=plan.check_support)
     out = _batched_fft_convolve(sheared.values, plan._kernel_rows, grid.dp,
-                                grid.n_p - 1, plan.workers)
+                                grid.n_p - 1)
     out[~plan.kernel.inside_rows(), :] = 0.0
     return WignerField(grid, out)
 

@@ -45,11 +45,11 @@ class ShearParams:
 
 
 def _fourier_shift_rows(values: np.ndarray, grid: PhaseGrid,
-                        shifts: np.ndarray, workers: int | None) -> np.ndarray:
+                        shifts: np.ndarray) -> np.ndarray:
     nu = sfft.fftfreq(grid.n_x, d=grid.dx)
-    F = sfft.fft(values, axis=0, workers=workers)
+    F = sfft.fft(values, axis=0)
     F *= np.exp(-2j * np.pi * np.outer(nu, shifts))
-    return np.real(sfft.ifft(F, axis=0, workers=workers))
+    return np.real(sfft.ifft(F, axis=0))
 
 
 def _cubic_shift_rows(values: np.ndarray, grid: PhaseGrid,
@@ -61,7 +61,7 @@ def _cubic_shift_rows(values: np.ndarray, grid: PhaseGrid,
 
 
 def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
-                 check_support: bool = True, workers: int | None = None) -> WignerField:
+                 check_support: bool = True) -> WignerField:
     """Translate momentum row j by +p_j t / m along x; out-of-grid fill 0.
 
     method "fourier" shifts spectrally, "cubic" by spline interpolation,
@@ -85,7 +85,7 @@ def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
         method = "fourier" if (total == 0.0 or pre_edge <= _FOURIER_SAFE_RATIO * total) \
             else "cubic"
     if method == "fourier":
-        out = _fourier_shift_rows(w0.values, grid, shifts, workers)
+        out = _fourier_shift_rows(w0.values, grid, shifts)
     else:
         out = _cubic_shift_rows(w0.values, grid, shifts)
 
@@ -100,8 +100,7 @@ def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
     return result
 
 
-def naive_bounded_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
-                         check_support: bool = True) -> WignerField:
+def naive_bounded_evolve(w0: WignerField, s: ShearParams) -> WignerField:
     """Shear, then multiply by the sheared wall step theta(x - p t / m).
 
     Reproduces the incorrect bounded solution: its support condition is
@@ -117,7 +116,7 @@ def naive_bounded_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
         raise ValidationError(
             "naive evolution expects an initial field vanishing for x <= 0"
         )
-    sheared = shear_evolve(w0, s, method=method, check_support=check_support)
+    sheared = shear_evolve(w0, s)
     mask = (x[:, None] - grid.p_axis()[None, :] * (s.t / s.m)) > 0.0
     return WignerField(grid, sheared.values * mask)
 

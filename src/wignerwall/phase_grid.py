@@ -18,6 +18,7 @@ import numpy as np
 from .errors import GridMismatch, ValidationError
 
 _BIN_HEADER = struct.Struct("<6d2Q")
+_RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
 
 
 @dataclass(frozen=True, eq=True)
@@ -136,15 +137,10 @@ class ComplexWave:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.dx)
 
-    def require_unit_norm(self, tol: float = 1e-9) -> None:
+    def require_unit_norm(self) -> None:
         n2 = self.norm_sq()
-        if abs(n2 - 1.0) >= tol:
-            raise ValidationError(f"wave norm^2 = {n2!r}, not unit within {tol}")
-
-
-def _require_same_grid(a: WignerField, b: WignerField) -> None:
-    if a.grid != b.grid:
-        raise GridMismatch("fields live on different grids")
+        if abs(n2 - 1.0) >= 1e-9:
+            raise ValidationError(f"wave norm^2 = {n2!r}, not unit within 1e-9")
 
 
 def marginal_x(w: WignerField) -> np.ndarray:
@@ -171,25 +167,25 @@ def abs_mass(w: WignerField) -> float:
     return float(np.abs(w.values).sum() * w.grid.dx * w.grid.dp)
 
 
-def edge_mass(w: WignerField, rim: int = 2) -> float:
-    """|W| mass in the outermost ``rim`` rows and columns.
+def edge_mass(w: WignerField) -> float:
+    """|W| mass in the outermost two rows and columns.
 
     Compact support inside the grid means this is a negligible fraction
     of abs_mass; shear and transform guards compare the two.
     """
     v = np.abs(w.values)
-    total = v[:rim, :].sum() + v[-rim:, :].sum()
-    total += v[rim:-rim, :rim].sum() + v[rim:-rim, -rim:].sum()
+    total = v[:_RIM, :].sum() + v[-_RIM:, :].sum()
+    total += v[_RIM:-_RIM, :_RIM].sum() + v[_RIM:-_RIM, -_RIM:].sum()
     return float(total * w.grid.dx * w.grid.dp)
 
 
-def wave_edge_fraction(psi: ComplexWave, rim: int = 2) -> float:
-    """Fraction of |psi|^2 mass sitting in the outermost axis samples."""
+def wave_edge_fraction(psi: ComplexWave) -> float:
+    """Fraction of |psi|^2 mass sitting in the outermost two axis samples."""
     d = np.abs(psi.samples) ** 2
     tot = d.sum()
     if tot == 0.0:
         return 0.0
-    return float((d[:rim].sum() + d[-rim:].sum()) / tot)
+    return float((d[:_RIM].sum() + d[-_RIM:].sum()) / tot)
 
 
 # ---------------------------------------------------------------------------

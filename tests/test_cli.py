@@ -102,11 +102,15 @@ def test_load_config_requires_exactly_one_source(tmp_path):
         load_config(None, "not-a-preset")
 
 
-def test_validate_exit_codes(tmp_path):
+def test_validate_exit_codes(tmp_path, capsys):
     ok = tmp_path / "ok.ini"
     ok.write_text(FAST_HALFLINE)
     assert main(["validate", "--config", str(ok)]) == 0
-    assert main(["validate", "--config", str(ok), "--threads", "-7"]) == 2
+    for threads in ("-7", "abc"):
+        capsys.readouterr()
+        assert main(["validate", "--config", str(ok), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "[run]" not in err  # no config key was set
     bad = tmp_path / "bad.ini"
     bad.write_text(FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"))
     assert main(["validate", "--config", str(bad)]) == 3  # packet on the wall
@@ -124,7 +128,14 @@ def test_validate_exit_codes(tmp_path):
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"), 3),  # packet on the wall
     (FAST_HALFLINE + "y_halfwidth = nan\n", 2),
     (FAST_HALFLINE, 0),
-], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok"])
+    # set-up checks the packet is inside the region, with or without the oracle
+    (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5") + "outputs = fields\n", 3),
+    (PRESETS["box-traversal"].replace("x0 = 5.0", "x0 = 40.0")
+     + "\n[run]\noracle_oversample = 4\n", 3),
+    # the n_modes truncation is the oracle's own check: no report, no check
+    (PRESETS["box-traversal"] + "\n[run]\nn_modes = 8\noutputs = marginals\n", 0),
+], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok",
+        "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report"])
 def test_validate_agrees_with_simulate(tmp_path, text, code):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
@@ -151,13 +162,17 @@ def test_simulate_writes_artifacts(tmp_path):
 
 
 def test_simulate_deterministic(tmp_path):
+    # two runs, at 1 and at 2 FFT workers, write byte-identical files
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(FAST_HALFLINE)
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    for name in ("field_t0.csv", "report.csv", "marginal_x_t1.5.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--threads", str(n)]) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_simulate_binary_roundtrip(tmp_path):
@@ -270,8 +285,10 @@ def test_build_plan_looks_up_kernels_through_module(monkeypatch):
         monkeypatch.setattr(boundary_kernels, name, recording(name))
     build_plan(parse_config(FAST_HALFLINE))
     assert calls == ["halfline_kernel"]
+    # sigma = 0.5 keeps the packet's mass outside (-4, 4) below 1e-8
     box = parse_config(FAST_HALFLINE.replace("kind = halfline",
                                              "kind = box\na = -4.0\nb = 4.0")
-                       .replace("x0 = 8.0", "x0 = 0.0"))
+                       .replace("x0 = 8.0", "x0 = 0.0")
+                       .replace("sigma = 1.0", "sigma = 0.5"))
     build_plan(box)
     assert calls == ["halfline_kernel", "interval_kernel"]
