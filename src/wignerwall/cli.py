@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .convolution_engine import BoundedEvolutionPlan, evolve_bounded, kernel_tai
 from .errors import ConfigError, NumericalGuardError, ValidationError
 from .free_evolution import ShearParams, naive_bounded_evolve, wall_violation_mass
 from .oracle import (
+    BoxSpectrum,
     GaussianPacket,
     box_evolve,
     compare_fields,
@@ -42,6 +44,7 @@ from .phase_grid import (
     WignerField,
     marginal_p,
     marginal_x,
+    write_csv,
     write_field_binary,
     write_field_csv,
 )
@@ -141,8 +144,8 @@ def _auto_float(raw: str) -> float | None:
 # argument order of the object they build (PhaseGrid, GaussianPacket,
 # the [run] fields of ScenarioConfig).
 _CONFIG = {
-    "geometry": {"kind": _Key(_kind), "wall": _Key(float, "0.0"),
-                 "a": _Key(float), "b": _Key(float), "radius": _Key(float, low=0.0)},
+    "geometry": {"kind": _Key(_kind), "a": _Key(float), "b": _Key(float),
+                 "radius": _Key(float, low=0.0)},
     "packet": {"x0": _Key(float), "p0": _Key(float),
                "sigma": _Key(float, low=0.0), "mass": _Key(float, low=0.0)},
     "grid": {"x_min": _Key(float, "-24.0"), "x_max": _Key(float, "24.0"),
@@ -233,16 +236,12 @@ def parse_config(text: str) -> ScenarioConfig:
     cp = _load_ini(text)
     kind = _get(cp, "geometry", "kind")
     geometry: dict = {"kind": kind}
-    if kind == "halfline":
-        if _get(cp, "geometry", "wall") != 0.0:
-            raise ConfigError("half-line geometry fixes the wall at 0")
-        geometry["wall"] = 0.0
-    elif kind == "box":
+    if kind == "box":
         geometry["a"] = _get(cp, "geometry", "a")
         geometry["b"] = _get(cp, "geometry", "b")
         if geometry["a"] >= geometry["b"]:
             raise ConfigError("box needs a < b")
-    else:
+    elif kind == "billiard2d":
         geometry["radius"] = _get(cp, "geometry", "radius")
 
     packet = GaussianPacket(*_section(cp, "packet").values())
@@ -273,10 +272,6 @@ def _fmt_t(t: float) -> str:
 # ---------------------------------------------------------------------------
 # scenario assembly
 # ---------------------------------------------------------------------------
-
-def _fine_axis(grid: PhaseGrid, oversample: int) -> tuple[float, float, int]:
-    return grid.x_min, grid.dx / oversample, (grid.n_x - 1) * oversample + 1
-
 
 def _box_extended(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
     """Periodic odd-image extension of the packet, on an axis reaching
@@ -334,29 +329,31 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
                                 check_support=cfg.geometry["kind"] == "halfline")
 
 
-def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
-    """Wigner transform of the wavefunction-space ground truth at time t,
-    computed on an oversampled axis so oracle error stays below method
-    error."""
-    x_min, dxf, nf = _fine_axis(cfg.grid, cfg.oracle_oversample)
+@functools.lru_cache(maxsize=1)
+def _box_spectrum(g: GaussianPacket, a: float, b: float, n_modes: int) -> BoxSpectrum:
+    """The packet's box spectrum, which does not depend on t: computed once
+    per packet and box, not once per frame. ``project_gaussian_to_box`` is
+    looked up through this module at call time."""
+    return project_gaussian_to_box(g, a, b, n_modes)
+
+
+def _oracle_wave(cfg: ScenarioConfig, t: float) -> ComplexWave:
+    """The wavefunction-space ground truth at time t on the oracle's
+    oversampled axis: the image solution on the half line, the eigenmode
+    evolution in the box."""
+    grid, k = cfg.grid, cfg.oracle_oversample
+    axis = (grid.x_min, grid.dx / k, (grid.n_x - 1) * k + 1)
     if cfg.geometry["kind"] == "halfline":
-        psi = images_reflect(cfg.packet, t, x_min, dxf, nf)
-    else:
-        spectrum = project_gaussian_to_box(cfg.packet, cfg.geometry["a"],
-                                           cfg.geometry["b"], cfg.n_modes)
-        psi = box_evolve(spectrum, t, x_min, dxf, nf)
-    return wigner_of(psi, cfg.grid)
+        return images_reflect(cfg.packet, t, *axis)
+    spectrum = _box_spectrum(cfg.packet, cfg.geometry["a"], cfg.geometry["b"],
+                             cfg.n_modes)
+    return box_evolve(spectrum, t, *axis)
 
 
-def _write_marginals(w: WignerField, out_dir: str, tag: str) -> None:
-    g = w.grid
-    for name, axis, dens in (("x", g.x_axis(), marginal_x(w)),
-                             ("p", g.p_axis(), marginal_p(w))):
-        path = os.path.join(out_dir, f"marginal_{name}_{tag}.csv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"{name},density\n")
-            for v, d in zip(axis, dens):
-                f.write(f"{v:.12g},{d:.12g}\n")
+def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
+    """Wigner transform of ``_oracle_wave``, computed on an oversampled axis
+    so oracle error stays below method error."""
+    return wigner_of(_oracle_wave(cfg, t), cfg.grid)
 
 
 def run(cfg: ScenarioConfig, out_dir: str) -> int:
@@ -380,17 +377,18 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
             write_field_csv(w, os.path.join(out_dir, f"field_{tag}.csv"))
             write_field_binary(w, os.path.join(out_dir, f"field_{tag}.bin"))
         if "marginals" in cfg.outputs:
-            _write_marginals(w, out_dir, tag)
+            for name, axis, dens in (("x", w.grid.x_axis(), marginal_x(w)),
+                                     ("p", w.grid.p_axis(), marginal_p(w))):
+                write_csv(os.path.join(out_dir, f"marginal_{name}_{tag}.csv"),
+                          (name, "density"), zip(axis, dens))
         if "report" in cfg.outputs:
             ref = oracle_field(cfg, t)
             cmp = compare_fields(w, ref)
             report_rows.append((t, cmp.l2_rel, cmp.max_abs, cmp.mass_diff, tail))
 
     if report_rows:
-        with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as f:
-            f.write("t,l2_rel,max_abs,mass_diff,kernel_tail_mass\n")
-            for row in report_rows:
-                f.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        write_csv(os.path.join(out_dir, "report.csv"),
+                  ("t", "l2_rel", "max_abs", "mass_diff", "kernel_tail_mass"), report_rows)
         for row in report_rows:
             print(f"t={row[0]:g}: l2_rel={row[1]:.3e} max_abs={row[2]:.3e} "
                   f"mass_diff={row[3]:.3e} kernel_tail_mass={row[4]:.3e}")
@@ -451,10 +449,8 @@ def demo_naive(cfg: ScenarioConfig, out_dir: str) -> int:
         write_field_csv(naive, os.path.join(out_dir, f"naive_{tag}.csv"))
         write_field_csv(conv, os.path.join(out_dir, f"convolution_{tag}.csv"))
         rows.append((t, wall_violation_mass(naive), wall_violation_mass(conv)))
-    with open(os.path.join(out_dir, "naive_violation.csv"), "w", encoding="utf-8") as f:
-        f.write("t,naive_violation,convolution_violation\n")
-        for row in rows:
-            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    write_csv(os.path.join(out_dir, "naive_violation.csv"),
+              ("t", "naive_violation", "convolution_violation"), rows)
     for t, nv, cv in rows:
         print(f"t={t:g}: naive wall mass={nv:.3e}  convolution wall mass={cv:.3e}")
     return 0
@@ -474,13 +470,8 @@ def validate(cfg: ScenarioConfig) -> int:
           "alias-free band)")
     if "report" not in cfg.outputs:
         return 0
-    g, grid = cfg.packet, cfg.grid
-    if cfg.geometry["kind"] == "halfline":
-        images_reflect(g, 0.0, *_fine_axis(grid, cfg.oracle_oversample))
-        print("ok: reflected packet inside the oracle axis")
-    else:
-        project_gaussian_to_box(g, cfg.geometry["a"], cfg.geometry["b"], cfg.n_modes)
-        print("ok: packet representable by the box modes")
+    _oracle_wave(cfg, 0.0)
+    print("ok: oracle wave built at t = 0 (the oracle's preconditions hold)")
     return 0
 
 

@@ -33,6 +33,8 @@ class GaussianPacket:
     m: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.p0, self.sigma, self.m))):
+            raise ValidationError("packet x0, p0, sigma and m must be finite")
         if self.sigma <= 0 or self.m <= 0:
             raise ValidationError("need sigma > 0 and m > 0")
 
@@ -66,7 +68,8 @@ class BoxSpectrum:
     def __post_init__(self):
         if self.b <= self.a or self.m <= 0:
             raise ValidationError("need b > a and m > 0")
-        c = np.asarray(self.coefficients, dtype=np.complex128)
+        c = np.array(self.coefficients, dtype=np.complex128)
+        c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
         n2 = float(np.sum(np.abs(c) ** 2))
         if abs(n2 - 1.0) >= 1e-9:

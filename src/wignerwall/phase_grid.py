@@ -192,24 +192,25 @@ def wave_edge_fraction(psi: ComplexWave) -> float:
 # serialization: CSV (diffable) and flat binary (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
-    """Write ``x,p,value`` rows, row-major in x then p, 12 significant digits.
-
-    ``metadata``, when given, is stored as a single leading ``#`` comment
-    line holding JSON (used for kernel provenance).
-    """
-    g = w.grid
-    x = g.x_axis()
-    p = g.p_axis()
+def write_csv(path, header, rows, metadata: dict | None = None) -> None:
+    """The package's one CSV format: an optional ``# {json}`` line holding
+    ``metadata``, the ``header`` names joined by commas, then each of
+    ``rows`` (consumed lazily) as comma-joined values, 12 significant digits."""
+    line = ",".join(["{:.12g}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         if metadata is not None:
             f.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        f.write("x,p,value\n")
-        for i in range(g.n_x):
-            xi = x[i]
-            row = w.values[i]
-            for j in range(g.n_p):
-                f.write(f"{xi:.12g},{p[j]:.12g},{row[j]:.12g}\n")
+        f.write(",".join(header) + "\n")
+        f.writelines(line.format(*row) for row in rows)
+
+
+def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
+    """``x,p,value`` rows, row-major in x then p, converted one x row at a
+    time; ``metadata`` is the leading JSON line (kernel provenance)."""
+    p = w.grid.p_axis().tolist()
+    rows = ((xi, pj, v) for xi, vals in zip(w.grid.x_axis().tolist(), w.values)
+            for pj, v in zip(p, vals.tolist()))
+    write_csv(path, ("x", "p", "value"), rows, metadata)
 
 
 def read_field_csv(path) -> tuple[WignerField, dict | None]:

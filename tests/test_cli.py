@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wignerwall import boundary_kernels
+from wignerwall import boundary_kernels, cli
 from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
 from wignerwall.errors import ConfigError
 from wignerwall.phase_grid import read_field_binary, read_field_csv
@@ -264,6 +264,9 @@ def test_unknown_config_keys_exit_2(tmp_path):
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(FAST_HALFLINE + extra + "\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2
+    # the half-line wall is fixed at 0 and has no key
+    cfg_path.write_text(FAST_HALFLINE.replace("kind = halfline", "kind = halfline\nwall = 0.0"))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
     cfg_path.write_text(FAST_HALFLINE + "[grids]\nn_x = 5\n")
     assert main(["validate", "--config", str(cfg_path)]) == 2
 
@@ -292,3 +295,31 @@ def test_build_plan_looks_up_kernels_through_module(monkeypatch):
                        .replace("sigma = 1.0", "sigma = 0.5"))
     build_plan(box)
     assert calls == ["halfline_kernel", "interval_kernel"]
+
+
+def test_box_spectrum_projected_once_through_module(monkeypatch, tmp_path):
+    # the spectrum does not depend on t, so a run projects the packet once;
+    # the call goes through cli.project_gaussian_to_box, which the
+    # benchmark tracer wraps
+    calls = []
+    original = cli.project_gaussian_to_box
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "project_gaussian_to_box", recording)
+    cli._box_spectrum.cache_clear()
+    box = (FAST_HALFLINE.replace("kind = halfline", "kind = box\na = -4.0\nb = 4.0")
+           .replace("x0 = 8.0", "x0 = 0.0").replace("sigma = 1.0", "sigma = 0.5")
+           .replace("values = 0, 1.5", "values = 0, 0.25, 0.5")
+           + "outputs = report\n")
+    cfg_path = tmp_path / "box.ini"
+    cfg_path.write_text(box)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "out" / "report.csv").read_text().splitlines()) == 4
+    # every frame shares the cached spectrum, so it is read-only
+    with pytest.raises(ValueError):
+        cli._box_spectrum(*calls[0]).coefficients[0] = 0.0
+    assert len(calls) == 1

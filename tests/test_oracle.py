@@ -110,6 +110,17 @@ def test_images_wall_overlap_guard():
         images_reflect(g, 0.0, **AXIS)
 
 
+@pytest.mark.parametrize("fields", [
+    (np.nan, 0.0, 1.0, 1.0), (5.0, 0.0, np.nan, 1.0), (np.inf, 0.0, 1.0, 1.0),
+    (5.0, -np.inf, 1.0, 1.0), (5.0, 0.0, np.inf, 1.0), (5.0, 0.0, 1.0, np.nan),
+], ids=["x0-nan", "sigma-nan", "x0-inf", "p0-minus-inf", "sigma-inf", "m-nan"])
+def test_packet_rejects_non_finite_fields(fields):
+    # require_inside compares the erfc tail mass with 1e-8; a NaN field
+    # makes it NaN, and NaN > 1e-8 is false, so no region check would fire
+    with pytest.raises(ValidationError):
+        GaussianPacket(*fields)
+
+
 def test_box_single_mode_stationary_density():
     c = np.zeros(8)
     c[2] = 1.0

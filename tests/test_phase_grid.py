@@ -18,7 +18,7 @@ from wignerwall import (
     write_field_csv,
 )
 from wignerwall.errors import GridMismatch
-from wignerwall.phase_grid import abs_mass, edge_mass, wave_edge_fraction
+from wignerwall.phase_grid import abs_mass, edge_mass, wave_edge_fraction, write_csv
 
 from conftest import odd_extended_wave
 
@@ -168,6 +168,20 @@ def test_csv_deterministic_bytes(tmp_path, grid, gaussian_wave):
     write_field_csv(w, p1)
     write_field_csv(w, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_exact_text(tmp_path):
+    # the one CSV format, pinned byte for byte: sorted-key JSON metadata
+    # line, header, then 12 significant digits with a signed zero kept
+    w = WignerField(PhaseGrid(-1, 1, 2, -0.5, 0.5, 2), [[0.0, -0.0], [1e-05, 1 / 3]])
+    body = "x,p,value\n-1,-0.5,0\n-1,0.5,-0\n1,-0.5,1e-05\n1,0.5,0.333333333333\n"
+    path = tmp_path / "field.csv"
+    write_field_csv(w, path, metadata={"b": 1, "a": [0.5]})
+    assert path.read_text(encoding="utf-8") == '# {"a": [0.5], "b": 1}\n' + body
+    write_field_csv(w, path)
+    assert path.read_text(encoding="utf-8") == body
+    write_csv(path, ("t", "mass"), iter([(0.0, 1.0), (2.5, 2 / 3)]))
+    assert path.read_text(encoding="utf-8") == "t,mass\n0,1\n2.5,0.666666666667\n"
 
 
 def test_binary_roundtrip_bit_exact(tmp_path, grid, gaussian_wave):
