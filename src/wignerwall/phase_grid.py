@@ -19,6 +19,7 @@ from .errors import GridMismatch, ValidationError
 
 _BIN_HEADER = struct.Struct("<6d2Q")
 _RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
+_NUM = "{:.12g}"  # every number of every CSV the package writes
 
 
 @dataclass(frozen=True, eq=True)
@@ -192,25 +193,30 @@ def wave_edge_fraction(psi: ComplexWave) -> float:
 # serialization: CSV (diffable) and flat binary (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-def write_csv(path, header, rows, metadata: dict | None = None) -> None:
-    """The package's one CSV format: an optional ``# {json}`` line holding
-    ``metadata``, the ``header`` names joined by commas, then each of
-    ``rows`` (consumed lazily) as comma-joined values, 12 significant digits."""
-    line = ",".join(["{:.12g}"] * len(header)) + "\n"
+def _write_lines(path, header, lines, metadata: dict | None) -> None:
     with open(path, "w", encoding="utf-8") as f:
         if metadata is not None:
             f.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
         f.write(",".join(header) + "\n")
-        f.writelines(line.format(*row) for row in rows)
+        f.writelines(lines)
+
+
+def write_csv(path, header, rows, metadata: dict | None = None) -> None:
+    """The package's one CSV format: an optional ``# {json}`` line holding
+    ``metadata``, the ``header`` names joined by commas, then each of
+    ``rows`` (consumed lazily) as comma-joined values, 12 significant digits."""
+    line = ",".join([_NUM] * len(header)) + "\n"
+    _write_lines(path, header, (line.format(*row) for row in rows), metadata)
 
 
 def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
-    """``x,p,value`` rows, row-major in x then p, converted one x row at a
-    time; ``metadata`` is the leading JSON line (kernel provenance)."""
-    p = w.grid.p_axis().tolist()
-    rows = ((xi, pj, v) for xi, vals in zip(w.grid.x_axis().tolist(), w.values)
-            for pj, v in zip(p, vals.tolist()))
-    write_csv(path, ("x", "p", "value"), rows, metadata)
+    """``x,p,value`` rows in ``write_csv``'s format, row-major in x then p;
+    ``metadata`` is the leading JSON line (kernel provenance). The ``,p,value``
+    cells are formatted once, so each x row is one ``str.format`` call."""
+    cells = [f",{_NUM.format(p)},{_NUM}\n" for p in w.grid.p_axis().tolist()]
+    xs = map(_NUM.format, w.grid.x_axis().tolist())
+    lines = ((x + x.join(cells)).format(*vals.tolist()) for x, vals in zip(xs, w.values))
+    _write_lines(path, ("x", "p", "value"), lines, metadata)
 
 
 def read_field_csv(path) -> tuple[WignerField, dict | None]:

@@ -22,7 +22,7 @@ FFT-native frequencies.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import czt
+import scipy.fft as sfft
 
 from .errors import DomainTooSmall, GridMismatch, NyquistViolation, RealnessViolation
 from .phase_grid import ComplexWave, PhaseGrid, WignerField, wave_edge_fraction
@@ -74,6 +74,20 @@ def _check_nyquist(psi: ComplexWave, grid: PhaseGrid) -> None:
         )
 
 
+def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
+    """Chirp-z transform sum_k x[..., k] a^-k w^(jk), j < m, along the last
+    axis (Bluestein 1968). Each step repeats the arithmetic of SciPy's
+    ``czt``, so the results are bit-identical without importing SciPy's
+    signal package, which takes about a second per process."""
+    n = x.shape[-1]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    wk2 = w ** (k ** 2 / 2.0)
+    nfft = sfft.next_fast_len(n + m - 1)
+    Fwk2 = sfft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = sfft.ifft(Fwk2 * sfft.fft(x * (a ** -k[:n] * wk2[:n]), nfft))
+    return y[..., n - 1:n + m - 1] * wk2[:m]
+
+
 def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
                        y_halfwidth: float | None = None) -> tuple[np.ndarray, int]:
     """Correlation slices c(x_i, y_k) = psi*(x_i + y_k/2) psi(x_i - y_k/2).
@@ -83,15 +97,13 @@ def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
     """
     rows = _anchor_rows(psi, grid)
     K = _reach(psi, grid, y_halfwidth)
-    ks = np.arange(-K, K + 1)
-    i_plus = rows[:, None] + ks[None, :]
-    i_minus = rows[:, None] - ks[None, :]
-    ok = (i_plus >= 0) & (i_plus < psi.n) & (i_minus >= 0) & (i_minus < psi.n)
     s = psi.samples
-    C = np.where(ok,
-                 np.conj(s[np.clip(i_plus, 0, psi.n - 1)])
-                 * s[np.clip(i_minus, 0, psi.n - 1)],
-                 0.0)
+    C = np.zeros((len(rows), 2 * K + 1), dtype=s.dtype)
+    for i, r in enumerate(rows):
+        # lags |k| <= lag keep both factors s[r + k] and s[r - k] on the axis
+        lag = min(K, r, psi.n - 1 - r)
+        C[i, K - lag:K + lag + 1] = (np.conj(s[r - lag:r + lag + 1])
+                                     * s[r + lag::-1][:2 * lag + 1])
     return C, K
 
 
@@ -112,8 +124,7 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
     p_axis = np.asarray(p_axis, dtype=np.float64)
     if backend == "czt":
         dp = p_axis[1] - p_axis[0]
-        S = czt(C, m=len(p_axis), w=np.exp(1j * dp * dy),
-                a=np.exp(-1j * p_axis[0] * dy), axis=-1)
+        S = _czt(C, len(p_axis), np.exp(1j * dp * dy), np.exp(-1j * p_axis[0] * dy))
     elif backend == "direct":
         y = dy * np.arange(-K, K + 1)
         S = C @ np.exp(1j * np.outer(y, p_axis))

@@ -184,6 +184,22 @@ def test_csv_exact_text(tmp_path):
     assert path.read_text(encoding="utf-8") == "t,mass\n0,1\n2.5,0.666666666667\n"
 
 
+@pytest.mark.parametrize("metadata", [None, {"geometry": "halfline", "wall": 0.0}])
+def test_field_csv_same_bytes_as_write_csv(tmp_path, metadata):
+    # axis values that need all 12 digits, a signed zero and a subnormal-scale value
+    grid = PhaseGrid(-1, 1, 7, -1 / 3, 1 / 3, 5)
+    values = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3
+    values[0, 0], values[3, 2], values[6, 4] = -0.0, 1e-300, 0.0
+    w = WignerField(grid, values)
+    triples = ((x, p, w.values[i, j]) for i, x in enumerate(grid.x_axis())
+               for j, p in enumerate(grid.p_axis()))
+    ref, out = tmp_path / "ref.csv", tmp_path / "field.csv"
+    write_csv(ref, ("x", "p", "value"), triples, metadata)
+    write_field_csv(w, out, metadata)
+    assert out.read_bytes() == ref.read_bytes()
+    assert b"-0\n" in out.read_bytes() and b"1e-300\n" in out.read_bytes()
+
+
 def test_binary_roundtrip_bit_exact(tmp_path, grid, gaussian_wave):
     w = wigner_of(gaussian_wave, grid)
     path = tmp_path / "field.bin"

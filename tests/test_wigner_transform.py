@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.signal import czt
 
+import wignerwall
 from wignerwall import (
     ComplexWave,
     DomainTooSmall,
@@ -17,6 +23,7 @@ from wignerwall import (
 )
 from wignerwall.convolution_engine import point_symmetry_defect
 from wignerwall.wigner_transform import (
+    _czt,
     correlation_matrix,
     fourier_over_separation,
     hermitian_residual,
@@ -158,3 +165,61 @@ def test_y_cap_on_extended_axis(grid, packet):
     # the packet correlation decays well inside the cap, so the capped
     # transform matches the closed form as tightly as the full one
     assert np.abs(w.values - gauss_exact(grid)).max() < 1e-8
+
+
+def fancy_index_correlation(psi, grid, K):
+    """The full-size index-array construction the row slices replace."""
+    rows = np.round((grid.x_axis() - psi.x_min) / psi.dx).astype(int)
+    ks = np.arange(-K, K + 1)
+    i_plus = rows[:, None] + ks[None, :]
+    i_minus = rows[:, None] - ks[None, :]
+    ok = (i_plus >= 0) & (i_plus < psi.n) & (i_minus >= 0) & (i_minus < psi.n)
+    s = psi.samples
+    return np.where(ok,
+                    np.conj(s[np.clip(i_plus, 0, psi.n - 1)])
+                    * s[np.clip(i_minus, 0, psi.n - 1)],
+                    0.0)
+
+
+def same_bits(a, b):
+    # uint64 views tell -0.0 from +0.0, which np.array_equal on floats does not
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_x", [129, 128])
+@pytest.mark.parametrize("layout", ["grid", "oversampled", "capped"])
+def test_correlation_rows_match_fancy_index(n_x, layout):
+    grid = PhaseGrid(-6.0, 6.0, n_x, -4.0, 4.0, 65)
+    # p0 != 0 and an odd extension give complex values of both signs, and
+    # an exact zero sample wherever x = 0 is an axis node
+    g = GaussianPacket(x0=1.5, p0=0.7, sigma=0.5, m=1.0)
+    y_halfwidth, q, pad = None, 1, 0
+    if layout == "oversampled":
+        q = 8
+    elif layout == "capped":
+        pad = 16
+        y_halfwidth = 2 * pad * grid.dx - grid.dx
+    dx = grid.dx / q
+    x = grid.x_min - pad * grid.dx + dx * np.arange((n_x - 1 + 2 * pad) * q + 1)
+    psi = ComplexWave(x[0], dx, len(x), g.amplitude(x, 0.0) - g.amplitude(-x, 0.0))
+    C, K = correlation_matrix(psi, grid, y_halfwidth)
+    assert K == (psi.n - 1 if y_halfwidth is None else pad - 1)
+    assert same_bits(C, fancy_index_correlation(psi, grid, K))
+
+
+@pytest.mark.parametrize("shape, m", [((257,), 129), ((257,), 400),
+                                      ((3, 257), 129), ((3, 257), 400)])
+def test_czt_bit_identical_to_scipy_signal(shape, m):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dy, p0, dp = 0.1, -4.0, 8.0 / (m - 1)
+    w, a = np.exp(1j * dp * dy), np.exp(-1j * p0 * dy)
+    assert same_bits(_czt(x, m, w, a), czt(x, m=m, w=w, a=a, axis=-1))
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wignerwall.__file__)))
+    code = "import sys, wignerwall.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
