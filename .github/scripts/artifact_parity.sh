@@ -3,11 +3,11 @@
 #
 #   .github/scripts/artifact_parity.sh BASE_TREE HEAD_TREE OUT_DIR
 #
-# Runs `simulate` on the three presets, `kernel` on halfline-bounce and
-# box-traversal, and `demo-naive` on halfline-bounce with the package of
-# each tree, writing OUT_DIR/base and OUT_DIR/head. Every command runs
-# from its output root with relative paths, and its stdout, stderr and
-# exit code are kept next to its artifacts. Exits non-zero when
+# Runs `simulate` and `validate` on the three presets, `kernel` on
+# halfline-bounce and box-traversal, and `demo-naive` on halfline-bounce
+# with the package of each tree, writing OUT_DIR/base and OUT_DIR/head.
+# Every command runs from its output root with relative paths, and its
+# stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
 # `diff -r` finds any difference between the two trees of outputs.
 set -uo pipefail
 
@@ -31,6 +31,9 @@ simulate disk-kernel
 kernel halfline-bounce
 kernel box-traversal
 demo-naive halfline-bounce
+validate halfline-bounce
+validate box-traversal
+validate disk-kernel
 RUNS
     )
 }

@@ -136,10 +136,6 @@ def _outputs(raw: str) -> set[str]:
     return outputs
 
 
-def _auto_float(raw: str) -> float | None:
-    return None if raw.strip() == "auto" else float(raw)
-
-
 # Every accepted section and key. Within a section, keys follow the
 # argument order of the object they build (PhaseGrid, GaussianPacket,
 # the [run] fields of ScenarioConfig).
@@ -155,13 +151,9 @@ _CONFIG = {
     "times": {"values": _Key(_floats, "0, 1, 2, 3, 4")},
     "run": {"threads": _Key(int, "0", 0),
             "outputs": _Key(_outputs, "fields,marginals,report"),
-            "oracle_oversample": _Key(int, "8", 1),
-            "y_halfwidth": _Key(_auto_float, "auto", 0.0),
             "n_modes": _Key(int, "64", 1)},
     "kernel2d": {"x_points": _Key(int, "3", 1), "x_half": _Key(float, "0.4"),
-                 "n_p": _Key(int, "65", 1), "p_half": _Key(float, "2.0", 0.0),
-                 "n_y": _Key(int, "441", 1), "y_half": _Key(float, "2.125", 0.0),
-                 "subsamples": _Key(int, "8", 1)},
+                 "n_p": _Key(int, "65", 1), "p_half": _Key(float, "2.0", 0.0)},
 }
 
 
@@ -173,8 +165,6 @@ class ScenarioConfig:
     times: list[float]
     threads: int
     outputs: set[str]
-    oracle_oversample: int
-    y_halfwidth: float | None
     n_modes: int
     kernel2d: dict
 
@@ -207,7 +197,7 @@ def _value(spec: _Key, name: str, raw: str):
     for v in value if isinstance(value, list) else [value]:
         if isinstance(v, float) and not np.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {raw!r}")
-        if spec.low is None or v is None:
+        if spec.low is None:
             continue
         strict = isinstance(v, float)
         if v < spec.low or (strict and v == spec.low):
@@ -275,17 +265,17 @@ def _fmt_t(t: float) -> str:
 
 def _box_extended(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
     """Periodic odd-image extension of the packet, on an axis reaching
-    y_halfwidth/2 beyond the grid, plus the y cap actually used.
+    half the y cap beyond the grid, plus that cap.
 
     The correlation of the image train is a ladder of rungs at multiples
     of L = b - a (start x0 at the box center to keep the ladder sparse);
-    the cap defaults to 3.5 L, the gap above the rung that shears into
-    the walls within one traversal.
+    the cap is 3.5 L, the gap above the rung that shears into the walls
+    within one traversal.
     """
     g, grid = cfg.packet, cfg.grid
     a, b = cfg.geometry["a"], cfg.geometry["b"]
     L = b - a
-    ycap = cfg.y_halfwidth if cfg.y_halfwidth is not None else 3.5 * L
+    ycap = 3.5 * L
     pad = int(np.ceil((0.5 * ycap) / grid.dx)) + 2
     ax_min = grid.x_min - pad * grid.dx
     n_axis = grid.n_x + 2 * pad
@@ -315,7 +305,7 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
         x = grid.x_axis()
         psi = ComplexWave(grid.x_min, grid.dx, grid.n_x,
                           g.amplitude(x, 0.0) - g.amplitude(-x, 0.0))
-        w0 = wigner_of(psi, grid, y_halfwidth=cfg.y_halfwidth)
+        w0 = wigner_of(psi, grid)
         kernel = boundary_kernels.halfline_kernel(grid)
     elif cfg.geometry["kind"] == "box":
         a, b = cfg.geometry["a"], cfg.geometry["b"]
@@ -327,6 +317,9 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
         raise ConfigError("dynamics is defined for halfline and box geometries only")
     return BoundedEvolutionPlan(kernel, ShearParams(0.0, g.m), w0,
                                 check_support=cfg.geometry["kind"] == "halfline")
+
+
+_ORACLE_OVERSAMPLE = 8  # the oracle axis refines the grid's x step 8x
 
 
 @functools.lru_cache(maxsize=1)
@@ -341,7 +334,7 @@ def _oracle_wave(cfg: ScenarioConfig, t: float) -> ComplexWave:
     """The wavefunction-space ground truth at time t on the oracle's
     oversampled axis: the image solution on the half line, the eigenmode
     evolution in the box."""
-    grid, k = cfg.grid, cfg.oracle_oversample
+    grid, k = cfg.grid, _ORACLE_OVERSAMPLE
     axis = (grid.x_min, grid.dx / k, (grid.n_x - 1) * k + 1)
     if cfg.geometry["kind"] == "halfline":
         return images_reflect(cfg.packet, t, *axis)
@@ -395,33 +388,37 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
     return 0
 
 
-def run_billiard_kernel(cfg: ScenarioConfig, out_dir: str) -> int:
-    """Kernel-only mode for the 2-D disk billiard: no dynamics."""
+def _disk_indicator(cfg: ScenarioConfig, n_y: int = 441):
+    """The disk's set-up, shared by ``simulate`` and ``validate``: its shape
+    indicator on the ``[kernel2d]`` x axis, with 8x8 subcells per y-cell
+    and y axes over |y| <= 2.125 R (the support is |y| < 2R, so the
+    sampling per radius is the preset's at any R), the momentum axis, and
+    the (p1, p2) grid of the slices."""
     R = cfg.geometry["radius"]
     k2 = cfg.kernel2d
     nxp, xh = k2["x_points"], k2["x_half"]
     x_ax = np.linspace(-xh, xh, nxp) if nxp > 1 else np.array([0.0])
-    n_y, yh = k2["n_y"], k2["y_half"]
-    if n_y % 2 == 0:
-        n_y += 1
-    y_ax = np.linspace(-yh, yh, n_y)
     n_p, ph = k2["n_p"], k2["p_half"]
-    if n_p % 2 == 0:
-        n_p += 1
     p_ax = np.linspace(-ph, ph, n_p)
+    grid_p = PhaseGrid(-ph, ph, n_p, -ph, ph, n_p)
+    y_ax = np.linspace(-2.125 * R, 2.125 * R, n_y)
 
     def disk(x1, x2):
         return (x1**2 + x2**2) / R**2
 
-    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax],
-                             subsamples=k2["subsamples"])
+    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8)
+    return ind, p_ax, grid_p
+
+
+def run_billiard_kernel(cfg: ScenarioConfig, out_dir: str) -> int:
+    """Kernel-only mode for the 2-D disk billiard: no dynamics."""
+    ind, p_ax, grid_p = _disk_indicator(cfg)
     K = kernel_from_indicator(ind, [p_ax, p_ax])
-    grid_p = PhaseGrid(float(p_ax[0]), float(p_ax[-1]), n_p,
-                       float(p_ax[0]), float(p_ax[-1]), n_p)
+    x_ax = ind.x_axes[0]
     for i in range(len(x_ax)):
         for j in range(len(x_ax)):
             meta = {"provenance": "numeric", "geometry":
-                    {"shape": "disk", "radius": R,
+                    {"shape": "disk", "radius": cfg.geometry["radius"],
                      "x1": float(x_ax[i]), "x2": float(x_ax[j]),
                      "axes": "p1,p2"}}
             path = os.path.join(out_dir, f"kernel2d_x{i}_{j}.csv")
@@ -460,8 +457,10 @@ def validate(cfg: ScenarioConfig) -> int:
     """Run the set-up of ``simulate`` without evolving: build the plan
     (the packet-in-region check, the transform's band check, the plan's
     p = 0, kernel-reach and symmetry checks), then, when ``outputs`` has
-    ``report``, check the oracle's preconditions at t = 0."""
+    ``report``, check the oracle's preconditions at t = 0. For the disk,
+    build the kernel's axes and indicator on a 3-sample y axis."""
     if cfg.geometry["kind"] == "billiard2d":
+        _disk_indicator(cfg, n_y=3)
         print("ok: disk kernel settings within their bounds")
         return 0
     build_plan(cfg)

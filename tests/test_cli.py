@@ -28,7 +28,6 @@ n_p = 241
 values = 0, 1.5
 
 [run]
-oracle_oversample = 4
 """
 
 
@@ -64,6 +63,7 @@ mass = 1.0
      "packet"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[run]\nthreads = -7\n", "threads"),
+    # removed keys: a config that still sets one is an error naming it
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[run]\noracle_oversample = 0\n", "oracle_oversample"),
     ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\n"
@@ -78,12 +78,6 @@ mass = 1.0
      "[geometry] a"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[times]\nvalues = 0, nan\n", "[times] values"),
-    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
-     "[run]\ny_halfwidth = nan\n", "[run] y_halfwidth"),
-    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
-     "[run]\ny_halfwidth = -1\n", "[run] y_halfwidth"),
-    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
-     "[run]\ny_halfwidth = 0\n", "[run] y_halfwidth"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[run]\nn_modes = 0\n", "[run] n_modes"),
 ])
@@ -121,21 +115,24 @@ def test_validate_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,code", [
     # kernel reach 2|x| = 52 is beyond pi/dp = 16.8: exit 2, never a wrong field
-    (PRESETS["box-traversal"].replace("n_p = 513", "n_p = 129")
-     + "\n[run]\noracle_oversample = 4\n", 2),
+    (PRESETS["box-traversal"].replace("n_p = 513", "n_p = 129"), 2),
     # momentum window beyond the band of the coarse x axis
     (PRESETS["halfline-bounce"].replace("n_x = 513", "n_x = 129"), 3),
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"), 3),  # packet on the wall
-    (FAST_HALFLINE + "y_halfwidth = nan\n", 2),
+    (FAST_HALFLINE + "y_halfwidth = nan\n", 2),  # a removed key
     (FAST_HALFLINE, 0),
     # set-up checks the packet is inside the region, with or without the oracle
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5") + "outputs = fields\n", 3),
-    (PRESETS["box-traversal"].replace("x0 = 5.0", "x0 = 40.0")
-     + "\n[run]\noracle_oversample = 4\n", 3),
+    (PRESETS["box-traversal"].replace("x0 = 5.0", "x0 = 40.0"), 3),
     # the n_modes truncation is the oracle's own check: no report, no check
     (PRESETS["box-traversal"] + "\n[run]\nn_modes = 8\noutputs = marginals\n", 0),
+    # every disk slice lies outside the disk: the indicator's own check
+    (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 2\nx_half = 5.0\n", 2),
+    # one momentum sample cannot make a slice grid
+    (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\nn_p = 1\n", 2),
 ], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok",
-        "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report"])
+        "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
+        "disk-slices-outside", "disk-n_p-1"])
 def test_validate_agrees_with_simulate(tmp_path, text, code):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
@@ -234,9 +231,6 @@ x_points = 2
 x_half = 0.3
 n_p = 17
 p_half = 1.5
-n_y = 121
-y_half = 2.125
-subsamples = 2
 """
     cfg_path = tmp_path / "disk.ini"
     cfg_path.write_text(cfg)
@@ -247,6 +241,39 @@ subsamples = 2
     w, meta = read_field_csv(slices[0])
     assert meta["geometry"]["shape"] == "disk"
     assert not list(out.glob("field_*.csv"))  # no dynamics artifacts
+
+
+def test_billiard_kernel_n_p_as_given(tmp_path):
+    # an even n_p is used as given: 8 x 8 value rows, no p = 0 sample
+    cfg_path = tmp_path / "disk.ini"
+    cfg_path.write_text(PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\nn_p = 8\n")
+    out = tmp_path / "disk"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    slices = sorted(out.glob("kernel2d_*.csv"))
+    assert len(slices) == 1
+    lines = slices[0].read_text().splitlines()
+    assert lines[1] == "x,p,value" and len(lines[2:]) == 64
+    w, _ = read_field_csv(slices[0])
+    assert w.grid.n_x == w.grid.n_p == 8 and 0.0 not in w.grid.p_axis()
+
+
+def test_billiard_kernel_scales_with_radius(tmp_path):
+    # the y axis follows R, so a disk of radius 2 is resolved as the
+    # preset's disk of radius 1: the x = 0 slice is R J1(2R|p|)/(pi|p|)
+    from scipy.special import j1
+
+    R = 2.0
+    cfg_path = tmp_path / "disk.ini"
+    cfg_path.write_text(PRESETS["disk-kernel"].replace("radius = 1.0", f"radius = {R}")
+                        + "[kernel2d]\nx_points = 1\n")
+    out = tmp_path / "disk"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    w, meta = read_field_csv(out / "kernel2d_x0_0.csv")
+    assert meta["geometry"]["radius"] == R
+    p = np.hypot(*np.meshgrid(w.grid.x_axis(), w.grid.p_axis(), indexing="ij"))
+    safe = np.where(p == 0.0, 1.0, p)
+    exact = np.where(p == 0.0, R * R / np.pi, R * j1(2.0 * R * safe) / (np.pi * safe))
+    assert np.abs(w.values - exact).max() <= 5e-5 * R * R / np.pi
 
 
 def test_guard_failure_exits_3(tmp_path):
@@ -260,9 +287,14 @@ def test_guard_failure_exits_3(tmp_path):
 
 def test_unknown_config_keys_exit_2(tmp_path):
     # a removed option and a misspelt key are errors, not silent defaults
-    for extra in ("backend = direct", "oracle_oversampel = 4"):
+    for extra in ("backend = direct", "oracle_oversampel = 4",
+                  "y_halfwidth = 40", "oracle_oversample = 8"):
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(FAST_HALFLINE + extra + "\n")
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+    # the disk's y axis and subcells follow from its radius
+    for extra in ("n_y = 441", "y_half = 2.125", "subsamples = 8"):
+        cfg_path.write_text(PRESETS["disk-kernel"] + "[kernel2d]\n" + extra + "\n")
         assert main(["validate", "--config", str(cfg_path)]) == 2
     # the half-line wall is fixed at 0 and has no key
     cfg_path.write_text(FAST_HALFLINE.replace("kind = halfline", "kind = halfline\nwall = 0.0"))
