@@ -29,6 +29,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import AsymmetricIndicator, BadInterval, EmptyInterior, RealnessViolation
 from .phase_grid import PhaseGrid, WignerField, write_field_binary, write_field_csv
@@ -153,11 +154,20 @@ def billiard_indicator(B: Callable[..., np.ndarray],
                        subsamples: int = 1) -> ShapeIndicator:
     """Sample g over the product grid of x and y axes.
 
-    ``B`` takes n coordinate arrays (broadcastable) and returns the level
-    set value; inside is strict B < 1. ``subsamples`` > 1 averages the
-    boolean over an s^n subcell lattice per y-cell, giving a real-valued
-    anti-aliased indicator (needed by isotropy checks at tight
-    tolerance); the default 1 keeps the plain boolean field.
+    ``B`` takes n coordinate arrays and returns the level set value;
+    inside is strict B < 1. It is called once on the dense x grid, then
+    per x point, subcell and sign on per-axis arrays that cover that
+    point's y lattice: array d varies along axis d only, so ``B`` must
+    broadcast them like a numpy ufunc (a result narrower than the
+    lattice, from a B that ignores an axis, broadcasts too).
+    ``subsamples`` > 1 averages the boolean over an s^n subcell lattice
+    per y-cell, giving a real-valued anti-aliased indicator (needed by
+    isotropy checks at tight tolerance); the default 1 keeps the plain
+    boolean field.
+
+    The x points are shared among ``scipy.fft.get_workers()`` threads
+    (1 outside a ``set_workers`` scope). Each point's slice is filled by
+    one task, so g does not depend on the worker count.
 
     Raises EmptyInterior when no x grid point lies inside.
     """
@@ -169,8 +179,7 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     for ax in y_axes:
         _check_symmetric_axis(ax)
 
-    xg = np.meshgrid(*x_axes, indexing="ij")
-    inside_x = B(*xg) < 1.0
+    inside_x = B(*np.meshgrid(*x_axes, indexing="ij")) < 1.0
     if not np.any(inside_x):
         raise EmptyInterior("no grid point lies inside the level set")
 
@@ -178,15 +187,29 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     shape_y = tuple(ax.size for ax in y_axes)
     out = np.zeros(shape_x + shape_y, dtype=np.float64)
 
-    x_exp = [c[(...,) + (None,) * n] for c in xg]
+    # y/2 per subcell shift, y axis d shaped to vary along axis d only
     dys = [float(ax[1] - ax[0]) for ax in y_axes]
-    for shift in _subcell_offsets(subsamples, n):
-        y_mesh = np.meshgrid(*[ax + d * dy for ax, d, dy in zip(y_axes, shift, dys)],
-                             indexing="ij")
-        y_exp = [c[(None,) * n + (...,)] for c in y_mesh]
-        lo = [xe - 0.5 * ye for xe, ye in zip(x_exp, y_exp)]
-        hi = [xe + 0.5 * ye for xe, ye in zip(x_exp, y_exp)]
-        out += (B(*lo) < 1.0) & (B(*hi) < 1.0)
+    halves = [[(0.5 * (ax + d * dy)).reshape([-1 if j == k else 1 for j in range(n)])
+               for k, (ax, d, dy) in enumerate(zip(y_axes, shift, dys))]
+              for shift in _subcell_offsets(subsamples, n)]
+
+    def fill(idx: tuple[int, ...]) -> None:
+        x = [ax[i] for ax, i in zip(x_axes, idx)]
+        acc = out[idx]
+        for half in halves:
+            acc += ((B(*[xd - hd for xd, hd in zip(x, half)]) < 1.0)
+                    & (B(*[xd + hd for xd, hd in zip(x, half)]) < 1.0))
+
+    points = list(np.ndindex(*shape_x))
+    workers = min(sfft.get_workers(), len(points))
+    if workers > 1:
+        # imported here: concurrent.futures.thread is not loaded with the CLI
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, points))
+    else:
+        for idx in points:
+            fill(idx)
     out /= subsamples ** n if subsamples > 1 else 1
     return ShapeIndicator(n, x_axes, y_axes, out)
 

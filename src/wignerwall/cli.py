@@ -388,12 +388,19 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
     return 0
 
 
-def _disk_indicator(cfg: ScenarioConfig, n_y: int = 441):
+_DISK_N_Y = 441  # samples per disk y axis, over |y| <= 2.125 R
+
+
+def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     """The disk's set-up, shared by ``simulate`` and ``validate``: its shape
     indicator on the ``[kernel2d]`` x axis, with 8x8 subcells per y-cell
     and y axes over |y| <= 2.125 R (the support is |y| < 2R, so the
     sampling per radius is the preset's at any R), the momentum axis, and
-    the (p1, p2) grid of the slices."""
+    the (p1, p2) grid of the slices.
+
+    The sampled indicator's transform is 2 pi/dy periodic, so the slice
+    grid's corner sqrt(2) p_half must lie below pi/dy of the simulate
+    axis (``validate``'s short axis is checked against the same dy)."""
     R = cfg.geometry["radius"]
     k2 = cfg.kernel2d
     nxp, xh = k2["x_points"], k2["x_half"]
@@ -401,6 +408,11 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = 441):
     n_p, ph = k2["n_p"], k2["p_half"]
     p_ax = np.linspace(-ph, ph, n_p)
     grid_p = PhaseGrid(-ph, ph, n_p, -ph, ph, n_p)
+    band = np.pi * (_DISK_N_Y - 1) / (4.25 * R)
+    if np.sqrt(2.0) * ph >= band:
+        raise ConfigError(f"[kernel2d] p_half = {ph:g} puts the slice corner "
+                          f"sqrt(2) p_half at or beyond the indicator's band "
+                          f"pi/dy = {band:.4g} (dy = 4.25 R / {_DISK_N_Y - 1})")
     y_ax = np.linspace(-2.125 * R, 2.125 * R, n_y)
 
     def disk(x1, x2):

@@ -1,5 +1,9 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.special import j1 as bessel_j1
 
 from wignerwall import (
@@ -216,18 +220,22 @@ def test_empty_interior_raises():
                            [np.linspace(-1, 1, 5)])
 
 
-def test_separable_box_kernel_factorizes():
-    dy = 0.004
-    y = dy * np.arange(-600, 601)
-    a1, b1 = -1.001, 1.001  # jump alignment not required for factorization
-    a2, b2 = -0.7, 0.7
-    p_ax = np.linspace(-3.0, 3.0, 25)
-    x_pts = [np.array([0.1]), np.array([-0.05])]
+BOX_A1, BOX_B1 = -1.001, 1.001  # jump alignment not required for factorization
+BOX_A2, BOX_B2 = -0.7, 0.7
+BOX_Y = 0.004 * np.arange(-600, 601)
+BOX_X = [np.array([0.1]), np.array([-0.05])]
 
-    def box2(x1, x2):
-        u = np.maximum(np.abs(x1 - 0.5 * (a1 + b1)) / (0.5 * (b1 - a1)),
-                       np.abs(x2 - 0.5 * (a2 + b2)) / (0.5 * (b2 - a2)))
-        return u
+
+def box2(x1, x2):
+    return np.maximum(np.abs(x1 - 0.5 * (BOX_A1 + BOX_B1)) / (0.5 * (BOX_B1 - BOX_A1)),
+                      np.abs(x2 - 0.5 * (BOX_A2 + BOX_B2)) / (0.5 * (BOX_B2 - BOX_A2)))
+
+
+def test_separable_box_kernel_factorizes():
+    a1, b1, a2, b2 = BOX_A1, BOX_B1, BOX_A2, BOX_B2
+    y = BOX_Y
+    p_ax = np.linspace(-3.0, 3.0, 25)
+    x_pts = BOX_X
 
     ind2 = billiard_indicator(box2, x_pts, [y, y])
     K2 = kernel_from_indicator(ind2, [p_ax, p_ax])
@@ -242,6 +250,66 @@ def test_separable_box_kernel_factorizes():
     K1b = box1(a2, b2, x_pts[1])
     outer = K1a[0][:, None] * K1b[0][None, :]
     assert np.abs(K2[0, 0] - outer).max() < 1e-6
+
+
+def _dense_indicator(B, x_axes, y_axes, subsamples):
+    """The full-meshgrid formula: per subcell shift, B on (*n_x, *n_y)
+    tensors of x -/+ (y + s dy)/2, boolean products summed, one division."""
+    n = len(x_axes)
+    xg = np.meshgrid(*x_axes, indexing="ij")
+    x_exp = [c[(...,) + (None,) * n] for c in xg]
+    out = np.zeros(xg[0].shape + tuple(ax.size for ax in y_axes))
+    dys = [float(ax[1] - ax[0]) for ax in y_axes]
+    centers = (np.arange(subsamples) + 0.5) / subsamples - 0.5 if subsamples > 1 else [0.0]
+    for shift in itertools.product(centers, repeat=n):
+        y_mesh = np.meshgrid(*[ax + d * dy for ax, d, dy in zip(y_axes, shift, dys)],
+                             indexing="ij")
+        y_exp = [c[(None,) * n + (...,)] for c in y_mesh]
+        out += ((B(*[xe - 0.5 * ye for xe, ye in zip(x_exp, y_exp)]) < 1.0)
+                & (B(*[xe + 0.5 * ye for xe, ye in zip(x_exp, y_exp)]) < 1.0))
+    out /= subsamples ** n if subsamples > 1 else 1
+    return out
+
+
+def _disk(x1, x2):
+    return x1**2 + x2**2
+
+
+def _slab(x1, x2):
+    return np.abs(x1) / 0.8  # reads x1 only: its result is narrower than the lattice
+
+
+def _halfline(x):
+    return 1.0 - x
+
+
+_DISK_X = np.linspace(-0.4, 0.4, 3)
+_DISK_Y = np.linspace(-2.125, 2.125, 61)
+_LINE_X = np.linspace(-1.0, 3.0, 9)
+_LINE_Y = np.linspace(-4.0, 4.0, 81)
+
+
+@pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
+    (_disk, [_DISK_X, _DISK_X], [_DISK_Y, _DISK_Y], 8),
+    (box2, BOX_X, [BOX_Y, BOX_Y], 1),
+    (_slab, [_DISK_X, np.array([0.0, 0.3])], [_DISK_Y, _DISK_Y[10:-10]], 3),
+    (_halfline, [_LINE_X], [_LINE_Y], 1),
+    (_halfline, [_LINE_X], [_LINE_Y], 3),
+], ids=["disk-s8", "box", "x1-only-s3", "halfline-s1", "halfline-s3"])
+def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples):
+    dense = _dense_indicator(B, x_axes, y_axes, subsamples).view(np.uint64)
+    # 8 workers is more threads than cores; the short switch interval
+    # interleaves them often, so a slice written by two tasks would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            with sfft.set_workers(workers):
+                g = billiard_indicator(B, x_axes, y_axes, subsamples=subsamples).g
+            assert g.shape == dense.shape
+            assert np.array_equal(g.view(np.uint64), dense), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_disk_kernel_center_isotropy_smoke():

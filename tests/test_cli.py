@@ -130,9 +130,14 @@ def test_validate_exit_codes(tmp_path, capsys):
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 2\nx_half = 5.0\n", 2),
     # one momentum sample cannot make a slice grid
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\nn_p = 1\n", 2),
+    # the slice corner sqrt(2) p_half must lie inside the band pi/dy = 325/R
+    (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 240\n", 2),
+    (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 600\n", 2),
+    (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 200\n", 0),
 ], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok",
         "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
-        "disk-slices-outside", "disk-n_p-1"])
+        "disk-slices-outside", "disk-n_p-1", "disk-p_half-240", "disk-p_half-600",
+        "disk-p_half-200"])
 def test_validate_agrees_with_simulate(tmp_path, text, code):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
