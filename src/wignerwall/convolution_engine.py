@@ -125,15 +125,23 @@ def point_symmetry_defect(w: WignerField) -> float:
 def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     """Bounded field at time t.
 
-    Shear first, then convolve each x row along p with its kernel row;
-    rows whose kernel row vanishes (outside the walls) are exactly zero.
+    Shear first, then convolve each x row along p with its kernel row.
+    Only the span of rows from the first to the last inside row is
+    convolved, on views; rows whose kernel row vanishes (outside the
+    walls) are exactly zero.
     """
     grid = plan.initial.grid
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
                            check_support=plan.check_support)
-    out = _batched_fft_convolve(sheared.values, plan._kernel_rows, grid.dp,
-                                grid.n_p - 1)
-    out[~plan.kernel.inside_rows(), :] = 0.0
+    inside = plan.kernel.inside_rows()
+    out = np.zeros_like(sheared.values)
+    idx = np.flatnonzero(inside)
+    if idx.size:
+        span = slice(idx[0], idx[-1] + 1)
+        out[span] = _batched_fft_convolve(sheared.values[span],
+                                          plan._kernel_rows[span], grid.dp,
+                                          grid.n_p - 1)
+        out[~inside] = 0.0  # gap rows in the span: a zero kernel row may give -0.0
     return WignerField(grid, out)
 
 

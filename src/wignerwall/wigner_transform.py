@@ -40,9 +40,11 @@ def _anchor_rows(psi: ComplexWave, grid: PhaseGrid) -> np.ndarray:
     return rows
 
 
-def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None) -> int:
-    """Half-count K of correlation samples: y runs over k in [-K, K]."""
-    rows = _anchor_rows(psi, grid)
+def _reach(psi: ComplexWave, rows: np.ndarray,
+           y_halfwidth: float | None) -> tuple[slice, np.ndarray]:
+    """Slice of grid rows anchored on the wave's nonzero support [lo, hi]
+    and each such row's largest usable lag, min(cap, r - lo, hi - r):
+    beyond it, or off the slice, psi*(x_r + y_k/2) psi(x_r - y_k/2) = 0."""
     if rows.min() < 0 or rows.max() > psi.n - 1:
         raise DomainTooSmall("wave axis does not cover the grid x range")
     if y_halfwidth is None:
@@ -52,26 +54,22 @@ def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None) -> int:
                 "wave support reaches the axis ends; enlarge the axis or "
                 "pass y_halfwidth for intentionally extended states"
             )
-        return psi.n - 1
-    K = int(np.floor(y_halfwidth / (2.0 * psi.dx)))
-    if K < 1:
-        raise DomainTooSmall("y_halfwidth below one correlation step")
-    if rows.min() - K < 0 or rows.max() + K > psi.n - 1:
-        raise DomainTooSmall(
-            "wave axis must extend y_halfwidth/2 beyond the grid x range"
-        )
-    return K
-
-
-def _check_nyquist(psi: ComplexWave, grid: PhaseGrid) -> None:
-    dy = 2.0 * psi.dx
-    band = np.pi / dy
-    pmax = max(abs(grid.p_min), abs(grid.p_max))
-    if pmax * dy >= np.pi:
-        raise NyquistViolation(
-            f"momentum window |p| <= {pmax:g} exceeds the representable "
-            f"band {band:g} of the correlation lattice"
-        )
+        cap = psi.n - 1
+    else:
+        cap = int(np.floor(y_halfwidth / (2.0 * psi.dx)))
+        if cap < 1:
+            raise DomainTooSmall("y_halfwidth below one correlation step")
+        if rows.min() - cap < 0 or rows.max() + cap > psi.n - 1:
+            raise DomainTooSmall(
+                "wave axis must extend y_halfwidth/2 beyond the grid x range"
+            )
+    nonzero = np.flatnonzero(psi.samples)
+    # an all-zero wave gets the empty support [0, -1]: no rows, no lags
+    lo, hi = (nonzero[0], nonzero[-1]) if nonzero.size else (0, -1)
+    sel = slice(int(np.searchsorted(rows, lo)),
+                int(np.searchsorted(rows, hi, side="right")))
+    r = rows[sel]
+    return sel, np.minimum(cap, np.minimum(r - lo, hi - r))
 
 
 def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
@@ -89,22 +87,24 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
 
 
 def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
-                       y_halfwidth: float | None = None) -> tuple[np.ndarray, int]:
+                       y_halfwidth: float | None = None
+                       ) -> tuple[np.ndarray, int, slice]:
     """Correlation slices c(x_i, y_k) = psi*(x_i + y_k/2) psi(x_i - y_k/2).
 
-    Returns (C, K) with C of shape [n_x, 2K+1], column k - K holding y_k.
-    Out-of-axis factors contribute zero (compact support assumption).
+    Returns (C, K, sel): one row of C per grid row in ``sel`` (the rows
+    anchored on the wave's nonzero support), 2K+1 columns with column
+    k + K holding y_k, K the largest lag those rows use. Every product the
+    cut drops vanishes: its factors lie off the support or off the axis.
     """
     rows = _anchor_rows(psi, grid)
-    K = _reach(psi, grid, y_halfwidth)
+    sel, lags = _reach(psi, rows, y_halfwidth)
+    K = int(lags.max(initial=0))
     s = psi.samples
-    C = np.zeros((len(rows), 2 * K + 1), dtype=s.dtype)
-    for i, r in enumerate(rows):
-        # lags |k| <= lag keep both factors s[r + k] and s[r - k] on the axis
-        lag = min(K, r, psi.n - 1 - r)
+    C = np.zeros((len(lags), 2 * K + 1), dtype=s.dtype)
+    for i, (r, lag) in enumerate(zip(rows[sel], lags)):
         C[i, K - lag:K + lag + 1] = (np.conj(s[r - lag:r + lag + 1])
                                      * s[r + lag::-1][:2 * lag + 1])
-    return C, K
+    return C, K, sel
 
 
 def hermitian_residual(C: np.ndarray) -> float:
@@ -136,6 +136,25 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
     return (dy / (2.0 * np.pi)) * S
 
 
+def _transform(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None,
+               backend: str) -> np.ndarray:
+    """Complex transform over the separation on the whole grid; rows
+    anchored off the wave's nonzero support are exact zeros and are
+    neither correlated nor transformed."""
+    dy = 2.0 * psi.dx
+    pmax = max(abs(grid.p_min), abs(grid.p_max))
+    if pmax * dy >= np.pi:
+        raise NyquistViolation(
+            f"momentum window |p| <= {pmax:g} exceeds the representable "
+            f"band {np.pi / dy:g} of the correlation lattice"
+        )
+    C, K, sel = correlation_matrix(psi, grid, y_halfwidth)
+    S = np.zeros((grid.n_x, grid.n_p), dtype=np.complex128)
+    if len(C):
+        S[sel] = fourier_over_separation(C, K, dy, grid.p_axis(), backend)
+    return S
+
+
 def wigner_of(psi: ComplexWave, grid: PhaseGrid,
               y_halfwidth: float | None = None,
               backend: str = "czt") -> WignerField:
@@ -145,14 +164,14 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     integer refinement of the grid's). ``y_halfwidth`` truncates the
     correlation reach uniformly; states that are not compactly supported
     on their axis (image trains, box eigenmodes) require it, and the cap
-    must then sit in a region where the correlation is negligible.
+    must then sit in a region where the correlation is negligible. The
+    correlation and its transform run over the wave's nonzero support
+    only (``correlation_matrix``).
 
     Raises DomainTooSmall, NyquistViolation, GridMismatch, or
     RealnessViolation (imaginary residue of the transform >= 1e-10).
     """
-    _check_nyquist(psi, grid)
-    C, K = correlation_matrix(psi, grid, y_halfwidth)
-    W = fourier_over_separation(C, K, 2.0 * psi.dx, grid.p_axis(), backend)
+    W = _transform(psi, grid, y_halfwidth, backend)
     residue = float(np.abs(W.imag).max())
     if residue >= REALNESS_TOL:
         raise RealnessViolation(
@@ -175,7 +194,4 @@ def wigner_realness_check(psi: ComplexWave, grid: PhaseGrid,
     Diagnostic for the Hermitian symmetry of the correlation slices; a
     healthy input stays below 1e-10, a corrupted one fires well above.
     """
-    _check_nyquist(psi, grid)
-    C, K = correlation_matrix(psi, grid, y_halfwidth)
-    W = fourier_over_separation(C, K, 2.0 * psi.dx, grid.p_axis())
-    return float(np.abs(W.imag).max())
+    return float(np.abs(_transform(psi, grid, y_halfwidth, "czt").imag).max())

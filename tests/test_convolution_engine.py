@@ -9,19 +9,26 @@ from wignerwall import (
     ShearParams,
     ValidationError,
     WignerField,
+    billiard_indicator,
     compare_fields,
     convolve_p,
     evolve_bounded,
     far_field_check,
     free_gaussian,
     halfline_kernel,
+    interval_kernel,
     kernel_tail_bound,
     marginal_x,
     shear_evolve,
     total_mass,
     wigner_of,
 )
-from wignerwall.convolution_engine import BoundedEvolutionPlan, point_symmetry_defect
+from wignerwall.boundary_kernels import kernel_field_1d
+from wignerwall.convolution_engine import (
+    BoundedEvolutionPlan,
+    _batched_fft_convolve,
+    point_symmetry_defect,
+)
 from wignerwall.oracle import images_reflect
 
 from conftest import odd_extended_wave
@@ -93,6 +100,50 @@ def test_backends_agree():
                    for i in range(GRID.n_x)])
     wd[~plan.kernel.inside_rows(), :] = 0.0
     assert np.abs(wf.values - wd).max() < 1e-9
+
+
+def box_plan(a=-6.0, b=4.0):
+    # any field serves: the engine's row work does not depend on where W0
+    # came from, and the support guard is off as on the CLI's box path
+    g = GaussianPacket(x0=-1.0, p0=3.0, sigma=0.7, m=1.0)
+    w0 = wigner_of(free_gaussian(g, 0.0, GRID.x_min, GRID.dx, GRID.n_x), GRID)
+    return BoundedEvolutionPlan(interval_kernel(GRID, a, b), ShearParams(0.0, 1.0),
+                                w0, check_support=False)
+
+
+def two_interval_plan():
+    # numeric kernel of (-5, -2) U (1.5, 4.5): its inside rows form three
+    # runs, the middle one of x whose +-y/2 pairs straddle the gap
+    dp = 16.0 / 128
+    grid = PhaseGrid(-6.0, 6.0, 97, -8.0, 8.0 - dp, 128)
+    y = 0.05 * np.arange(-240, 241)
+
+    def level(x):
+        return np.minimum(np.abs(x + 3.5), np.abs(x - 3.0)) / 1.5
+
+    kernel = kernel_field_1d(billiard_indicator(level, [grid.x_axis()], [y]), grid)
+    g = GaussianPacket(x0=3.0, p0=1.0, sigma=0.4, m=1.0)
+    w0 = wigner_of(free_gaussian(g, 0.0, grid.x_min, grid.dx, grid.n_x), grid)
+    return BoundedEvolutionPlan(kernel, ShearParams(0.0, 1.0), w0, check_support=False)
+
+
+@pytest.mark.parametrize("geometry", ["halfline", "box", "two-interval"])
+def test_inside_rows_convolution_bit_identical(geometry):
+    # convolving only the inside rows gives the bits of convolving every
+    # row and then zeroing the outside ones
+    plan = {"halfline": lambda: bounce_plan()[1], "box": box_plan,
+            "two-interval": two_interval_plan}[geometry]()
+    grid = plan.initial.grid
+    inside = plan.kernel.inside_rows()
+    assert 0 < inside.sum() < grid.n_x
+    for t in (0.0, 1.3):
+        sheared = shear_evolve(plan.initial, ShearParams(t, 1.0),
+                               check_support=plan.check_support)
+        ref = _batched_fft_convolve(sheared.values, plan._kernel_rows, grid.dp,
+                                    grid.n_p - 1)
+        ref[~inside, :] = 0.0
+        out = evolve_bounded(plan, t).values
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_linearity_in_initial_field():

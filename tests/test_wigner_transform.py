@@ -14,8 +14,11 @@ from wignerwall import (
     GridMismatch,
     NyquistViolation,
     PhaseGrid,
+    box_evolve,
     free_gaussian,
+    images_reflect,
     marginal_p,
+    project_gaussian_to_box,
     total_mass,
     wigner_of,
     wigner_of_direct,
@@ -58,9 +61,15 @@ def test_odd_wave_center_value(grid):
 
 
 def test_zero_wave(grid):
-    psi = ComplexWave(grid.x_min, grid.dx, grid.n_x, np.zeros(grid.n_x))
-    w = wigner_of(psi, grid)
-    assert np.all(w.values == 0.0)
+    # no nonzero sample: an empty correlation block, nothing transformed
+    for q in (1, 8):
+        n = (grid.n_x - 1) * q + 1
+        psi = ComplexWave(grid.x_min, grid.dx / q, n, np.zeros(n))
+        C, K, _ = correlation_matrix(psi, grid)
+        assert C.shape == (0, 1) and K == 0
+        w = wigner_of(psi, grid)
+        assert same_bits(w.values, np.zeros((grid.n_x, grid.n_p)))
+        assert wigner_realness_check(psi, grid) == 0.0
 
 
 def test_realness_gaussian(grid, gaussian_wave):
@@ -81,7 +90,7 @@ def test_realness_random_smooth(grid):
 
 
 def test_corrupted_correlation_detected(grid, gaussian_wave):
-    C, K = correlation_matrix(gaussian_wave, grid)
+    C, K, _ = correlation_matrix(gaussian_wave, grid)
     assert hermitian_residual(C) < 1e-15
     bad = C.copy()
     bad[:, K + 3] += 0.1  # break c(-y) = c(y)* on one column
@@ -202,9 +211,51 @@ def test_correlation_rows_match_fancy_index(n_x, layout):
     dx = grid.dx / q
     x = grid.x_min - pad * grid.dx + dx * np.arange((n_x - 1 + 2 * pad) * q + 1)
     psi = ComplexWave(x[0], dx, len(x), g.amplitude(x, 0.0) - g.amplitude(-x, 0.0))
-    C, K = correlation_matrix(psi, grid, y_halfwidth)
-    assert K == (psi.n - 1 if y_halfwidth is None else pad - 1)
-    assert same_bits(C, fancy_index_correlation(psi, grid, K))
+    C, K, sel = correlation_matrix(psi, grid, y_halfwidth)
+    # K is the largest lag a row anchored on the support [lo, hi] can use,
+    # min(cap, r - lo, hi - r); the wave fills its axis here, so the full
+    # reach drops to at most half the axis and the capped reach stays the cap
+    full_reach = psi.n - 1 if y_halfwidth is None else pad - 1
+    rows = np.round((grid.x_axis() - psi.x_min) / psi.dx).astype(int)
+    lo, hi = np.flatnonzero(psi.samples)[[0, -1]]
+    r = rows[sel]
+    assert np.all((r >= lo) & (r <= hi))
+    assert K == np.minimum(full_reach, np.minimum(r - lo, hi - r)).max()
+    assert (2 * K <= psi.n - 1) if y_halfwidth is None else (K == full_reach)
+    assert same_bits(C, fancy_index_correlation(psi, grid, K)[sel])
+    # the cut drops exact zeros only: at the old reach, everything outside
+    # the returned block is 0
+    old = fancy_index_correlation(psi, grid, full_reach)
+    block = (sel, slice(full_reach - K, full_reach + K + 1))
+    assert same_bits(old[block], C)
+    old[block] = 0.0
+    assert not old.any()
+
+
+def test_support_cut_matches_direct_sum():
+    # a theta(x)-truncated odd packet and a box wave, zero outside (a, b),
+    # on an 8x axis over a small grid; part of the grid lies off each
+    # wave's support
+    grid = PhaseGrid(-6.0, 6.0, 49, -4.0, 4.0, 33)
+    q = 8
+    axis = (grid.x_min, grid.dx / q, (grid.n_x - 1) * q + 1)
+    g = GaussianPacket(x0=2.5, p0=-1.5, sigma=0.3, m=1.0)
+    box = GaussianPacket(x0=0.2, p0=1.0, sigma=0.4, m=1.0)
+    spectrum = project_gaussian_to_box(box, -3.0, 3.5, 64)
+    waves = [(images_reflect(g, 0.3, *axis), 0.0, np.inf),
+             (box_evolve(spectrum, 0.4, *axis), -3.0, 3.5)]
+    for psi, a, b in waves:
+        w = wigner_of(psi, grid)
+        ref = wigner_of_direct(psi, grid)
+        scale = np.abs(ref.values).max()
+        assert np.abs(w.values - ref.values).max() < 1e-11 * scale
+        # rows anchored off the support come back as exact (+0.0) zeros
+        nz = psi.x_axis()[np.flatnonzero(psi.samples)]
+        x = grid.x_axis()
+        off = (x < nz[0]) | (x > nz[-1])
+        assert off.sum() >= 10 and np.all((x[off] <= a) | (x[off] >= b))
+        assert same_bits(w.values[off], np.zeros((off.sum(), grid.n_p)))
+        assert np.abs(w.values[~off]).max() > 0.1 * scale
 
 
 @pytest.mark.parametrize("shape, m", [((257,), 129), ((257,), 400),
