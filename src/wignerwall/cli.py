@@ -218,6 +218,25 @@ def _section(cp: configparser.ConfigParser, section: str) -> dict:
     return {key: _get(cp, section, key) for key in _CONFIG[section]}
 
 
+def _fmt_t(t: float) -> str:
+    """The file tag of time ``t``: 6 significant digits, ``m`` for a minus."""
+    return f"{t:g}".replace("-", "m")
+
+
+def _times(cp: configparser.ConfigParser) -> list[float]:
+    """[times] values; two times that share a file tag would write the same
+    files, the later silently replacing the earlier, so that is an error."""
+    times = _get(cp, "times", "values")
+    seen: dict[str, float] = {}
+    for t in times:
+        tag = _fmt_t(t)
+        if tag in seen:
+            raise ConfigError(f"[times] values {seen[tag]!r} and {t!r} share the "
+                              f"file tag t{tag}")
+        seen[tag] = t
+    return times
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from INI text.
 
@@ -236,7 +255,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     packet = GaussianPacket(*_section(cp, "packet").values())
     grid = PhaseGrid(**_section(cp, "grid"))
-    return ScenarioConfig(geometry, packet, grid, _get(cp, "times", "values"),
+    return ScenarioConfig(geometry, packet, grid, _times(cp),
                           kernel2d=_section(cp, "kernel2d"), **_section(cp, "run"))
 
 
@@ -253,10 +272,6 @@ def load_config(path: str | None, preset: str | None) -> ScenarioConfig:
             return parse_config(f.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-
-
-def _fmt_t(t: float) -> str:
-    return f"{t:g}".replace("-", "m")
 
 
 # ---------------------------------------------------------------------------

@@ -212,10 +212,15 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
 def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
     """``x,p,value`` rows in ``write_csv``'s format, row-major in x then p;
     ``metadata`` is the leading JSON line (kernel provenance). The ``,p,value``
-    cells are formatted once, so each x row is one ``str.format`` call."""
+    cells are formatted once, so each x row is one ``str.format`` call, and
+    the ``,p,0`` cells once, so a row of all +0.0 (every bit clear; a -0.0
+    prints ``-0`` and is formatted) is a plain join."""
     cells = [f",{_NUM.format(p)},{_NUM}\n" for p in w.grid.p_axis().tolist()]
+    zeros = [cell.format(0.0) for cell in cells]
     xs = map(_NUM.format, w.grid.x_axis().tolist())
-    lines = ((x + x.join(cells)).format(*vals.tolist()) for x, vals in zip(xs, w.values))
+    nonzero = w.values.view(np.uint64).any(axis=1).tolist()
+    lines = ((x + x.join(cells)).format(*vals.tolist()) if some else x + x.join(zeros)
+             for x, some, vals in zip(xs, nonzero, w.values))
     _write_lines(path, ("x", "p", "value"), lines, metadata)
 
 

@@ -80,6 +80,10 @@ mass = 1.0
      "[times]\nvalues = 0, nan\n", "[times] values"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[run]\nn_modes = 0\n", "[run] n_modes"),
+    # two times whose files would be one and the same
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[times]\nvalues = 1.0000001, 1.5, 1.0000002\n",
+     "[times] values 1.0000001 and 1.0000002 share the file tag t1"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -134,10 +138,12 @@ def test_validate_exit_codes(tmp_path, capsys):
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 240\n", 2),
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 600\n", 2),
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 200\n", 0),
+    # the two times would write one field_t1.* and one report row t=1
+    (FAST_HALFLINE.replace("values = 0, 1.5", "values = 1.0000001, 1.5, 1.0000002"), 2),
 ], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok",
         "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
         "disk-slices-outside", "disk-n_p-1", "disk-p_half-240", "disk-p_half-600",
-        "disk-p_half-200"])
+        "disk-p_half-200", "times-share-tag"])
 def test_validate_agrees_with_simulate(tmp_path, text, code):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)

@@ -17,6 +17,7 @@ from wignerwall import (
     total_mass,
     wigner_of,
 )
+from wignerwall import free_evolution
 from wignerwall.convolution_engine import BoundedEvolutionPlan
 from wignerwall.boundary_kernels import halfline_kernel
 from wignerwall.free_evolution import wall_violation_mass
@@ -95,6 +96,24 @@ def _cubic_tolerance():
     four = shear_evolve(w, ShearParams(1.0, 1.0), method="fourier")
     cub = shear_evolve(w, ShearParams(1.0, 1.0), method="cubic")
     return max(np.abs(four.values - cub.values).max(), 1e-6)
+
+
+def test_cubic_shear_looks_up_map_coordinates_through_module(monkeypatch):
+    # the benchmark tracer wraps free_evolution.map_coordinates; a cubic
+    # shear that reached scipy.ndimage another way would record no span
+    calls = []
+    original = free_evolution.map_coordinates
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(free_evolution, "map_coordinates", spy)
+    w = moving_field()
+    shear_evolve(w, ShearParams(1.0, 1.0), method="fourier")
+    assert calls == []
+    shear_evolve(w, ShearParams(1.0, 1.0), method="cubic")
+    assert calls == [3]
 
 
 def test_mass_conserved():

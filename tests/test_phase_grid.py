@@ -186,10 +186,15 @@ def test_csv_exact_text(tmp_path):
 
 @pytest.mark.parametrize("metadata", [None, {"geometry": "halfline", "wall": 0.0}])
 def test_field_csv_same_bytes_as_write_csv(tmp_path, metadata):
-    # axis values that need all 12 digits, a signed zero and a subnormal-scale value
-    grid = PhaseGrid(-1, 1, 7, -1 / 3, 1 / 3, 5)
-    values = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3
+    # axis values that need all 12 digits, a signed zero and a subnormal-scale
+    # value; then a row of all +0.0, which the writer joins unformatted, and
+    # two zero rows it must format: one holding a -0.0 and one holding the
+    # smallest subnormal
+    grid = PhaseGrid(-1, 1, 10, -1 / 3, 1 / 3, 5)
+    values = np.zeros((10, 5))
+    values[:7] = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3
     values[0, 0], values[3, 2], values[6, 4] = -0.0, 1e-300, 0.0
+    values[8, 1], values[9, 3] = -0.0, 5e-324
     w = WignerField(grid, values)
     triples = ((x, p, w.values[i, j]) for i, x in enumerate(grid.x_axis())
                for j, p in enumerate(grid.p_axis()))
@@ -197,7 +202,9 @@ def test_field_csv_same_bytes_as_write_csv(tmp_path, metadata):
     write_csv(ref, ("x", "p", "value"), triples, metadata)
     write_field_csv(w, out, metadata)
     assert out.read_bytes() == ref.read_bytes()
-    assert b"-0\n" in out.read_bytes() and b"1e-300\n" in out.read_bytes()
+    body = out.read_bytes()
+    assert body.count(b"-0\n") == 2
+    assert b"1e-300\n" in body and b"4.94065645841e-324\n" in body
 
 
 def test_binary_roundtrip_bit_exact(tmp_path, grid, gaussian_wave):
