@@ -20,6 +20,7 @@ from .convolution_engine import (
 from .errors import (
     AsymmetricIndicator,
     BadInterval,
+    BadSampling,
     ConfigError,
     DomainTooSmall,
     EmptyInterior,

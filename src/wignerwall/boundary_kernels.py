@@ -12,14 +12,16 @@ imposes the wall condition. Closed forms:
 
 both zero outside the region, with the removable p = 0 limit evaluated
 directly (2x/pi and ell/pi). Wall samples use theta(0) = 0, so a row
-exactly on a wall is zero.
+exactly on a wall is zero. Every 1-D kernel row is stored as the jumps
+of its rects, sum_j w_j sin(b_j p) / (pi p); the closed forms have one.
 
 The numeric path transforms sampled indicators. Quadrature is
 cell-averaged: each sample stands for its dy-cell, contributing
 dy * sinc(p dy / 2) * e^{i p y_k}. When jumps of g sit on cell
 boundaries (half-integer sample offsets) this reproduces the continuum
 transform of the underlying step function to machine precision, which
-plain rectangle weights cannot do at finite p dy.
+plain rectangle weights cannot do at finite p dy. In 1-D that sum, by
+parts, is the jumps b_j = (j + 1/2) dy with w_j = g_j - g_{j+1}.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import AsymmetricIndicator, BadInterval, EmptyInterior, RealnessViolation
+from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, RealnessViolation
 from .phase_grid import PhaseGrid, WignerField, write_field_binary, write_field_csv
 from .wigner_transform import fourier_over_separation
 
@@ -39,46 +41,50 @@ _EVEN_TOL = 1e-12
 _NUMERIC_REALNESS_TOL = 1e-10
 
 
-def _sinc_profile(halfwidth: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sin(halfwidth * p) / (pi p) rows with the p = 0 column at halfwidth/pi.
-
-    halfwidth: [n_rows] of y-half-widths (zero rows stay zero);
-    p: momentum arguments. Returns [n_rows, len(p)].
-    """
-    hw = np.asarray(halfwidth, dtype=np.float64)[:, None]
+def _sinc_rows(jumps: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """[n_rows, len(p)] rows sum_j w_j sin(b_j p) / (pi p), sum_j w_j b_j / pi
+    at p = 0, from [n_rows, J] jumps b_j and weights w_j (zero padded).
+    Rows with no nonzero weight are +0.0 and are not evaluated."""
     pp = np.asarray(p, dtype=np.float64)[None, :]
-    small = np.abs(pp) < 1e-300
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(small, hw / np.pi, np.sin(hw * pp) / (np.pi * pp))
+    out = np.zeros((weights.shape[0], pp.size))
+    live = np.flatnonzero(np.any(weights != 0.0, axis=1))
+    if live.size:
+        b, w = jumps[live], weights[live]
+        acc = sum(w[:, j, None] * np.sin(b[:, j, None] * pp) for j in range(w.shape[1]))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[live] = np.where(np.abs(pp) < 1e-300, (w * b).sum(axis=1)[:, None] / np.pi,
+                                 acc / (np.pi * pp))
+    return out
 
 
 @dataclass(frozen=True)
 class BoundaryKernel:
-    """Sampled kernel K(x, p) on a PhaseGrid plus its analytic row profile.
-
-    ``values`` holds the grid-window samples. ``profile`` evaluates rows
-    at arbitrary momentum arguments; the evolution engine uses it to
-    sample the kernel on the momentum difference lattice, where the
-    convolution needs arguments beyond the grid window.
+    """Kernel K(x, p) on a PhaseGrid, row i stored as the [n_x, J] jumps and
+    weights of ``_sinc_rows``. ``values`` holds the grid-window samples;
+    ``rows_at`` evaluates rows at arbitrary momentum arguments, which the
+    evolution engine needs beyond the grid window.
     """
 
     grid: PhaseGrid
-    values: np.ndarray = field(compare=False)
+    jumps: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
     provenance: str
     geometry: dict = field(compare=False)
-    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.n_x, self.grid.n_p):
-            raise BadInterval("kernel values do not match the grid shape")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        jumps = np.array(self.jumps, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
+        if weights.ndim != 2 or jumps.shape != weights.shape or len(weights) != self.grid.n_x:
+            raise BadInterval("kernel jumps and weights need one zero-padded row per grid x")
+        values = _sinc_rows(jumps, weights, self.grid.p_axis())
+        for name, a in (("jumps", jumps), ("weights", weights), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def rows_at(self, p_arguments: np.ndarray) -> np.ndarray:
         """Kernel rows sampled at the given momentum arguments."""
-        return self.profile(np.asarray(p_arguments, dtype=np.float64))
+        return _sinc_rows(self.jumps, self.weights, p_arguments)
 
     def inside_rows(self) -> np.ndarray:
         """Boolean mask of x rows strictly inside the allowed region."""
@@ -96,15 +102,10 @@ class BoundaryKernel:
 def halfline_kernel(grid: PhaseGrid) -> BoundaryKernel:
     """Kernel of the impenetrable wall at the origin (region x > 0)."""
     x = grid.x_axis()
-    hw = np.where(x > 0.0, 2.0 * x, 0.0)
-
-    def profile(p_args: np.ndarray) -> np.ndarray:
-        return _sinc_profile(hw, p_args)
-
-    return BoundaryKernel(grid, profile(grid.p_axis()),
+    inside = x > 0.0
+    return BoundaryKernel(grid, np.where(inside, 2.0 * x, 0.0)[:, None], inside[:, None],
                           provenance="analytic-halfline",
-                          geometry={"wall": 0.0},
-                          profile=profile)
+                          geometry={"wall": 0.0})
 
 
 def interval_kernel(grid: PhaseGrid, a: float, b: float) -> BoundaryKernel:
@@ -116,14 +117,9 @@ def interval_kernel(grid: PhaseGrid, a: float, b: float) -> BoundaryKernel:
     x = grid.x_axis()
     inside = (x > a) & (x < b)
     hw = np.where(inside, 2.0 * np.minimum(x - a, b - x), 0.0)
-
-    def profile(p_args: np.ndarray) -> np.ndarray:
-        return _sinc_profile(hw, p_args)
-
-    return BoundaryKernel(grid, profile(grid.p_axis()),
+    return BoundaryKernel(grid, hw[:, None], inside[:, None],
                           provenance="analytic-interval",
-                          geometry={"a": a, "b": b},
-                          profile=profile)
+                          geometry={"a": a, "b": b})
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,17 @@ class ShapeIndicator:
     g: np.ndarray = field(compare=False)
 
 
-def _check_symmetric_axis(ax: np.ndarray) -> None:
-    if ax.size % 2 != 1 or float(np.abs(ax + ax[::-1]).max()) > 1e-12 * max(1.0, float(np.abs(ax).max())):
-        raise AsymmetricIndicator("y axes must be symmetric with odd length")
+def _y_step(ax: np.ndarray) -> float:
+    """Step of a y axis: odd length >= 3, symmetric about 0, increasing
+    in steps uneven by at most 1e-9 of the first."""
+    ax = np.asarray(ax, dtype=np.float64)
+    if ax.size % 2 != 1 or ax.size < 3 or \
+            not float(np.abs(ax + ax[::-1]).max()) <= 1e-12 * max(1.0, float(np.abs(ax).max())):
+        raise AsymmetricIndicator("y axes must be symmetric with odd length >= 3")
+    steps = np.diff(ax)
+    if not (steps[0] > 0.0 and float(np.abs(steps - steps[0]).max()) <= 1e-9 * steps[0]):
+        raise BadSampling("y axes must increase in uniform steps")
+    return float(steps[0])
 
 
 def billiard_indicator(B: Callable[..., np.ndarray],
@@ -176,8 +180,7 @@ def billiard_indicator(B: Callable[..., np.ndarray],
         raise AsymmetricIndicator("x and y need one axis per dimension")
     x_axes = tuple(np.asarray(ax, dtype=np.float64) for ax in x_axes)
     y_axes = tuple(np.asarray(ax, dtype=np.float64) for ax in y_axes)
-    for ax in y_axes:
-        _check_symmetric_axis(ax)
+    dys = [_y_step(ax) for ax in y_axes]
 
     inside_x = B(*np.meshgrid(*x_axes, indexing="ij")) < 1.0
     if not np.any(inside_x):
@@ -188,7 +191,6 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     out = np.zeros(shape_x + shape_y, dtype=np.float64)
 
     # y/2 per subcell shift, y axis d shaped to vary along axis d only
-    dys = [float(ax[1] - ax[0]) for ax in y_axes]
     halves = [[(0.5 * (ax + d * dy)).reshape([-1 if j == k else 1 for j in range(n)])
                for k, (ax, d, dy) in enumerate(zip(y_axes, shift, dys))]
               for shift in _subcell_offsets(subsamples, n)]
@@ -237,61 +239,67 @@ def kernel_from_indicator(s: ShapeIndicator,
     out = np.asarray(s.g, dtype=np.complex128)
     nx = s.dimension
     for d, ax in enumerate(s.y_axes):
-        dy = float(ax[1] - ax[0])
+        dy = _y_step(ax)
         p = np.asarray(p_axes[d], dtype=np.float64)
         # each sample stands for its dy-cell, whose transform
-        # (dy/2pi) sinc(p dy/2) is the sinc profile of half-width dy/2;
+        # (dy/2pi) sinc(p dy/2) is the sinc row of one jump at dy/2;
         # the separation sum already carries the dy/2pi
-        cell = (2.0 * np.pi / dy) * _sinc_profile([0.5 * dy], p)[0]
+        cell = (2.0 * np.pi / dy) * _sinc_rows(np.array([[0.5 * dy]]), np.ones((1, 1)), p)[0]
         # y axis d sits at position nx + d (earlier ones already replaced by p)
         sums = fourier_over_separation(np.moveaxis(out, nx + d, -1), ax.size // 2,
                                        dy, p, backend="direct")
         out = np.moveaxis(sums * cell, -1, nx + d)
     residue = float(np.abs(out.imag).max())
-    if residue >= _NUMERIC_REALNESS_TOL:
+    if not residue < _NUMERIC_REALNESS_TOL:
         raise RealnessViolation(f"imaginary residue {residue:g} in indicator transform")
     return out.real
+
+
+def _slice_jumps(g: np.ndarray, dy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jumps b_j = (j + 1/2) dy and weights w_j = g_j - g_{j+1} (g_{K+1} = 0)
+    of each row of g, an even slice on y = k dy, k in [-K, K]: its
+    cell-averaged transform summed by parts. Each row keeps its nonzero
+    weights in order, zero padded to the longest row's count."""
+    if not 0.0 < dy < np.inf:
+        raise BadSampling(f"y step must be finite and positive, got {dy!r}")
+    if not np.all(np.isfinite(g)):
+        raise BadSampling("indicator slice holds a non-finite sample")
+    if float(np.abs(g - g[:, ::-1]).max()) > _EVEN_TOL:
+        raise AsymmetricIndicator("indicator slice is not even in y")
+    w = -np.diff(g[:, g.shape[1] // 2:], axis=1, append=0.0)
+    nonzero = w != 0.0
+    j = np.argsort(~nonzero, axis=1, kind="stable")[:, :nonzero.sum(axis=1).max()]
+    w = np.take_along_axis(w, j, axis=1)
+    return np.where(w != 0.0, (j + 0.5) * dy, 0.0), w
 
 
 def numeric_kernel(g_slice: np.ndarray, dy: float, p_axis: np.ndarray) -> np.ndarray:
     """Transform one sampled indicator slice over y to a kernel row over p.
 
     ``g_slice`` is a real (or boolean) vector of odd length sampled at
-    y = k dy for k in [-K, K]; it must be even in y. The 1-D case of
-    ``kernel_from_indicator``, with the same cell-averaged quadrature.
+    y = k dy for k in [-K, K]; it must be even in y. Summed at its jumps,
+    it is the 1-D ``kernel_from_indicator``'s cell-averaged quadrature.
 
     Raises AsymmetricIndicator when evenness fails beyond 1e-12, and
-    RealnessViolation if the residual imaginary part survives anyway.
+    BadSampling for a non-finite sample or a dy not finite and positive.
     """
     g = np.asarray(g_slice, dtype=np.float64)
     if g.ndim != 1 or g.size % 2 != 1:
         raise AsymmetricIndicator("slice must be a 1-D vector of odd length")
-    if float(np.abs(g - g[::-1]).max()) > _EVEN_TOL:
-        raise AsymmetricIndicator("indicator slice is not even in y")
-    K = g.size // 2
-    s = ShapeIndicator(1, (np.zeros(1),), (dy * np.arange(-K, K + 1),), g[None, :])
-    return kernel_from_indicator(s, [p_axis])[0]
+    return _sinc_rows(*_slice_jumps(g[None, :], dy), p_axis)[0]
 
 
 def kernel_field_1d(s: ShapeIndicator, grid: PhaseGrid) -> BoundaryKernel:
-    """Wrap a 1-D indicator transform as a BoundaryKernel on ``grid``.
-
-    The indicator's x axis must equal the grid x axis; rows are evaluated
-    at arbitrary momentum arguments through the stored g slices.
-    """
+    """Wrap a 1-D indicator, whose x axis must equal the grid x axis, as a
+    BoundaryKernel on ``grid`` that stores each row's jumps."""
     if s.dimension != 1:
         raise AsymmetricIndicator("kernel_field_1d needs a 1-D indicator")
     if s.x_axes[0].shape != (grid.n_x,) or \
             float(np.abs(s.x_axes[0] - grid.x_axis()).max()) > 1e-9 * max(1.0, grid.dx):
         raise BadInterval("indicator x axis differs from the grid x axis")
-
-    def profile(p_args: np.ndarray) -> np.ndarray:
-        return kernel_from_indicator(s, [p_args])
-
-    return BoundaryKernel(grid, profile(grid.p_axis()),
-                          provenance="numeric",
-                          geometry={"dimension": 1},
-                          profile=profile)
+    jumps, weights = _slice_jumps(np.asarray(s.g, dtype=np.float64), _y_step(s.y_axes[0]))
+    return BoundaryKernel(grid, jumps, weights, provenance="numeric",
+                          geometry={"dimension": 1})
 
 
 def write_kernel_csv(k: BoundaryKernel, path) -> None:

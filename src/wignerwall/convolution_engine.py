@@ -8,9 +8,9 @@ circular) with rectangle measure dp.
 
 Kernel sampling: the convolution at output momentum p_j against sources
 across the whole window needs kernel arguments out to +-(n_p - 1) dp,
-twice the half-window. The engine therefore samples kernel rows on that
-momentum difference lattice through the kernel's row profile instead of
-reusing the grid-window samples; with window-limited rows the slow sinc
+twice the half-window. The engine therefore evaluates kernel rows on that
+momentum difference lattice from the kernel's jumps (``rows_at``) instead
+of reusing the grid-window samples; with window-limited rows the slow sinc
 tails are cut early enough to spoil oracle-level agreement near walls.
 """
 

@@ -34,6 +34,10 @@ class AsymmetricIndicator(ValidationError):
     """An indicator slice that is not even in the separation variable."""
 
 
+class BadSampling(ValidationError):
+    """A y step not finite, positive and uniform, or a non-finite sample."""
+
+
 class ConfigError(ValidationError):
     """Scenario configuration could not be parsed or validated."""
 

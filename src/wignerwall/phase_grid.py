@@ -19,7 +19,7 @@ from .errors import GridMismatch, ValidationError
 
 _BIN_HEADER = struct.Struct("<6d2Q")
 _RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
-_NUM = "{:.12g}"  # every number of every CSV the package writes
+_NUM = "%.12g"  # every number of every CSV the package writes
 
 
 @dataclass(frozen=True, eq=True)
@@ -206,20 +206,20 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
     ``metadata``, the ``header`` names joined by commas, then each of
     ``rows`` (consumed lazily) as comma-joined values, 12 significant digits."""
     line = ",".join([_NUM] * len(header)) + "\n"
-    _write_lines(path, header, (line.format(*row) for row in rows), metadata)
+    _write_lines(path, header, (line % tuple(row) for row in rows), metadata)
 
 
 def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
     """``x,p,value`` rows in ``write_csv``'s format, row-major in x then p;
     ``metadata`` is the leading JSON line (kernel provenance). The ``,p,value``
-    cells are formatted once, so each x row is one ``str.format`` call, and
+    cells are formatted once, so each x row is one ``%`` on a tuple, and
     the ``,p,0`` cells once, so a row of all +0.0 (every bit clear; a -0.0
     prints ``-0`` and is formatted) is a plain join."""
-    cells = [f",{_NUM.format(p)},{_NUM}\n" for p in w.grid.p_axis().tolist()]
-    zeros = [cell.format(0.0) for cell in cells]
-    xs = map(_NUM.format, w.grid.x_axis().tolist())
+    cells = [f",{_NUM % p},{_NUM}\n" for p in w.grid.p_axis().tolist()]
+    zeros = [cell % 0.0 for cell in cells]
+    xs = (_NUM % x for x in w.grid.x_axis().tolist())
     nonzero = w.values.view(np.uint64).any(axis=1).tolist()
-    lines = ((x + x.join(cells)).format(*vals.tolist()) if some else x + x.join(zeros)
+    lines = ((x + x.join(cells)) % tuple(vals.tolist()) if some else x + x.join(zeros)
              for x, some, vals in zip(xs, nonzero, w.values))
     _write_lines(path, ("x", "p", "value"), lines, metadata)
 

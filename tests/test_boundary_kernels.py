@@ -9,8 +9,13 @@ from scipy.special import j1 as bessel_j1
 from wignerwall import (
     AsymmetricIndicator,
     BadInterval,
+    BadSampling,
+    BoundaryKernel,
     EmptyInterior,
     PhaseGrid,
+    RealnessViolation,
+    ShapeIndicator,
+    ValidationError,
     billiard_indicator,
     halfline_kernel,
     interval_kernel,
@@ -148,6 +153,128 @@ def test_numeric_asymmetric_rejected():
     g[10] += 0.5
     with pytest.raises(AsymmetricIndicator):
         numeric_kernel(g, dy, np.linspace(-4, 4, 33))
+
+
+def _sinc_profile(halfwidth, p):
+    """The one-jump row formula the stored jumps replaced, as it was."""
+    hw = np.asarray(halfwidth, dtype=np.float64)[:, None]
+    pp = np.asarray(p, dtype=np.float64)[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(np.abs(pp) < 1e-300, hw / np.pi, np.sin(hw * pp) / (np.pi * pp))
+
+
+@pytest.mark.parametrize("grid,make,halfwidth", [
+    (KGRID, halfline_kernel, lambda x: np.where(x > 0.0, 2.0 * x, 0.0)),
+    (PhaseGrid(-2.0, 12.0, 141, -16.0, 16.0, 513), lambda g: interval_kernel(g, 1.0, 5.0),
+     lambda x: np.where((x > 1.0) & (x < 5.0), 2.0 * np.minimum(x - 1.0, 5.0 - x), 0.0)),
+    (PhaseGrid(-10.0, 10.0, 101, -8.0, 8.0, 129), lambda g: interval_kernel(g, -6.0, 6.0),
+     lambda x: np.where((x > -6.0) & (x < 6.0), 2.0 * np.minimum(x + 6.0, 6.0 - x), 0.0)),
+], ids=["halfline", "interval", "interval-walls-on-nodes"])
+def test_analytic_rows_bit_identical_to_sinc_profile(grid, make, halfwidth):
+    k = make(grid)
+    hw = halfwidth(grid.x_axis())
+    karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
+    for got, p in ((k.values, grid.p_axis()), (k.rows_at(karg), karg)):
+        assert np.array_equal(got.view(np.uint64), _sinc_profile(hw, p).view(np.uint64))
+    assert np.all(k.rows_at(karg)[hw == 0.0].view(np.uint64) == 0)  # +0.0 outside
+
+
+def _direct_rows(g, dy, p):
+    """kernel_from_indicator's 1-D cell-averaged direct sum of even slices."""
+    K = g.shape[-1] // 2
+    s = ShapeIndicator(1, (np.zeros(len(g)),), (dy * np.arange(-K, K + 1),), g)
+    return kernel_from_indicator(s, [p])
+
+
+_DY = 0.005
+_Y = _DY * np.arange(-800, 801)
+_RANDOM_HALF = np.random.default_rng(5).random(801)
+_LINE_GRID = PhaseGrid(-1.0, 3.0, 9, -4.0, 4.0, 41)
+# half line sampled on a 0.1 y step with 3 subsamples: fractional slices
+_SUBSAMPLED = billiard_indicator(lambda x: 1.0 - x, [_LINE_GRID.x_axis()],
+                                 [np.linspace(-4.0, 4.0, 81)], subsamples=3)
+
+
+@pytest.mark.parametrize("g,dy", [
+    (np.ones(_Y.size), _DY),
+    ((np.abs(_Y) < 2 * 1.0025).astype(float), _DY),
+    (np.concatenate([_RANDOM_HALF[:0:-1], _RANDOM_HALF]), _DY),
+    (_SUBSAMPLED.g, 0.1),
+], ids=["ones", "rect", "dense-random", "subsamples-3"])
+def test_jump_rows_match_direct_sum(g, dy):
+    g = np.atleast_2d(g)
+    p = np.arange(-60.0, 60.01, 0.08)
+    ref = _direct_rows(g, dy, p)
+    rows = np.array([numeric_kernel(gi, dy, p) for gi in g])
+    assert np.abs(rows - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_kernel_field_1d_rows_match_direct_sum():
+    ind = _SUBSAMPLED
+    assert len(np.unique(ind.g[:, 40:], axis=0)) > 3  # varied rows
+    k = kernel_field_1d(ind, _LINE_GRID)
+    p = np.arange(-60.0, 60.01, 0.08)
+    ref = _direct_rows(ind.g, 0.1, p)
+    assert np.abs(k.rows_at(p) - ref).max() <= 1e-11 * np.abs(ref).max()
+    assert np.abs(k.values - _direct_rows(ind.g, 0.1, _LINE_GRID.p_axis())).max() \
+        <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dy", [-0.01, 0.0, np.nan, np.inf])
+def test_numeric_bad_step_rejected(dy):
+    g = (np.abs(_Y) < 1.0).astype(float)
+    with pytest.raises(BadSampling):
+        numeric_kernel(g, dy, np.linspace(-4, 4, 33))
+
+
+def test_non_finite_slice_rejected():
+    assert issubclass(BadSampling, ValidationError)
+    g = (np.abs(_Y) < 1.0).astype(float)
+    g[[3, -4]] = np.nan
+    with pytest.raises(BadSampling):
+        numeric_kernel(g, _DY, np.linspace(-4, 4, 33))
+    grid = PhaseGrid(-1.0, 1.0, 3, -4.0, 4.0, 33)
+    with pytest.raises(BadSampling):
+        kernel_field_1d(ShapeIndicator(1, (grid.x_axis(),), (_Y,), np.tile(g, (3, 1))), grid)
+    # the n-D transform's realness guard does not pass a NaN residue
+    g2 = np.ones((1, 1, 5, 5))
+    g2[0, 0, 2, 1] = g2[0, 0, 2, 3] = np.nan
+    y = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(RealnessViolation):
+        kernel_from_indicator(ShapeIndicator(2, (np.zeros(1),) * 2, (y, y), g2),
+                              [np.linspace(-1, 1, 3)] * 2)
+
+
+def test_kernel_field_1d_checks_evenness():
+    grid = PhaseGrid(-1.0, 1.0, 3, -4.0, 4.0, 33)
+    g = np.tile((np.abs(_Y) < 1.0).astype(float), (3, 1))
+    g[1, 10] += 0.5
+    with pytest.raises(AsymmetricIndicator):
+        kernel_field_1d(ShapeIndicator(1, (grid.x_axis(),), (_Y,), g), grid)
+
+
+def test_uneven_or_decreasing_y_axis_rejected():
+    grid, y, _ = _aligned_halfline_setup()
+    uneven = y.copy()
+    uneven[3005] += 1e-4  # still symmetric and of odd length
+    uneven[2995] -= 1e-4
+    for bad in (uneven, y[::-1]):
+        with pytest.raises(BadSampling):
+            billiard_indicator(_halfline, [grid.x_axis()], [bad])
+    with pytest.raises(AsymmetricIndicator):
+        billiard_indicator(_halfline, [grid.x_axis()], [np.zeros(1)])
+    # linspace axes pass: the disk's, C9's and the tests'
+    for R, n in ((1.0, 441), (2.0, 441), (0.7, 3), (1.0, 61), (4.0, 81)):
+        ax = np.linspace(-2.125 * R, 2.125 * R, n)
+        assert billiard_indicator(_halfline, [np.array([1.0])], [ax]).g.shape == (1, n)
+
+
+def test_kernel_rows_shape_checked():
+    grid = PhaseGrid(-1.0, 1.0, 3, -4.0, 4.0, 33)
+    with pytest.raises(BadInterval):
+        BoundaryKernel(grid, np.ones((2, 1)), np.ones((2, 1)), "numeric", {})
+    with pytest.raises(BadInterval):
+        BoundaryKernel(grid, np.ones((3, 2)), np.ones((3, 1)), "numeric", {})
 
 
 def test_indicator_halfline_path_matches_analytic_kernel():

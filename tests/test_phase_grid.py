@@ -207,6 +207,26 @@ def test_field_csv_same_bytes_as_write_csv(tmp_path, metadata):
     assert b"1e-300\n" in body and b"4.94065645841e-324\n" in body
 
 
+def test_percent_template_prints_format_text(tmp_path):
+    # the CSV row templates apply '%.12g'; over random bit patterns (every
+    # exponent, subnormals, nan and inf), their negatives and the special
+    # values it prints what '{:.12g}' prints, for floats and numpy scalars
+    rng = np.random.default_rng(11)
+    vals = np.frombuffer(rng.bytes(8 * 40000), dtype=np.float64)
+    vals = np.concatenate([vals, -vals, [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]])
+    floats = vals.tolist()
+    assert ["%.12g" % v for v in floats] == ["{:.12g}".format(v) for v in floats]
+    assert ["%.12g" % v for v in vals[:2000]] == ["{:.12g}".format(v) for v in vals[:2000]]
+    grid = PhaseGrid(-1, 1, 7, -1 / 3, 1 / 3, 9)
+    w = WignerField(grid, vals[:63].reshape(7, 9))
+    text = "x,p,value\n" + "".join(
+        "{:.12g},{:.12g},{:.12g}\n".format(x, p, w.values[i, j])
+        for i, x in enumerate(grid.x_axis()) for j, p in enumerate(grid.p_axis()))
+    path = tmp_path / "field.csv"
+    write_field_csv(w, path)
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_binary_roundtrip_bit_exact(tmp_path, grid, gaussian_wave):
     w = wigner_of(gaussian_wave, grid)
     path = tmp_path / "field.bin"
