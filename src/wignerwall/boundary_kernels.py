@@ -31,7 +31,6 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, RealnessViolation
 from .phase_grid import PhaseGrid, WignerField, write_field_binary, write_field_csv
@@ -155,7 +154,7 @@ def _y_step(ax: np.ndarray) -> float:
 def billiard_indicator(B: Callable[..., np.ndarray],
                        x_axes: Sequence[np.ndarray],
                        y_axes: Sequence[np.ndarray],
-                       subsamples: int = 1) -> ShapeIndicator:
+                       subsamples: int = 1, workers: int = 1) -> ShapeIndicator:
     """Sample g over the product grid of x and y axes.
 
     ``B`` takes n coordinate arrays and returns the level set value;
@@ -169,9 +168,8 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     isotropy checks at tight tolerance); the default 1 keeps the plain
     boolean field.
 
-    The x points are shared among ``scipy.fft.get_workers()`` threads
-    (1 outside a ``set_workers`` scope). Each point's slice is filled by
-    one task, so g does not depend on the worker count.
+    The x points are shared among ``workers`` threads. Each point's slice
+    is filled by one task, so g does not depend on the worker count.
 
     Raises EmptyInterior when no x grid point lies inside.
     """
@@ -203,7 +201,7 @@ def billiard_indicator(B: Callable[..., np.ndarray],
                     & (B(*[xd + hd for xd, hd in zip(x, half)]) < 1.0))
 
     points = list(np.ndindex(*shape_x))
-    workers = min(sfft.get_workers(), len(points))
+    workers = min(workers, len(points))
     if workers > 1:
         # imported here: concurrent.futures.thread is not loaded with the CLI
         from concurrent.futures import ThreadPoolExecutor

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import __version__, boundary_kernels
 from .boundary_kernels import (
@@ -433,7 +432,9 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     def disk(x1, x2):
         return (x1**2 + x2**2) / R**2
 
-    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8)
+    # threads = 0 means every core
+    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8,
+                             workers=cfg.threads or os.cpu_count())
     return ind, p_ax, grid_p
 
 
@@ -510,7 +511,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", help=f"built-in scenario: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--out", default="wignerwall_out", help="output directory")
     sub.add_argument("--threads", default=None,
-                     help="workers of every FFT in the run (0 = all cores)")
+                     help="threads that sample the disk kernel's indicator "
+                          "(0 = all cores); every FFT runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,18 +537,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.preset)
         if args.threads is not None:
             cfg.threads = _value(_CONFIG["run"]["threads"], "--threads", args.threads)
-        # one scope sets the workers of every FFT of the run, the czt
-        # transforms included; threads = 0 means every core
-        with sfft.set_workers(cfg.threads or -1):
-            if args.command == "simulate":
-                return run(cfg, args.out)
-            if args.command == "kernel":
-                cfg.outputs, cfg.times = {"kernel"}, []
-                return run(cfg, args.out)
-            if args.command == "validate":
-                return validate(cfg)
-            if args.command == "demo-naive":
-                return demo_naive(cfg, args.out)
+        if args.command == "simulate":
+            return run(cfg, args.out)
+        if args.command == "kernel":
+            cfg.outputs, cfg.times = {"kernel"}, []
+            return run(cfg, args.out)
+        if args.command == "validate":
+            return validate(cfg)
+        if args.command == "demo-naive":
+            return demo_naive(cfg, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

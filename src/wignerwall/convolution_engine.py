@@ -12,6 +12,11 @@ twice the half-window. The engine therefore evaluates kernel rows on that
 momentum difference lattice from the kernel's jumps (``rows_at``) instead
 of reusing the grid-window samples; with window-limited rows the slow sinc
 tails are cut early enough to spoil oracle-level agreement near walls.
+The plan keeps only the spectrum of the rows from the first to the last
+inside row, so each frame transforms the field rows alone.
+
+Transforms run on ``numpy.fft``, whose real and complex transforms give
+the same bits as ``scipy.fft``'s, at the same padded lengths.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
+# bound to this name because the benchmark tracer wraps
+# ``convolution_engine.sfft`` to count the points each transform processes
+import numpy.fft as sfft
 
 from .boundary_kernels import BoundaryKernel, halfline_kernel
 from .errors import GridMismatch, LengthMismatch, ValidationError
 from .free_evolution import ShearParams, shear_evolve
 from .phase_grid import WignerField, marginal_x
+from .wigner_transform import next_fast_len
 from .wigner_transform import wigner_of  # noqa: F401 -- benchmark/tracer.py wraps it here
 
 _SYMMETRY_TOL = 1e-6
@@ -48,17 +56,22 @@ def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float) -> np.ndarray:
     return dp * full[n - 1:2 * n - 1]
 
 
-def _batched_fft_convolve(rows_w: np.ndarray, rows_k: np.ndarray, dp: float,
-                          z0: int, workers: int | None = None) -> np.ndarray:
+def _row_spectrum(rows_k: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The rfft of kernel rows at the padded length L of their convolution
+    with n-sample rows, the next fast length of full linear length; and L."""
+    L = next_fast_len(n + rows_k.shape[1] - 1)
+    return sfft.rfft(rows_k, L, axis=1), L
+
+
+def _batched_fft_convolve(rows_w: np.ndarray, rows_k: np.ndarray | None, dp: float,
+                          z0: int, spectrum: tuple[np.ndarray, int] | None = None
+                          ) -> np.ndarray:
     """FFT path of the row convolutions; identical contract to convolve_p
-    applied row-wise, padded to at least full linear length. ``workers``
-    None takes the count of the enclosing ``scipy.fft.set_workers``."""
+    applied row-wise. ``spectrum`` is ``_row_spectrum(rows_k, n)`` when the
+    caller keeps it; ``rows_k`` is then not read."""
     n = rows_w.shape[1]
-    m = rows_k.shape[1]
-    L = sfft.next_fast_len(n + m - 1)
-    fw = sfft.rfft(rows_w, L, axis=1, workers=workers)
-    fk = sfft.rfft(rows_k, L, axis=1, workers=workers)
-    full = sfft.irfft(fw * fk, L, axis=1, workers=workers)
+    fk, L = _row_spectrum(rows_k, n) if spectrum is None else spectrum
+    full = sfft.irfft(sfft.rfft(rows_w, L, axis=1) * fk, L, axis=1)
     return dp * full[:, z0:z0 + n]
 
 
@@ -83,7 +96,8 @@ class BoundedEvolutionPlan:
     shear: ShearParams
     initial: WignerField
     check_support: bool = True
-    _kernel_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _span: slice = field(init=False, repr=False, compare=False)
+    _kernel_spectrum: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel.grid != self.initial.grid:
@@ -103,7 +117,11 @@ class BoundedEvolutionPlan:
                 )
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
         rows = self.kernel.rows_at(karg)
-        object.__setattr__(self, "_kernel_rows", rows)
+        # the rows from the first to the last inside row; the rest are zero
+        idx = np.flatnonzero(self.kernel.inside_rows())
+        span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_kernel_spectrum", _row_spectrum(rows[span], grid.n_p))
 
 
 def point_symmetry_defect(w: WignerField) -> float:
@@ -127,21 +145,17 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
 
     Shear first, then convolve each x row along p with its kernel row.
     Only the span of rows from the first to the last inside row is
-    convolved, on views; rows whose kernel row vanishes (outside the
-    walls) are exactly zero.
+    convolved, on views, against the plan's spectrum of their kernel rows;
+    rows whose kernel row vanishes (outside the walls) are exactly zero.
     """
     grid = plan.initial.grid
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
                            check_support=plan.check_support)
-    inside = plan.kernel.inside_rows()
     out = np.zeros_like(sheared.values)
-    idx = np.flatnonzero(inside)
-    if idx.size:
-        span = slice(idx[0], idx[-1] + 1)
-        out[span] = _batched_fft_convolve(sheared.values[span],
-                                          plan._kernel_rows[span], grid.dp,
-                                          grid.n_p - 1)
-        out[~inside] = 0.0  # gap rows in the span: a zero kernel row may give -0.0
+    span = plan._span
+    out[span] = _batched_fft_convolve(sheared.values[span], None, grid.dp,
+                                      grid.n_p - 1, plan._kernel_spectrum)
+    out[~plan.kernel.inside_rows()] = 0.0  # gap rows in the span: a zero kernel row may give -0.0
     return WignerField(grid, out)
 
 

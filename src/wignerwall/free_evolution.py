@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import SupportEscaped, ValidationError
 from .phase_grid import PhaseGrid, WignerField, abs_mass, edge_mass
@@ -45,10 +44,14 @@ class ShearParams:
 
 def _fourier_shift_rows(values: np.ndarray, grid: PhaseGrid,
                         shifts: np.ndarray) -> np.ndarray:
-    nu = sfft.fftfreq(grid.n_x, d=grid.dx)
-    F = sfft.fft(values, axis=0)
-    F *= np.exp(-2j * np.pi * np.outer(nu, shifts))
-    return np.real(sfft.ifft(F, axis=0))
+    # the spectrum of the real field is its rfft with the conjugate mirror
+    # appended, the spectrum scipy.fft.fft gives bit for bit; numpy's fft
+    # of the field cast to complex differs in the last bits
+    n = grid.n_x
+    R = np.fft.rfft(values, axis=0)
+    F = np.concatenate((R, np.conj(R[(n - 1) // 2:0:-1])))
+    F *= np.exp(-2j * np.pi * np.outer(np.fft.fftfreq(n, d=grid.dx), shifts))
+    return np.real(np.fft.ifft(F, axis=0))
 
 
 def map_coordinates(*args, **kwargs):

@@ -22,7 +22,6 @@ FFT-native frequencies.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import DomainTooSmall, GridMismatch, NyquistViolation, RealnessViolation
 from .phase_grid import ComplexWave, PhaseGrid, WignerField, wave_edge_fraction
@@ -72,17 +71,33 @@ def _reach(psi: ComplexWave, rows: np.ndarray,
     return sel, np.minimum(cap, np.minimum(r - lo, hi - r))
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 11-smooth length >= n (factors 2, 3, 5, 7 and 11 only): the
+    length ``scipy.fft.next_fast_len`` picks for complex transforms, so the
+    padded transforms keep SciPy's sizes and bits."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for f in (2, 3, 5, 7, 11):
+            while r % f == 0:
+                r //= f
+        if r == 1:
+            return m
+        m += 1
+
+
 def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     """Chirp-z transform sum_k x[..., k] a^-k w^(jk), j < m, along the last
     axis (Bluestein 1968). Each step repeats the arithmetic of SciPy's
-    ``czt``, so the results are bit-identical without importing SciPy's
-    signal package, which takes about a second per process."""
+    ``signal.czt`` on ``numpy.fft``, whose complex transforms give the same
+    bits as ``scipy.fft``'s, so the results are bit-identical to
+    ``scipy.signal.czt`` without importing SciPy at all."""
     n = x.shape[-1]
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = w ** (k ** 2 / 2.0)
-    nfft = sfft.next_fast_len(n + m - 1)
-    Fwk2 = sfft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    y = sfft.ifft(Fwk2 * sfft.fft(x * (a ** -k[:n] * wk2[:n]), nfft))
+    nfft = next_fast_len(n + m - 1)
+    Fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = np.fft.ifft(Fwk2 * np.fft.fft(x * (a ** -k[:n] * wk2[:n]), nfft))
     return y[..., n - 1:n + m - 1] * wk2[:m]
 
 

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wignerwall
 from wignerwall import ComplexWave, GaussianPacket, PhaseGrid, free_gaussian
 
 
@@ -29,3 +35,14 @@ def odd_extended_wave(packet: GaussianPacket, grid: PhaseGrid,
     if normalized:
         values = values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
     return ComplexWave(grid.x_min, grid.dx, grid.n_x, values)
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """Sorted names of the scipy modules loaded after ``code`` runs in a
+    fresh interpreter with this package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wignerwall.__file__)))
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])

@@ -3,7 +3,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from scipy.special import j1 as bessel_j1
 
 from wignerwall import (
@@ -431,8 +430,8 @@ def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 8):
-            with sfft.set_workers(workers):
-                g = billiard_indicator(B, x_axes, y_axes, subsamples=subsamples).g
+            g = billiard_indicator(B, x_axes, y_axes, subsamples=subsamples,
+                                   workers=workers).g
             assert g.shape == dense.shape
             assert np.array_equal(g.view(np.uint64), dense), workers
     finally:

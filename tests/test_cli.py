@@ -6,6 +6,8 @@ from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
 from wignerwall.errors import ConfigError
 from wignerwall.phase_grid import read_field_binary, read_field_csv
 
+from conftest import scipy_modules_after
+
 FAST_HALFLINE = """
 [geometry]
 kind = halfline
@@ -170,7 +172,7 @@ def test_simulate_writes_artifacts(tmp_path):
 
 
 def test_simulate_deterministic(tmp_path):
-    # two runs, at 1 and at 2 FFT workers, write byte-identical files
+    # two runs, at --threads 1 and 2, write byte-identical files
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(FAST_HALFLINE)
     outs = [tmp_path / f"threads{n}" for n in (1, 2)]
@@ -181,6 +183,22 @@ def test_simulate_deterministic(tmp_path):
     assert names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("preset", [None, "disk-kernel", "box-traversal"])
+def test_simulate_loads_scipy_only_for_the_cubic_shear(preset, tmp_path):
+    # the half line's Fourier shear and the disk kernel run on numpy alone;
+    # the box's cubic shear loads scipy.ndimage and nothing more of scipy
+    if preset is None:
+        (tmp_path / "run.ini").write_text(FAST_HALFLINE)
+        args = ["--config", str(tmp_path / "run.ini")]
+    else:
+        args = ["--preset", preset]
+    args = ["simulate", *args, "--out", str(tmp_path / "out")]
+    code = f"from wignerwall.cli import main\nassert main({args!r}) == 0"
+    expected = scipy_modules_after("from scipy import ndimage") \
+        if preset == "box-traversal" else []
+    assert scipy_modules_after(code) == expected
 
 
 def test_simulate_binary_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from wignerwall import (
     GaussianPacket,
@@ -37,6 +38,12 @@ from conftest import odd_extended_wave
 # +-16 so the kernel rows keep their mass budget at the bounce
 DP = 32.0 / 512
 GRID = PhaseGrid(-24.0, 24.0, 512, -16.0, 16.0 - DP, 512)
+
+
+def kernel_rows(plan):
+    """The plan kernel's rows on the momentum difference lattice."""
+    grid = plan.initial.grid
+    return plan.kernel.rows_at(grid.dp * np.arange(-(grid.n_p - 1), grid.n_p))
 
 
 def bounce_plan(x0=10.0, p0=-5.0, sigma=1.0):
@@ -96,7 +103,8 @@ def test_backends_agree():
     _, plan = bounce_plan()
     wf = evolve_bounded(plan, 2.0)
     sheared = shear_evolve(plan.initial, ShearParams(2.0, 1.0))
-    wd = np.stack([convolve_p(sheared.values[i], plan._kernel_rows[i], GRID.dp)
+    rows = kernel_rows(plan)
+    wd = np.stack([convolve_p(sheared.values[i], rows[i], GRID.dp)
                    for i in range(GRID.n_x)])
     wd[~plan.kernel.inside_rows(), :] = 0.0
     assert np.abs(wf.values - wd).max() < 1e-9
@@ -139,11 +147,25 @@ def test_inside_rows_convolution_bit_identical(geometry):
     for t in (0.0, 1.3):
         sheared = shear_evolve(plan.initial, ShearParams(t, 1.0),
                                check_support=plan.check_support)
-        ref = _batched_fft_convolve(sheared.values, plan._kernel_rows, grid.dp,
+        ref = _batched_fft_convolve(sheared.values, kernel_rows(plan), grid.dp,
                                     grid.n_p - 1)
         ref[~inside, :] = 0.0
         out = evolve_bounded(plan, t).values
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [128, 129, 513])
+def test_batched_convolution_bit_identical_to_scipy_fft(n):
+    # numpy.fft's rfft/irfft at the same padded length give scipy.fft's bits
+    rng = np.random.default_rng(n)
+    rows_w = rng.standard_normal((9, n))
+    rows_k = rng.standard_normal((9, 2 * n - 1))
+    L = sfft.next_fast_len(3 * n - 2)
+    full = sfft.irfft(sfft.rfft(rows_w, L, axis=1) * sfft.rfft(rows_k, L, axis=1),
+                      L, axis=1)
+    ref = 0.125 * full[:, n - 1:2 * n - 1]
+    out = _batched_fft_convolve(rows_w, rows_k, 0.125, n - 1)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_linearity_in_initial_field():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from wignerwall import (
     GaussianPacket,
@@ -114,6 +115,21 @@ def test_cubic_shear_looks_up_map_coordinates_through_module(monkeypatch):
     assert calls == []
     shear_evolve(w, ShearParams(1.0, 1.0), method="cubic")
     assert calls == [3]
+
+
+@pytest.mark.parametrize("n_x", [7, 8, 512, 513])
+def test_fourier_shift_rows_bit_identical_to_scipy_fft(n_x):
+    # scipy.fft.fft of a real field is its rfft with the conjugate mirror,
+    # which numpy.fft.fft of the field cast to complex misses in the last bits
+    grid = PhaseGrid(-3.0, 4.0, n_x, -5.0, 5.0, 33)
+    rng = np.random.default_rng(n_x)
+    values = rng.standard_normal((n_x, grid.n_p))
+    shifts = grid.p_axis() * 0.37
+    F = sfft.fft(values, axis=0)
+    F *= np.exp(-2j * np.pi * np.outer(sfft.fftfreq(n_x, d=grid.dx), shifts))
+    ref = np.real(sfft.ifft(F, axis=0))
+    out = free_evolution._fourier_shift_rows(values, grid, shifts)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_mass_conserved():

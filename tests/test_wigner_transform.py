@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.signal import czt
 
-import wignerwall
 from wignerwall import (
     ComplexWave,
     DomainTooSmall,
@@ -30,9 +26,10 @@ from wignerwall.wigner_transform import (
     correlation_matrix,
     fourier_over_separation,
     hermitian_residual,
+    next_fast_len,
 )
 
-from conftest import odd_extended_wave
+from conftest import odd_extended_wave, scipy_modules_after
 
 
 def gauss_exact(grid):
@@ -268,11 +265,12 @@ def test_czt_bit_identical_to_scipy_signal(shape, m):
     assert same_bits(_czt(x, m, w, a), czt(x, m=m, w=w, a=a, axis=-1))
 
 
+def test_next_fast_len_matches_scipy():
+    assert [next_fast_len(n) for n in range(1, 20001)] == \
+        [sfft.next_fast_len(n) for n in range(1, 20001)]
+
+
 def test_cli_import_leaves_scipy_signal_out():
-    # scipy.ndimage loads on the first cubic shear, not with the package
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wignerwall.__file__)))
-    code = ("import sys, wignerwall.cli; "
-            "print('scipy.signal' in sys.modules, 'scipy.ndimage' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False False"
+    # no scipy module loads with the CLI; scipy.ndimage loads on the first
+    # cubic shear only
+    assert scipy_modules_after("import wignerwall.cli") == []
