@@ -4,7 +4,11 @@ Free dynamics obeys dW/dt = -(p/m) dW/dx, solved exactly by
 W(x, p, t) = W(x - p t / m, p, 0): each momentum row translates along x
 at its own velocity p/m. Rows are shifted spectrally (exact for
 band-limited data) by default, with a cubic-spline fallback for data
-that is not safe to wrap.
+that is not safe to wrap. The spline is built here on NumPy, a cubic
+B-spline prefilter and a four-tap gather with the semantics of
+``scipy.ndimage.map_coordinates(order=3, mode="constant", cval=0.0)``;
+it keeps that function's name, ``map_coordinates``, because the
+benchmark tracer wraps it. No SciPy module is imported.
 
 Also provides the naive bounded evolution: masking the initial field
 with theta(x) and then shearing, which visibly violates the hard-wall
@@ -23,6 +27,7 @@ from .phase_grid import PhaseGrid, WignerField, abs_mass, edge_mass
 
 EDGE_GUARD_RATIO = 1e-4
 _FOURIER_SAFE_RATIO = 1e-6
+_POLE = np.sqrt(3.0) - 2.0  # the cubic B-spline prefilter's pole
 
 
 @dataclass(frozen=True)
@@ -54,24 +59,71 @@ def _fourier_shift_rows(values: np.ndarray, grid: PhaseGrid,
     return np.real(np.fft.ifft(F, axis=0))
 
 
-def map_coordinates(*args, **kwargs):
-    """``scipy.ndimage.map_coordinates``, with ``scipy.ndimage`` imported on
-    the first call: only the cubic shear uses it, so importing the package
-    does not pay for it. It stays a module attribute that
+def _spline_coefficients(values: np.ndarray) -> np.ndarray:
+    # cubic B-spline coefficients along x with mirror boundaries, by the
+    # causal and anticausal recursions of the pole z = sqrt(3) - 2 (Unser,
+    # Aldroubi & Eden 1993); the causal start sums z^k over the mirror-extended
+    # column, the anticausal start is the mirror's closed form; the powers
+    # of z underflow to zero past a few hundred rows, as they should
+    n = values.shape[0]
+    c = values * 6.0
+    with np.errstate(under="ignore"):
+        w = _POLE ** np.arange(n)
+        w[1:n - 1] += _POLE ** np.arange(2 * n - 3, n - 1, -1)
+        c[0] = (w / (1.0 - _POLE ** (2 * n - 2))) @ c
+    for i in range(1, n):
+        c[i] += _POLE * c[i - 1]
+    c[-1] = (_POLE / (_POLE * _POLE - 1.0)) * (c[-1] + _POLE * c[-2])
+    for i in range(n - 2, -1, -1):
+        c[i] = (c[i] - c[i + 1]) * -_POLE  # keeps a zero field's zeros +0.0
+    return c
+
+
+def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Cubic B-spline samples of ``values`` at row ``i - shifts[j]`` of each
+    column ``j`` (shifts in rows), as ``scipy.ndimage.map_coordinates`` with
+    ``order=3, mode="constant", cval=0.0`` gives them: the spline takes
+    mirror boundaries along x, so taps -1 and n_x inside the grid read the
+    mirrored coefficients, and every point outside [0, n_x - 1] is +0.0.
+
+    Each column moves by one shift, so its integer offset and its four
+    weights are computed once and every output row is four gathered
+    coefficient rows. The name stays a module attribute that
     ``_cubic_shift_rows`` looks up at call time, because the benchmark
     tracer wraps ``free_evolution.map_coordinates`` and requires its span
-    under ``shear_evolve``; an import inside ``_cubic_shift_rows`` would
-    bypass the wrapper and fail the tracer's coverage guard."""
-    from scipy import ndimage
-    return ndimage.map_coordinates(*args, **kwargs)
+    under ``shear_evolve``.
+    """
+    n, n_p = values.shape
+    # rows -1 .. n + 1 of the mirror-extended coefficients (period 2n - 2)
+    rows = np.abs((np.arange(-1, n + 2) + n - 1) % (2 * n - 2) - (n - 1))
+    coef = _spline_coefficients(values)[rows].ravel()
+    # a column shifted by more than n + 1 rows is empty; the clip keeps
+    # the integer offsets finite for any finite shift
+    back = np.clip(-shifts, -n - 2.0, n + 2.0)
+    start = np.floor(back)
+    t = back - start
+    start = start.astype(np.intp)
+    # flat index of tap 0 (coefficient row floor(i - shift) - 1) of each
+    # point; points off the grid read clipped indices and are zeroed last
+    i = np.arange(n)[:, None]
+    flat = i * n_p + (start * n_p + np.arange(n_p))
+    t2, t3 = t * t, t * t * t
+    out = np.take(coef, flat, mode="clip")
+    out *= (1.0 - t) ** 3 / 6.0
+    tap = np.empty_like(out)
+    for k, w in ((1, 2.0 / 3.0 - t2 + t3 / 2.0),
+                 (2, (1.0 + 3.0 * (t + t2 - t3)) / 6.0),
+                 (3, t3 / 6.0)):
+        np.take(coef[k * n_p:], flat, mode="clip", out=tap)
+        tap *= w
+        out += tap
+    np.copyto(out, 0.0, where=(i < -start) | (i > n - 1 - start - (t > 0.0)))
+    return out
 
 
 def _cubic_shift_rows(values: np.ndarray, grid: PhaseGrid,
                       shifts: np.ndarray) -> np.ndarray:
-    # sample column j of the input at fractional row index i - s_j/dx
-    rows = np.arange(grid.n_x, dtype=np.float64)[:, None] - (shifts / grid.dx)[None, :]
-    cols = np.broadcast_to(np.arange(grid.n_p, dtype=np.float64), rows.shape)
-    return map_coordinates(values, [rows, cols], order=3, mode="constant", cval=0.0)
+    return map_coordinates(values, shifts / grid.dx)
 
 
 def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",

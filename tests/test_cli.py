@@ -186,9 +186,9 @@ def test_simulate_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("preset", [None, "disk-kernel", "box-traversal"])
-def test_simulate_loads_scipy_only_for_the_cubic_shear(preset, tmp_path):
-    # the half line's Fourier shear and the disk kernel run on numpy alone;
-    # the box's cubic shear loads scipy.ndimage and nothing more of scipy
+def test_simulate_loads_no_scipy(preset, tmp_path):
+    # the half line's Fourier shear, the disk kernel and the box's cubic
+    # shear all run on numpy alone
     if preset is None:
         (tmp_path / "run.ini").write_text(FAST_HALFLINE)
         args = ["--config", str(tmp_path / "run.ini")]
@@ -196,9 +196,7 @@ def test_simulate_loads_scipy_only_for_the_cubic_shear(preset, tmp_path):
         args = ["--preset", preset]
     args = ["simulate", *args, "--out", str(tmp_path / "out")]
     code = f"from wignerwall.cli import main\nassert main({args!r}) == 0"
-    expected = scipy_modules_after("from scipy import ndimage") \
-        if preset == "box-traversal" else []
-    assert scipy_modules_after(code) == expected
+    assert scipy_modules_after(code) == []
 
 
 def test_simulate_binary_roundtrip(tmp_path):

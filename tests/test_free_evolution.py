@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -101,12 +103,12 @@ def _cubic_tolerance():
 
 def test_cubic_shear_looks_up_map_coordinates_through_module(monkeypatch):
     # the benchmark tracer wraps free_evolution.map_coordinates; a cubic
-    # shear that reached scipy.ndimage another way would record no span
+    # shear that reached the spline another way would record no span
     calls = []
     original = free_evolution.map_coordinates
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("order"))
+        calls.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(free_evolution, "map_coordinates", spy)
@@ -114,7 +116,92 @@ def test_cubic_shear_looks_up_map_coordinates_through_module(monkeypatch):
     shear_evolve(w, ShearParams(1.0, 1.0), method="fourier")
     assert calls == []
     shear_evolve(w, ShearParams(1.0, 1.0), method="cubic")
-    assert calls == [3]
+    assert calls == [1]
+    shear_evolve(w, ShearParams(-0.5, 1.0), method="cubic")
+    assert calls == [1, 1]
+
+
+def _scipy_cubic_shift(values, shifts):
+    # the reference: column j sampled at row i - shifts[j]
+    from scipy import ndimage
+    rows = np.arange(values.shape[0], dtype=np.float64)[:, None] - shifts[None, :]
+    cols = np.broadcast_to(np.arange(values.shape[1], dtype=np.float64), rows.shape)
+    return ndimage.map_coordinates(values, [rows, cols], order=3, mode="constant", cval=0.0)
+
+
+def _assert_matches_scipy(values, shifts):
+    ref = _scipy_cubic_shift(values, shifts)
+    out = free_evolution.map_coordinates(values, shifts)
+    assert out.shape == values.shape
+    assert np.abs(out - ref).max() <= 2e-15 * np.abs(values).max()
+    # outside [0, n_x - 1] both are exactly +0.0
+    c = np.arange(values.shape[0])[:, None] - shifts[None, :]
+    outside = (c < 0) | (c > values.shape[0] - 1)
+    assert np.all(ref[outside] == 0.0) and np.all(out[outside] == 0.0)
+    assert not np.signbit(out[outside]).any()
+
+
+# in rows; every shift is a multiple of 1/8, so the coordinate i - s that
+# scipy is handed is exact, as the NumPy spline's per-column offset is
+_SHIFTS = {
+    "integer": lambda n, k: np.arange(k) - k // 2.0,
+    "fractional": lambda n, k: (np.arange(k) - k // 2) * 0.375 + 0.125,
+    "negative": lambda n, k: -0.625 - 0.25 * np.arange(k),
+    "beyond": lambda n, k: (np.arange(k) - k // 2) * (n + 3.0) / 2.0 + 0.5,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHIFTS))
+@pytest.mark.parametrize("n_x", [2, 3, 7, 8, 521])
+def test_map_coordinates_matches_scipy(n_x, kind):
+    rng = np.random.default_rng(n_x)
+    values = rng.standard_normal((n_x, 17))
+    _assert_matches_scipy(values, _SHIFTS[kind](n_x, 17))
+
+
+@pytest.mark.parametrize("n_x", [2, 3, 7, 8, 521])
+def test_map_coordinates_lands_on_the_grid_ends(n_x):
+    # column 0 keeps rows 0 and n_x - 1 on coordinates 0 and n_x - 1;
+    # column 1 moves row 0 onto n_x - 1, column 2 moves row n_x - 1 onto 0
+    rng = np.random.default_rng(n_x)
+    values = rng.standard_normal((n_x, 3))
+    shifts = np.array([0.0, 1.0 - n_x, n_x - 1.0])
+    _assert_matches_scipy(values, shifts)
+    out = free_evolution.map_coordinates(values, shifts)
+    tol = 2e-15 * np.abs(values).max()
+    assert np.abs(out[:, 0] - values[:, 0]).max() <= tol
+    assert abs(out[0, 1] - values[-1, 1]) <= tol and np.all(out[1:, 1] == 0.0)
+    assert abs(out[-1, 2] - values[0, 2]) <= tol and np.all(out[:-1, 2] == 0.0)
+
+
+def test_map_coordinates_matches_scipy_on_a_smooth_field():
+    # generic shifts: scipy rounds i - s to the grid's ulp near row 520
+    # (about 6e-14 rows), the per-column offset does not; on a field that
+    # is smooth on the grid, as the sheared Wigner fields are, the two agree
+    grid = PhaseGrid(-26.0, 26.0, 521, -8.0, 8.0, 65)
+    g = GaussianPacket(x0=-3.0, p0=2.0, sigma=1.5, m=1.0)
+    w = wigner_of(free_gaussian(g, 0.0, grid.x_min, grid.dx, grid.n_x), grid)
+    shifts = grid.p_axis() * (1.37 / grid.dx)
+    _assert_matches_scipy(w.values, shifts)
+
+
+def test_map_coordinates_huge_shift_is_all_positive_zero():
+    values = np.random.default_rng(0).standard_normal((521, 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e300, -1e300, 1.7e308):
+            out = free_evolution.map_coordinates(values, np.full(9, s))
+            assert np.all(out == 0.0) and not np.signbit(out).any()
+        # through the shear: a grid without p = 0, so every row leaves
+        grid = PhaseGrid(-20.0, 20.0, 401, -8.0, 8.0, 256)
+        w = WignerField(grid, np.ones((401, 256)))
+        out = shear_evolve(w, ShearParams(1e300, 1.0), method="cubic", check_support=False)
+    assert np.all(out.values == 0.0) and not np.signbit(out.values).any()
+
+
+def test_map_coordinates_keeps_a_zero_field_positive_zero():
+    out = free_evolution.map_coordinates(np.zeros((9, 5)), np.linspace(-2.0, 2.0, 5) + 0.3)
+    assert np.all(out == 0.0) and not np.signbit(out).any()
 
 
 @pytest.mark.parametrize("n_x", [7, 8, 512, 513])

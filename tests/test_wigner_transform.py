@@ -271,6 +271,5 @@ def test_next_fast_len_matches_scipy():
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    # no scipy module loads with the CLI; scipy.ndimage loads on the first
-    # cubic shear only
+    # no scipy module loads with the CLI
     assert scipy_modules_after("import wignerwall.cli") == []
