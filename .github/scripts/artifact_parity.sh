@@ -10,6 +10,10 @@
 # Every command runs from its output root with relative paths, and its
 # stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
 # `diff -r` finds any difference between the two trees of outputs.
+#
+# Each command's peak resident set (the child's ru_maxrss, KiB on Linux)
+# is recorded in OUT_DIR/rss, outside the diffed trees, and printed as one
+# table at the end. The table is for reading only: it never fails the run.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -17,20 +21,37 @@ head=$(cd "$2" && pwd)
 out=$3
 runs=$(cd "$(dirname "$0")" && pwd)/cli_runs.txt
 
-run_tree() {  # $1 = source tree, $2 = output root
+# runs the CLI with the given arguments as a child process, appends
+# "<name>\t<its ru_maxrss>" to the record file and exits with its code
+measure='import resource, subprocess, sys
+record, name, args = sys.argv[1], sys.argv[2], sys.argv[3:]
+code = subprocess.call([sys.executable, "-m", "wignerwall.cli", *args])
+with open(record, "a") as f:
+    f.write(f"{name}\t{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\n")
+sys.exit(code)'
+
+run_tree() {  # $1 = source tree, $2 = output root, $3 = ru_maxrss record
     mkdir -p "$2"
     (
         cd "$2" || exit 1
         while read -r command preset; do
             name="$command-$preset"
-            PYTHONPATH="$1/src" python -m wignerwall.cli "$command" \
+            PYTHONPATH="$1/src" python -c "$measure" "$3" "$name" "$command" \
                 --preset "$preset" --out "$name" >"$name.stdout" 2>"$name.stderr"
             echo "$?" >"$name.exit"
         done <"$runs"
     )
 }
 
-rm -rf "$out/base" "$out/head"
-run_tree "$base" "$out/base"
-run_tree "$head" "$out/head"
+rm -rf "$out/base" "$out/head" "$out/rss"
+mkdir -p "$out/rss"
+run_tree "$base" "$out/base" "$out/rss/base.tsv"
+run_tree "$head" "$out/head" "$out/rss/head.tsv"
 diff -r "$out/base" "$out/head" && echo "artifact parity: identical"
+status=$?
+echo "peak RSS per command (child ru_maxrss):"
+awk -F'\t' 'NR == FNR { b[$1] = $2; next }
+    FNR == 1 { printf "%-32s %10s %10s\n", "command", "base MiB", "head MiB" }
+    { printf "%-32s %10.1f %10.1f\n", $1, b[$1] / 1024, $2 / 1024 }' \
+    "$out/rss/base.tsv" "$out/rss/head.tsv"
+exit $status

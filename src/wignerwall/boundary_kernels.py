@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, RealnessViolation
 from .phase_grid import PhaseGrid, WignerField, write_field_binary, write_field_csv
-from .wigner_transform import fourier_over_separation
 
 _EVEN_TOL = 1e-12
 _NUMERIC_REALNESS_TOL = 1e-10
@@ -228,29 +227,49 @@ def kernel_from_indicator(s: ShapeIndicator,
 
     Returns K with shape (*n_x_axes, *n_p_axes), real and even in p.
     One cell-averaged 1-D transform per dimension (the transform tensor
-    factorizes even when g itself does not). The sums use the direct
-    backend: Bluestein's leaves an imaginary residue near the realness
-    tolerance on long y axes.
+    factorizes even when g itself does not). The sums are the direct
+    exponential sums of ``fourier_over_separation``'s "direct" backend,
+    with each axis's phase matrix formed once: Bluestein's algorithm
+    leaves an imaginary residue near the realness tolerance on long y
+    axes.
+
+    The x points are transformed one at a time into the real output, so
+    the working set is one point's complex slice, not a complex copy of
+    all of g. Each point's products are the matrices the whole array
+    stacks, so the bits do not change. A 1-D indicator is transformed
+    whole: there a point's slice is a single row, which numpy multiplies
+    through a matrix-vector routine with other bits.
     """
     if len(p_axes) != s.dimension:
         raise AsymmetricIndicator("need one momentum axis per dimension")
-    out = np.asarray(s.g, dtype=np.complex128)
     nx = s.dimension
-    for d, ax in enumerate(s.y_axes):
+    axes = []
+    for ax, p in zip(s.y_axes, p_axes):
         dy = _y_step(ax)
-        p = np.asarray(p_axes[d], dtype=np.float64)
+        p = np.asarray(p, dtype=np.float64)
         # each sample stands for its dy-cell, whose transform
         # (dy/2pi) sinc(p dy/2) is the sinc row of one jump at dy/2;
-        # the separation sum already carries the dy/2pi
+        # the separation sum's scale already carries the dy/2pi
         cell = (2.0 * np.pi / dy) * _sinc_rows(np.array([[0.5 * dy]]), np.ones((1, 1)), p)[0]
-        # y axis d sits at position nx + d (earlier ones already replaced by p)
-        sums = fourier_over_separation(np.moveaxis(out, nx + d, -1), ax.size // 2,
-                                       dy, p, backend="direct")
-        out = np.moveaxis(sums * cell, -1, nx + d)
-    residue = float(np.abs(out.imag).max())
+        K = ax.size // 2
+        phases = np.exp(1j * np.outer(dy * np.arange(-K, K + 1), p))
+        axes.append((dy / (2.0 * np.pi), phases, cell))
+    shape_x = s.g.shape[:nx]
+    out = np.empty(shape_x + tuple(cell.size for _, _, cell in axes))
+    residues = []
+    for idx in np.ndindex(*shape_x) if nx > 1 else [(slice(None),)]:
+        k = np.asarray(s.g[idx], dtype=np.complex128)
+        lead = k.ndim - nx
+        for d, (scale, phases, cell) in enumerate(axes):
+            # y axis d sits at position lead + d (earlier ones already replaced by p)
+            sums = scale * (np.moveaxis(k, lead + d, -1) @ phases)
+            k = np.moveaxis(sums * cell, -1, lead + d)
+        residues.append(np.abs(k.imag).max())
+        out[idx] = k.real
+    residue = float(np.max(residues))
     if not residue < _NUMERIC_REALNESS_TOL:
         raise RealnessViolation(f"imaginary residue {residue:g} in indicator transform")
-    return out.real
+    return out
 
 
 def _slice_jumps(g: np.ndarray, dy: float) -> tuple[np.ndarray, np.ndarray]:

@@ -96,6 +96,7 @@ class BoundedEvolutionPlan:
     shear: ShearParams
     initial: WignerField
     check_support: bool = True
+    _inside: np.ndarray = field(init=False, repr=False, compare=False)
     _span: slice = field(init=False, repr=False, compare=False)
     _kernel_spectrum: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
@@ -118,8 +119,10 @@ class BoundedEvolutionPlan:
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
         rows = self.kernel.rows_at(karg)
         # the rows from the first to the last inside row; the rest are zero
-        idx = np.flatnonzero(self.kernel.inside_rows())
+        inside = self.kernel.inside_rows()
+        idx = np.flatnonzero(inside)
         span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+        object.__setattr__(self, "_inside", inside)
         object.__setattr__(self, "_span", span)
         object.__setattr__(self, "_kernel_spectrum", _row_spectrum(rows[span], grid.n_p))
 
@@ -155,7 +158,7 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     span = plan._span
     out[span] = _batched_fft_convolve(sheared.values[span], None, grid.dp,
                                       grid.n_p - 1, plan._kernel_spectrum)
-    out[~plan.kernel.inside_rows()] = 0.0  # gap rows in the span: a zero kernel row may give -0.0
+    out[~plan._inside] = 0.0  # gap rows in the span: a zero kernel row may give -0.0
     return WignerField(grid, out)
 
 

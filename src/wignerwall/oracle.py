@@ -21,6 +21,7 @@ from .errors import GridMismatch, SupportEscaped, TruncationTooSevere, Validatio
 from .phase_grid import ComplexWave, WignerField, total_mass, wave_edge_fraction
 
 _QUAD_POINTS = 20001  # box projection quadrature nodes over [a, b]
+_MODE_BLOCK = 8  # modes per projection block: 8 basis rows take 1.2 MiB
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,12 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
                             n_max: int) -> BoxSpectrum:
     """Sine-mode coefficients of the packet by quadrature on a fine axis.
 
+    The modes are sampled ``_MODE_BLOCK`` at a time, so the working set is
+    a few quadrature rows, not n_max of them. Each coefficient is the same
+    row-wise trapezoid, and the reconstruction adds c_n u_n in mode order,
+    as a sum over the mode axis does, so the bits do not depend on the
+    block size.
+
     Raises TruncationTooSevere when the reconstruction misses more than
     1e-6 of the state in L2.
     """
@@ -150,11 +157,17 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
     L = b - a
     x = np.linspace(a, b, _QUAD_POINTS)
     psi0 = g.amplitude(x, 0.0)
-    n = np.arange(1, n_max + 1)
-    basis = np.sqrt(2.0 / L) * np.sin(np.outer(n, np.pi * (x - a) / L))
-    c = np.trapezoid(basis * psi0[None, :], x, axis=1)
+    phase = np.pi * (x - a) / L
+    modes = np.arange(1, n_max + 1)
+    c = np.empty(len(modes), dtype=np.complex128)
     # residual against the (unit-norm) packet restricted to the box
-    recon = np.sum(c[:, None] * basis, axis=0)
+    recon = np.zeros_like(psi0)
+    for lo in range(0, len(modes), _MODE_BLOCK):
+        block = slice(lo, lo + _MODE_BLOCK)
+        basis = np.sqrt(2.0 / L) * np.sin(np.outer(modes[block], phase))
+        c[block] = np.trapezoid(basis * psi0[None, :], x, axis=1)
+        for cn, row in zip(c[block], basis):
+            recon += cn * row
     err = float(np.sqrt(np.trapezoid(np.abs(recon - psi0) ** 2, x)))
     if err > 1e-6:
         raise TruncationTooSevere(

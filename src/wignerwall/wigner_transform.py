@@ -28,6 +28,7 @@ from .phase_grid import ComplexWave, PhaseGrid, WignerField, wave_edge_fraction
 
 REALNESS_TOL = 1e-10
 _EDGE_FRACTION_TOL = 1e-9
+_CZT_ROWS = 8  # rows per chirp-z block: 8 padded rows of 2560 take 0.3 MiB
 
 
 def _anchor_rows(psi: ComplexWave, grid: PhaseGrid) -> np.ndarray:
@@ -91,14 +92,26 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     axis (Bluestein 1968). Each step repeats the arithmetic of SciPy's
     ``signal.czt`` on ``numpy.fft``, whose complex transforms give the same
     bits as ``scipy.fft``'s, so the results are bit-identical to
-    ``scipy.signal.czt`` without importing SciPy at all."""
+    ``scipy.signal.czt`` without importing SciPy at all.
+
+    The chirp, its spectrum and the pre-multiplier are formed once; the
+    leading rows then go through the padded transforms ``_CZT_ROWS`` at a
+    time, so the working set is a few padded rows, not all of them. Each
+    row's transform is independent of the others, so the bits do not
+    depend on the block size."""
     n = x.shape[-1]
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = w ** (k ** 2 / 2.0)
     nfft = next_fast_len(n + m - 1)
     Fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    y = np.fft.ifft(Fwk2 * np.fft.fft(x * (a ** -k[:n] * wk2[:n]), nfft))
-    return y[..., n - 1:n + m - 1] * wk2[:m]
+    pre = a ** -k[:n] * wk2[:n]
+    rows = x.reshape(-1, n)
+    out = np.empty((len(rows), m), dtype=np.complex128)
+    for lo in range(0, len(rows), _CZT_ROWS):
+        block = slice(lo, lo + _CZT_ROWS)
+        y = np.fft.ifft(Fwk2 * np.fft.fft(rows[block] * pre, nfft))
+        out[block] = y[:, n - 1:n + m - 1] * wk2[:m]
+    return out.reshape(x.shape[:-1] + (m,))
 
 
 def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
@@ -133,8 +146,8 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
 
     The separation y runs along the last axis of ``C``. backend "czt"
     evaluates the sum with Bluestein's algorithm; "direct" forms the
-    exponential matrix and contracts it, and serves the kernel transforms
-    and the slow reference path in tests.
+    exponential matrix and contracts it, and serves the slow reference
+    path, ``wigner_of_direct``.
     """
     p_axis = np.asarray(p_axis, dtype=np.float64)
     if backend == "czt":
@@ -147,8 +160,9 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "czt":
         # czt indexes columns from 0; restore the y_{-K} origin
-        S = S * np.exp(-1j * K * dy * p_axis)
-    return (dy / (2.0 * np.pi)) * S
+        S *= np.exp(-1j * K * dy * p_axis)
+    # in place: S is this call's own array, and a copy would double it
+    return np.multiply(dy / (2.0 * np.pi), S, out=S)
 
 
 def _transform(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None,
@@ -164,9 +178,10 @@ def _transform(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None,
             f"band {np.pi / dy:g} of the correlation lattice"
         )
     C, K, sel = correlation_matrix(psi, grid, y_halfwidth)
+    rows = fourier_over_separation(C, K, dy, grid.p_axis(), backend) if len(C) else 0.0
+    del C  # spent: freed before the grid-sized array is allocated
     S = np.zeros((grid.n_x, grid.n_p), dtype=np.complex128)
-    if len(C):
-        S[sel] = fourier_over_separation(C, K, dy, grid.p_axis(), backend)
+    S[sel] = rows
     return S
 
 

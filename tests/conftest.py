@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,3 +47,29 @@ def scipy_modules_after(code: str) -> list[str]:
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=120)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="session")
+def disk_preset():
+    """The disk-kernel preset's sampled indicator (3 x 3 x points, 441 x 441
+    y samples each) and its momentum axis."""
+    from wignerwall.cli import _disk_indicator, load_config
+    ind, p_ax, _ = _disk_indicator(load_config(None, "disk-kernel"))
+    return ind, p_ax
+
+
+def traced_peak_mib(f) -> float:
+    """Peak of the memory that tracemalloc traces while ``f()`` runs, above
+    the level at the call, in MiB. NumPy reports its data buffers to
+    tracemalloc, so the figure does not depend on the machine."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -22,7 +22,7 @@ from wignerwall import (
     kernel_from_indicator,
     numeric_kernel,
 )
-from wignerwall.boundary_kernels import write_kernel_binary, write_kernel_csv
+from wignerwall.boundary_kernels import _sinc_rows, write_kernel_binary, write_kernel_csv
 from wignerwall.phase_grid import read_field_binary, read_field_csv
 
 KGRID = PhaseGrid(-4.0, 24.0, 141, -16.0, 16.0, 513)
@@ -235,12 +235,13 @@ def test_non_finite_slice_rejected():
     grid = PhaseGrid(-1.0, 1.0, 3, -4.0, 4.0, 33)
     with pytest.raises(BadSampling):
         kernel_field_1d(ShapeIndicator(1, (grid.x_axis(),), (_Y,), np.tile(g, (3, 1))), grid)
-    # the n-D transform's realness guard does not pass a NaN residue
-    g2 = np.ones((1, 1, 5, 5))
-    g2[0, 0, 2, 1] = g2[0, 0, 2, 3] = np.nan
+    # the n-D transform's realness guard does not pass a NaN residue,
+    # also when it comes from a later x point than the first
+    g2 = np.ones((2, 1, 5, 5))
+    g2[1, 0, 2, 1] = g2[1, 0, 2, 3] = np.nan
     y = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(RealnessViolation):
-        kernel_from_indicator(ShapeIndicator(2, (np.zeros(1),) * 2, (y, y), g2),
+        kernel_from_indicator(ShapeIndicator(2, (np.zeros(2), np.zeros(1)), (y, y), g2),
                               [np.linspace(-1, 1, 3)] * 2)
 
 
@@ -436,6 +437,36 @@ def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples
             assert np.array_equal(g.view(np.uint64), dense), workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def _whole_array_transform(s, p_axes):
+    """The indicator transform over all x points at once: one complex copy
+    of g, each y axis contracted with its exponential matrix."""
+    out = np.asarray(s.g, dtype=np.complex128)
+    nx = s.dimension
+    for d, (ax, p) in enumerate(zip(s.y_axes, p_axes)):
+        dy = ax[1] - ax[0]
+        K = ax.size // 2
+        cell = (2.0 * np.pi / dy) * _sinc_rows(np.array([[0.5 * dy]]), np.ones((1, 1)), p)[0]
+        sums = np.moveaxis(out, nx + d, -1) @ np.exp(1j * np.outer(dy * np.arange(-K, K + 1), p))
+        out = np.moveaxis((dy / (2.0 * np.pi)) * sums * cell, -1, nx + d)
+    assert np.abs(out.imag).max() < 1e-10
+    return out.real
+
+
+@pytest.mark.parametrize("case", ["disk-preset", "1-d"])
+def test_kernel_from_indicator_points_bit_identical_to_whole_array(case, disk_preset):
+    # the transform runs one x point at a time (a 1-D indicator whole)
+    if case == "disk-preset":
+        ind, p_ax = disk_preset
+        p_axes = [p_ax, p_ax]
+        assert ind.g.shape == (3, 3, 441, 441)
+    else:
+        ind, p_axes = _SUBSAMPLED, [np.arange(-60.0, 60.01, 0.08)]
+    got = kernel_from_indicator(ind, p_axes)
+    ref = _whole_array_transform(ind, p_axes)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_disk_kernel_center_isotropy_smoke():

@@ -24,7 +24,7 @@ from wignerwall import (
     total_mass,
     wigner_of,
 )
-from wignerwall.boundary_kernels import kernel_field_1d
+from wignerwall.boundary_kernels import BoundaryKernel, kernel_field_1d
 from wignerwall.convolution_engine import (
     BoundedEvolutionPlan,
     _batched_fft_convolve,
@@ -136,7 +136,7 @@ def two_interval_plan():
 
 
 @pytest.mark.parametrize("geometry", ["halfline", "box", "two-interval"])
-def test_inside_rows_convolution_bit_identical(geometry):
+def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
     # convolving only the inside rows gives the bits of convolving every
     # row and then zeroing the outside ones
     plan = {"halfline": lambda: bounce_plan()[1], "box": box_plan,
@@ -144,12 +144,18 @@ def test_inside_rows_convolution_bit_identical(geometry):
     grid = plan.initial.grid
     inside = plan.kernel.inside_rows()
     assert 0 < inside.sum() < grid.n_x
+    refs = []
     for t in (0.0, 1.3):
         sheared = shear_evolve(plan.initial, ShearParams(t, 1.0),
                                check_support=plan.check_support)
         ref = _batched_fft_convolve(sheared.values, kernel_rows(plan), grid.dp,
                                     grid.n_p - 1)
         ref[~inside, :] = 0.0
+        refs.append(ref)
+    # the plan keeps its inside-row mask: no frame compares the kernel again
+    monkeypatch.setattr(BoundaryKernel, "inside_rows",
+                        lambda k: pytest.fail("inside_rows called per frame"))
+    for t, ref in zip((0.0, 1.3), refs):
         out = evolve_bounded(plan, t).values
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 

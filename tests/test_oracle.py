@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from wignerwall import (
     project_gaussian_to_box,
     wigner_of,
 )
-from wignerwall.oracle import box_fidelity
+from wignerwall.oracle import _MODE_BLOCK, _QUAD_POINTS, box_fidelity
 
 
 AXIS = dict(x_min=-30.0, dx=0.02, n=3001)
@@ -198,6 +200,50 @@ def test_projection_idempotent():
     basis = np.sqrt(2.0 / 10.0) * np.sin(np.outer(n, np.pi * x / 10.0))
     c2 = np.trapezoid(basis * psi.samples[None, :], x, axis=1)
     assert np.abs(c2 - s1.coefficients).max() < 1e-12
+
+
+def _one_shot_projection(amplitude, a, b, n_max):
+    """Every mode's basis row at once: the normalised coefficients and the
+    reconstruction error of the projection formula."""
+    L = b - a
+    x = np.linspace(a, b, _QUAD_POINTS)
+    psi0 = amplitude(x, 0.0)
+    n = np.arange(1, n_max + 1)
+    basis = np.sqrt(2.0 / L) * np.sin(np.outer(n, np.pi * (x - a) / L))
+    c = np.trapezoid(basis * psi0[None, :], x, axis=1)
+    recon = np.sum(c[:, None] * basis, axis=0)
+    err = float(np.sqrt(np.trapezoid(np.abs(recon - psi0) ** 2, x)))
+    return c / np.sqrt(np.sum(np.abs(c) ** 2)), err
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8, 9, 64])
+def test_projection_blocks_bit_identical_to_one_shot(n_max):
+    # the projection works _MODE_BLOCK modes at a time; a state of the
+    # first n_max sine modes with random complex weights passes the
+    # truncation check at every n_max, and a packet too wide for n_max
+    # must raise with the one-shot formula's error
+    assert _MODE_BLOCK == 8
+    a, b = -3.0, 4.5
+    L = b - a
+    w = np.array([1.0, 1j]) @ np.random.default_rng(n_max).standard_normal((2, n_max))
+    w /= np.linalg.norm(w)
+
+    def amplitude(x, t):
+        n = np.arange(1, n_max + 1)
+        return w @ (np.sqrt(2.0 / L) * np.sin(np.outer(n, np.pi * (x - a) / L)))
+
+    # duck-typed packet: require_inside reads x0 and sigma, BoxSpectrum m
+    modes = SimpleNamespace(x0=0.75, sigma=0.1, m=1.0, amplitude=amplitude)
+    packet = GaussianPacket(x0=0.5, p0=2.0, sigma=0.5, m=1.0)
+    for state in (modes, packet):
+        ref, err = _one_shot_projection(state.amplitude, a, b, n_max)
+        if err > 1e-6:
+            assert state is packet and n_max < 64
+            with pytest.raises(TruncationTooSevere, match=f"error {err:g} exceeds"):
+                project_gaussian_to_box(state, a, b, n_max)
+        else:
+            got = project_gaussian_to_box(state, a, b, n_max).coefficients
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_truncation_guard_fires():
