@@ -128,7 +128,10 @@ class ShapeIndicator:
     has shape (*n_x_axes, *n_y_axes) and holds
     [B(x - y/2) < 1] * [B(x + y/2) < 1], or its subcell-averaged
     refinement when anti-aliased sampling was requested. Symmetric under
-    y -> -y by construction.
+    y -> -y bit for bit: ``billiard_indicator`` samples on the y axes made
+    exactly odd, 0.5 (y - y[::-1]), which moves each sample by at most
+    half the 1e-12 asymmetry that the y axes may have; ``y_axes`` holds
+    the axes as given.
     """
 
     dimension: int
@@ -158,10 +161,15 @@ def billiard_indicator(B: Callable[..., np.ndarray],
 
     ``B`` takes n coordinate arrays and returns the level set value;
     inside is strict B < 1. It is called once on the dense x grid, then
-    per x point, subcell and sign on per-axis arrays that cover that
+    once per x point and subcell on per-axis arrays that cover that
     point's y lattice: array d varies along axis d only, so ``B`` must
     broadcast them like a numpy ufunc (a result narrower than the
     lattice, from a B that ignores an axis, broadcasts too).
+    The lattices are taken on the y axes made exactly odd, so the term of
+    subcell shift -d at y is bit for bit that of shift d at -y: one shift
+    of each mirror pair is sampled and its sum added reversed, and the
+    centre shift (odd ``subsamples``) pairs its minus factor with that
+    factor reversed. g is even in y bit for bit.
     ``subsamples`` > 1 averages the boolean over an s^n subcell lattice
     per y-cell, giving a real-valued anti-aliased indicator (needed by
     isotropy checks at tight tolerance); the default 1 keeps the plain
@@ -187,10 +195,14 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     shape_y = tuple(ax.size for ax in y_axes)
     out = np.zeros(shape_x + shape_y, dtype=np.float64)
 
-    # y/2 per subcell shift, y axis d shaped to vary along axis d only
+    # y/2 per subcell shift on the odd y axes, y axis d shaped to vary
+    # along axis d only; offset i mirrors offset -1 - i, the middle one is 0
+    odd = [0.5 * (ax - ax[::-1]) for ax in y_axes]
+    offsets = _subcell_offsets(subsamples, n)
     halves = [[(0.5 * (ax + d * dy)).reshape([-1 if j == k else 1 for j in range(n)])
-               for k, (ax, d, dy) in enumerate(zip(y_axes, shift, dys))]
-              for shift in _subcell_offsets(subsamples, n)]
+               for k, (ax, d, dy) in enumerate(zip(odd, shift, dys))]
+              for shift in offsets[:(len(offsets) + 1) // 2]]
+    centre = halves.pop() if len(offsets) % 2 else None
 
     def fill(idx: tuple[int, ...]) -> None:
         x = [ax[i] for ax, i in zip(x_axes, idx)]
@@ -198,6 +210,10 @@ def billiard_indicator(B: Callable[..., np.ndarray],
         for half in halves:
             acc += ((B(*[xd - hd for xd, hd in zip(x, half)]) < 1.0)
                     & (B(*[xd + hd for xd, hd in zip(x, half)]) < 1.0))
+        acc += np.flip(acc)
+        if centre is not None:
+            minus = B(*[xd - hd for xd, hd in zip(x, centre)]) < 1.0
+            acc += minus & np.flip(minus)
 
     points = list(np.ndindex(*shape_x))
     workers = min(workers, len(points))

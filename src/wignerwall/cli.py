@@ -432,9 +432,9 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     def disk(x1, x2):
         return (x1**2 + x2**2) / R**2
 
-    # threads = 0 means every core
+    # threads = 0 means every core (one when the count is unknown)
     ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8,
-                             workers=cfg.threads or os.cpu_count())
+                             workers=cfg.threads or os.cpu_count() or 1)
     return ind, p_ax, grid_p
 
 

@@ -416,13 +416,16 @@ _LINE_X = np.linspace(-1.0, 3.0, 9)
 _LINE_Y = np.linspace(-4.0, 4.0, 81)
 
 
-@pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
+_INDICATOR_CASES = pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
     (_disk, [_DISK_X, _DISK_X], [_DISK_Y, _DISK_Y], 8),
     (box2, BOX_X, [BOX_Y, BOX_Y], 1),
     (_slab, [_DISK_X, np.array([0.0, 0.3])], [_DISK_Y, _DISK_Y[10:-10]], 3),
     (_halfline, [_LINE_X], [_LINE_Y], 1),
     (_halfline, [_LINE_X], [_LINE_Y], 3),
 ], ids=["disk-s8", "box", "x1-only-s3", "halfline-s1", "halfline-s3"])
+
+
+@_INDICATOR_CASES
 def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples):
     dense = _dense_indicator(B, x_axes, y_axes, subsamples).view(np.uint64)
     # 8 workers is more threads than cores; the short switch interval
@@ -437,6 +440,40 @@ def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples
             assert np.array_equal(g.view(np.uint64), dense), workers
     finally:
         sys.setswitchinterval(interval)
+
+
+@_INDICATOR_CASES
+def test_billiard_indicator_samples_each_subcell_once(B, x_axes, y_axes, subsamples):
+    # once on the dense x grid, then once per x point and subcell: a
+    # shift's mirror is its term reversed, not two more calls
+    calls = []
+
+    def counted(*coords):
+        calls.append(None)
+        return B(*coords)
+
+    billiard_indicator(counted, x_axes, y_axes, subsamples=subsamples, workers=2)
+    n_points = int(np.prod([ax.size for ax in x_axes]))
+    assert len(calls) == 1 + n_points * subsamples ** len(x_axes)
+
+
+@pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
+    (_disk, [_DISK_X, _DISK_X], [_DISK_Y, _DISK_Y], 8),
+    (_disk, [_DISK_X, _DISK_X], [_DISK_Y, _DISK_Y], 3),
+    (_halfline, [_LINE_X], [_LINE_Y], 1),
+    (_halfline, [_LINE_X], [_LINE_Y], 4),
+    (_halfline, [0.5 * _LINE_Y[41:]], [_LINE_Y], 1),
+], ids=["disk-s8", "disk-s3", "halfline-s1", "halfline-s4", "halfline-walls-on-nodes"])
+def test_billiard_indicator_even_bit_for_bit(B, x_axes, y_axes, subsamples):
+    # linspace axes: 32 of 61 and 54 of 81 samples are not the exact
+    # negatives of their mirrors, yet g is even in y in every bit, also
+    # where x -/+ y/2 is within roundoff of the wall (x = y_k / 2)
+    for ax in y_axes:
+        assert np.any(ax != -ax[::-1])
+    g = billiard_indicator(B, x_axes, y_axes, subsamples=subsamples).g
+    n = len(x_axes)
+    mirror = g[(Ellipsis,) + (slice(None, None, -1),) * n]
+    assert np.array_equal(g.view(np.uint64), mirror.view(np.uint64))
 
 
 def _whole_array_transform(s, p_axes):

@@ -382,3 +382,12 @@ def test_box_spectrum_projected_once_through_module(monkeypatch, tmp_path):
     with pytest.raises(ValueError):
         cli._box_spectrum(*calls[0]).coefficients[0] = 0.0
     assert len(calls) == 1
+
+
+def test_disk_runs_when_cpu_count_unknown(monkeypatch, tmp_path):
+    # os.cpu_count() may return None; threads = 0 then means one thread
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["validate", "--preset", "disk-kernel"]) == 0
+    cfg_path = tmp_path / "disk.ini"
+    cfg_path.write_text(PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\nn_p = 8\n")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "disk")]) == 0

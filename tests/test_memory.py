@@ -3,13 +3,15 @@
 Each of these steps once held a full-size temporary (a 64-mode basis over
 20001 quadrature nodes, the chirp-z transform of every correlation row at
 once, a complex copy of the whole disk indicator) and now works in
-blocks. A change that brings such a temporary back fails here.
+blocks. A change that brings such a temporary back fails here. The disk
+indicator's sampling is held to its output plus a few lattice-sized
+predicates per thread.
 """
 
 import pytest
 
 from wignerwall import kernel_from_indicator, project_gaussian_to_box, wigner_of
-from wignerwall.cli import _oracle_wave, load_config
+from wignerwall.cli import _disk_indicator, _oracle_wave, load_config
 
 from conftest import traced_peak_mib
 
@@ -35,3 +37,11 @@ def test_disk_kernel_transform_working_set(disk_preset):
     ind, p_ax = disk_preset
     # 34.7 MiB with a complex copy of the whole (3, 3, 441, 441) indicator
     assert traced_peak_mib(lambda: kernel_from_indicator(ind, [p_ax, p_ax])) <= 12.0
+
+
+def test_disk_indicator_sampling_working_set():
+    cfg = load_config(None, "disk-kernel")
+    cfg.threads = 2
+    # the (3, 3, 441, 441) output alone is 13.4 MiB; holding every
+    # subcell shift's predicate of a point adds 12 MiB per thread
+    assert traced_peak_mib(lambda: _disk_indicator(cfg)) <= 20.0
