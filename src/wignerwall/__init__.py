@@ -57,7 +57,7 @@ from .phase_grid import (
     write_field_binary,
     write_field_csv,
 )
-from .wigner_transform import wigner_of, wigner_of_direct, wigner_realness_check
+from .wigner_transform import wigner_of
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

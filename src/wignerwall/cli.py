@@ -3,7 +3,8 @@ key=value config with section headers; emit fields, marginals, kernels, and
 oracle comparison reports.
 
 Units are natural (hbar = 1, user-set mass). Exit codes: 0 success,
-2 validation failure, 3 numerical-guard failure.
+2 validation failure, 3 numerical-guard failure (including a report
+frame whose l2_rel against the oracle is not below 1e-2).
 """
 
 from __future__ import annotations
@@ -148,8 +149,7 @@ _CONFIG = {
              "p_min": _Key(float, "-16.0"), "p_max": _Key(float, "16.0"),
              "n_p": _Key(int, "513", 2)},
     "times": {"values": _Key(_floats, "0, 1, 2, 3, 4")},
-    "run": {"threads": _Key(int, "0", 0),
-            "outputs": _Key(_outputs, "fields,marginals,report"),
+    "run": {"outputs": _Key(_outputs, "fields,marginals,report"),
             "n_modes": _Key(int, "64", 1)},
     "kernel2d": {"x_points": _Key(int, "3", 1), "x_half": _Key(float, "0.4"),
                  "n_p": _Key(int, "65", 1), "p_half": _Key(float, "2.0", 0.0)},
@@ -162,7 +162,6 @@ class ScenarioConfig:
     packet: GaussianPacket
     grid: PhaseGrid
     times: list[float]
-    threads: int
     outputs: set[str]
     n_modes: int
     kernel2d: dict
@@ -185,10 +184,14 @@ def _load_ini(text: str) -> configparser.ConfigParser:
     return cp
 
 
-def _value(spec: _Key, name: str, raw: str):
-    """Parse one value of a config key and check it against its ``_CONFIG``
-    entry ``spec``: numbers must be finite and within the key's lower
-    bound. ``name`` is where the value came from, for the messages."""
+def _get(cp: configparser.ConfigParser, section: str, key: str):
+    """Parse ``[section] key`` (or its default); numbers must be finite and
+    within the key's lower bound."""
+    spec = _CONFIG[section][key]
+    name = f"[{section}] {key}"
+    raw = cp.get(section, key, fallback=spec.default)
+    if raw is None:
+        raise ConfigError(f"missing {name}")
     try:
         value = spec.parse(raw)
     except ValueError as exc:
@@ -203,14 +206,6 @@ def _value(spec: _Key, name: str, raw: str):
             raise ConfigError(f"{name} must be {'>' if strict else '>='} "
                               f"{spec.low:g}, got {v:g}")
     return value
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str):
-    spec = _CONFIG[section][key]
-    raw = cp.get(section, key, fallback=spec.default)
-    if raw is None:
-        raise ConfigError(f"missing [{section}] {key}")
-    return _value(spec, f"[{section}] {key}", raw)
 
 
 def _section(cp: configparser.ConfigParser, section: str) -> dict:
@@ -364,7 +359,9 @@ def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
 
 
 def run(cfg: ScenarioConfig, out_dir: str) -> int:
-    """Execute the scenario and write artifacts; returns the exit code."""
+    """Execute the scenario and write artifacts; returns the exit code. A
+    report frame whose l2_rel is not below 1e-2 raises NumericalGuardError
+    once every artifact is written."""
     os.makedirs(out_dir, exist_ok=True)
     if cfg.geometry["kind"] == "billiard2d":
         return run_billiard_kernel(cfg, out_dir)
@@ -399,6 +396,10 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
         for row in report_rows:
             print(f"t={row[0]:g}: l2_rel={row[1]:.3e} max_abs={row[2]:.3e} "
                   f"mass_diff={row[3]:.3e} kernel_tail_mass={row[4]:.3e}")
+        for t, l2, *_ in report_rows:
+            if not l2 < 1e-2:  # a NaN fails too
+                raise NumericalGuardError(f"t={t:g}: l2_rel = {l2:.3e} against "
+                                          "the oracle is not below 1e-2")
     return 0
 
 
@@ -432,9 +433,9 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     def disk(x1, x2):
         return (x1**2 + x2**2) / R**2
 
-    # threads = 0 means every core (one when the count is unknown)
+    # every core samples (one when the count is unknown)
     ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8,
-                             workers=cfg.threads or os.cpu_count() or 1)
+                             workers=os.cpu_count() or 1)
     return ind, p_ax, grid_p
 
 
@@ -510,9 +511,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="path to an INI scenario config")
     sub.add_argument("--preset", help=f"built-in scenario: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--out", default="wignerwall_out", help="output directory")
-    sub.add_argument("--threads", default=None,
-                     help="threads that sample the disk kernel's indicator "
-                          "(0 = all cores); every FFT runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,8 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.preset)
-        if args.threads is not None:
-            cfg.threads = _value(_CONFIG["run"]["threads"], "--threads", args.threads)
         if args.command == "simulate":
             return run(cfg, args.out)
         if args.command == "kernel":

@@ -89,7 +89,7 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     Each column moves by one shift, so its integer offset and its four
     weights are computed once and every output row is four gathered
     coefficient rows. The name stays a module attribute that
-    ``_cubic_shift_rows`` looks up at call time, because the benchmark
+    ``shear_evolve`` looks up at call time, because the benchmark
     tracer wraps ``free_evolution.map_coordinates`` and requires its span
     under ``shear_evolve``.
     """
@@ -121,11 +121,6 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cubic_shift_rows(values: np.ndarray, grid: PhaseGrid,
-                      shifts: np.ndarray) -> np.ndarray:
-    return map_coordinates(values, shifts / grid.dx)
-
-
 def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
                  check_support: bool = True) -> WignerField:
     """Translate momentum row j by +p_j t / m along x; out-of-grid fill 0.
@@ -153,7 +148,7 @@ def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
     if method == "fourier":
         out = _fourier_shift_rows(w0.values, grid, shifts)
     else:
-        out = _cubic_shift_rows(w0.values, grid, shifts)
+        out = map_coordinates(w0.values, shifts / grid.dx)
 
     result = WignerField(grid, out)
     if check_support:

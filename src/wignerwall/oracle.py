@@ -196,12 +196,6 @@ def box_evolve(s: BoxSpectrum, t: float,
     return ComplexWave(x_min, dx, n, values)
 
 
-def box_fidelity(s: BoxSpectrum, t: float) -> float:
-    """|<psi(0)|psi(t)>| from the spectrum alone (basis is orthonormal)."""
-    phases = np.exp(-1j * s.energies() * t)
-    return float(abs(np.sum(np.abs(s.coefficients) ** 2 * phases)))
-
-
 @dataclass(frozen=True)
 class FieldComparison:
     l2_rel: float

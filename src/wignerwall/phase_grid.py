@@ -60,9 +60,6 @@ class PhaseGrid:
     def x_at(self, i: int) -> float:
         return self.x_min + i * self.dx
 
-    def p_at(self, j: int) -> float:
-        return self.p_min + j * self.dp
-
     def index_near_x(self, x: float) -> int:
         i = int(round((x - self.x_min) / self.dx))
         return min(max(i, 0), self.n_x - 1)
@@ -137,11 +134,6 @@ class ComplexWave:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.dx)
-
-    def require_unit_norm(self) -> None:
-        n2 = self.norm_sq()
-        if abs(n2 - 1.0) >= 1e-9:
-            raise ValidationError(f"wave norm^2 = {n2!r}, not unit within 1e-9")
 
 
 def marginal_x(w: WignerField) -> np.ndarray:

@@ -135,11 +135,6 @@ def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
     return C, K, sel
 
 
-def hermitian_residual(C: np.ndarray) -> float:
-    """Max |c(y) - c(-y)*| over a correlation matrix; zero for valid slices."""
-    return float(np.abs(C - np.conj(C[:, ::-1])).max())
-
-
 def fourier_over_separation(C: np.ndarray, K: int, dy: float,
                             p_axis: np.ndarray, backend: str = "czt") -> np.ndarray:
     """Complex transform (dy/2pi) sum_k C[..., k+K] e^{i p y_k} at exact p.
@@ -147,7 +142,7 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
     The separation y runs along the last axis of ``C``. backend "czt"
     evaluates the sum with Bluestein's algorithm; "direct" forms the
     exponential matrix and contracts it, and serves the slow reference
-    path, ``wigner_of_direct``.
+    path, ``wigner_of(..., backend="direct")``.
     """
     p_axis = np.asarray(p_axis, dtype=np.float64)
     if backend == "czt":
@@ -163,26 +158,6 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
         S *= np.exp(-1j * K * dy * p_axis)
     # in place: S is this call's own array, and a copy would double it
     return np.multiply(dy / (2.0 * np.pi), S, out=S)
-
-
-def _transform(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None,
-               backend: str) -> np.ndarray:
-    """Complex transform over the separation on the whole grid; rows
-    anchored off the wave's nonzero support are exact zeros and are
-    neither correlated nor transformed."""
-    dy = 2.0 * psi.dx
-    pmax = max(abs(grid.p_min), abs(grid.p_max))
-    if pmax * dy >= np.pi:
-        raise NyquistViolation(
-            f"momentum window |p| <= {pmax:g} exceeds the representable "
-            f"band {np.pi / dy:g} of the correlation lattice"
-        )
-    C, K, sel = correlation_matrix(psi, grid, y_halfwidth)
-    rows = fourier_over_separation(C, K, dy, grid.p_axis(), backend) if len(C) else 0.0
-    del C  # spent: freed before the grid-sized array is allocated
-    S = np.zeros((grid.n_x, grid.n_p), dtype=np.complex128)
-    S[sel] = rows
-    return S
 
 
 def wigner_of(psi: ComplexWave, grid: PhaseGrid,
@@ -201,7 +176,20 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     Raises DomainTooSmall, NyquistViolation, GridMismatch, or
     RealnessViolation (imaginary residue of the transform >= 1e-10).
     """
-    W = _transform(psi, grid, y_halfwidth, backend)
+    dy = 2.0 * psi.dx
+    pmax = max(abs(grid.p_min), abs(grid.p_max))
+    if pmax * dy >= np.pi:
+        raise NyquistViolation(
+            f"momentum window |p| <= {pmax:g} exceeds the representable "
+            f"band {np.pi / dy:g} of the correlation lattice"
+        )
+    C, K, sel = correlation_matrix(psi, grid, y_halfwidth)
+    rows = fourier_over_separation(C, K, dy, grid.p_axis(), backend) if len(C) else 0.0
+    del C  # spent: freed before the grid-sized array is allocated
+    # rows anchored off the wave's nonzero support are exact zeros
+    W = np.zeros((grid.n_x, grid.n_p), dtype=np.complex128)
+    W[sel] = rows
+    del rows  # before the residue check allocates a grid-sized array
     residue = float(np.abs(W.imag).max())
     if residue >= REALNESS_TOL:
         raise RealnessViolation(
@@ -210,18 +198,3 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
         )
     return WignerField(grid, W.real)
 
-
-def wigner_of_direct(psi: ComplexWave, grid: PhaseGrid,
-                     y_halfwidth: float | None = None) -> WignerField:
-    """Slow reference path: same construction, direct exponential sum."""
-    return wigner_of(psi, grid, y_halfwidth, backend="direct")
-
-
-def wigner_realness_check(psi: ComplexWave, grid: PhaseGrid,
-                          y_halfwidth: float | None = None) -> float:
-    """Max imaginary residue of the raw transform, before truncation.
-
-    Diagnostic for the Hermitian symmetry of the correlation slices; a
-    healthy input stays below 1e-10, a corrupted one fires well above.
-    """
-    return float(np.abs(_transform(psi, grid, y_halfwidth, "czt").imag).max())

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerwall import boundary_kernels, cli
 from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
 from wignerwall.errors import ConfigError
-from wignerwall.phase_grid import read_field_binary, read_field_csv
+from wignerwall.oracle import FieldComparison
+from wignerwall.phase_grid import WignerField, read_field_binary, read_field_csv
 
 from conftest import scipy_modules_after
 
@@ -63,9 +65,9 @@ mass = 1.0
      "a < b"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=1\np0=0\nsigma=-1\nmass=1\n",
      "packet"),
+    # removed keys: a config that still sets one is an error naming it
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[run]\nthreads = -7\n", "threads"),
-    # removed keys: a config that still sets one is an error naming it
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[run]\noracle_oversample = 0\n", "oracle_oversample"),
     ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\n"
@@ -106,11 +108,11 @@ def test_validate_exit_codes(tmp_path, capsys):
     ok = tmp_path / "ok.ini"
     ok.write_text(FAST_HALFLINE)
     assert main(["validate", "--config", str(ok)]) == 0
-    for threads in ("-7", "abc"):
-        capsys.readouterr()
-        assert main(["validate", "--config", str(ok), "--threads", threads]) == 2
-        err = capsys.readouterr().err
-        assert "--threads" in err and "[run]" not in err  # no config key was set
+    # the removed flag is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", str(ok), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     bad = tmp_path / "bad.ini"
     bad.write_text(FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"))
     assert main(["validate", "--config", str(bad)]) == 3  # packet on the wall
@@ -126,6 +128,7 @@ def test_validate_exit_codes(tmp_path, capsys):
     (PRESETS["halfline-bounce"].replace("n_x = 513", "n_x = 129"), 3),
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"), 3),  # packet on the wall
     (FAST_HALFLINE + "y_halfwidth = nan\n", 2),  # a removed key
+    (FAST_HALFLINE + "threads = 2\n", 2),  # removed: the pool is sized per CPU
     (FAST_HALFLINE, 0),
     # set-up checks the packet is inside the region, with or without the oracle
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5") + "outputs = fields\n", 3),
@@ -142,7 +145,8 @@ def test_validate_exit_codes(tmp_path, capsys):
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 200\n", 0),
     # the two times would write one field_t1.* and one report row t=1
     (FAST_HALFLINE.replace("values = 0, 1.5", "values = 1.0000001, 1.5, 1.0000002"), 2),
-], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan", "ok",
+], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan",
+        "threads-2", "ok",
         "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
         "disk-slices-outside", "disk-n_p-1", "disk-p_half-240", "disk-p_half-600",
         "disk-p_half-200", "times-share-tag"])
@@ -171,14 +175,22 @@ def test_simulate_writes_artifacts(tmp_path):
     assert l2 < 1e-3
 
 
-def test_simulate_deterministic(tmp_path):
-    # two runs, at --threads 1 and 2, write byte-identical files
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(FAST_HALFLINE)
-    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+def test_simulate_deterministic(monkeypatch, tmp_path):
+    # the disk indicator's pool has one thread per core; two disk runs, on
+    # one core and on two, write byte-identical files
+    workers = []
+    original = cli.billiard_indicator
+
+    def recording(*args, **kwargs):
+        workers.append(kwargs["workers"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "billiard_indicator", recording)
+    outs = [tmp_path / f"cores{n}" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                     "--threads", str(n)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda n=n: n)
+        assert main(["simulate", "--preset", "disk-kernel", "--out", str(out)]) == 0
+    assert workers == [1, 2]
     names = sorted(f.name for f in outs[0].iterdir())
     assert names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
@@ -385,9 +397,108 @@ def test_box_spectrum_projected_once_through_module(monkeypatch, tmp_path):
 
 
 def test_disk_runs_when_cpu_count_unknown(monkeypatch, tmp_path):
-    # os.cpu_count() may return None; threads = 0 then means one thread
+    # os.cpu_count() may return None; the pool then has one thread
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert main(["validate", "--preset", "disk-kernel"]) == 0
     cfg_path = tmp_path / "disk.ini"
     cfg_path.write_text(PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\nn_p = 8\n")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "disk")]) == 0
+
+
+@pytest.mark.parametrize("fault", ["scaled-oracle", "nan-l2"])
+def test_failing_report_exits_3_after_writing_every_artifact(monkeypatch, tmp_path,
+                                                            capsys, fault):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(FAST_HALFLINE)
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(good)]) == 0
+    if fault == "scaled-oracle":
+        # the oracle is 10% off at t = 1.5 only, so l2_rel = 0.1/1.1 there
+        oracle = cli.oracle_field
+
+        def perturbed(cfg, t):
+            w = oracle(cfg, t)
+            return WignerField(w.grid, w.values * (1.1 if t == 1.5 else 1.0))
+        monkeypatch.setattr(cli, "oracle_field", perturbed)
+        t_bad, row = "1.5", 2
+    else:
+        # a NaN l2_rel is not below the bound either
+        compare = cli.compare_fields
+
+        def nan_l2(w, ref):
+            cmp = compare(w, ref)
+            return FieldComparison(np.nan, cmp.max_abs, cmp.mass_diff)
+        monkeypatch.setattr(cli, "compare_fields", nan_l2)
+        t_bad, row = "0", 1
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical guard: t={t_bad}: l2_rel = ")
+    # every artifact is written; only the report differs
+    names = sorted(f.name for f in good.iterdir())
+    assert names == sorted(f.name for f in bad.iterdir())
+    for name in names:
+        if name != "report.csv":
+            assert (good / name).read_bytes() == (bad / name).read_bytes(), name
+    l2 = float((bad / "report.csv").read_text().splitlines()[row].split(",")[1])
+    assert np.isnan(l2) if fault == "nan-l2" else abs(l2 - 0.1 / 1.1) < 1e-3
+
+
+_BAD = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e400", "-1", "0"])
+_REMOVED_KEYS = {"geometry": ["wall"], "run": ["threads", "oracle_oversample", "y_halfwidth",
+                                               "backend"], "kernel2d": ["subsamples", "n_y"]}
+
+
+@st.composite
+def config_texts(draw):
+    """INI text with grids of at most 65 samples per axis. One value in
+    ten is malformed, non-finite or out of range; optional keys are set
+    half the time; a removed key or an unknown section now and then."""
+    ints = st.integers
+
+    def pick(good):
+        return str(draw(_BAD if draw(ints(0, 9)) == 5 else good))
+
+    p_half = draw(ints(1, 16))
+    values = {
+        "geometry": {"kind": st.sampled_from(["halfline", "box", "billiard2d"] * 3
+                                             + ["circle"]),
+                     "a": ints(-10, 2), "b": ints(-2, 10),
+                     "radius": st.sampled_from(["0.5", "1", "2"])},
+        "packet": {"x0": ints(-5, 15), "p0": ints(-6, 6),
+                   "sigma": st.sampled_from(["0.3", "0.6", "1", "2"]),
+                   "mass": st.sampled_from(["0.5", "1", "2"])},
+        "grid": {"x_min": ints(-30, -5), "x_max": ints(5, 30), "n_x": ints(-1, 65),
+                 "p_min": st.just(-p_half), "p_max": st.one_of(st.just(p_half), ints(1, 16)),
+                 "n_p": ints(-1, 65)},
+        "times": {"values": st.lists(ints(-4, 8).map(lambda k: f"{k / 2:g}"),
+                                     min_size=1, max_size=3).map(", ".join)},
+        "run": {"outputs": st.sampled_from(["fields", "report", "marginals,report",
+                                            "kernel", "fields,bogus"]),
+                "n_modes": ints(-1, 64)},
+        "kernel2d": {"x_points": ints(0, 3), "x_half": st.sampled_from(["0.1", "0.4", "3"]),
+                     "n_p": ints(-1, 65), "p_half": st.sampled_from(["0.5", "2", "300"])},
+    }
+    required = {"geometry", "packet", "kind", "a", "b", "radius", "x0", "p0", "sigma", "mass"}
+    lines = []
+    for section, keys in values.items():
+        if section not in required and not draw(st.booleans()):
+            continue
+        lines.append(f"[{section}]")
+        for key, good in keys.items():
+            if key in required or draw(st.booleans()):
+                lines.append(f"{key} = {pick(good)}")
+        for key in _REMOVED_KEYS.get(section, []):
+            if draw(ints(0, 15)) == 7:
+                lines.append(f"{key} = {pick(ints(0, 4))}")
+    if draw(ints(0, 15)) == 7:
+        lines.append("[grids]\nn_x = 5")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=config_texts())
+def test_validate_fuzzed_config_exits_cleanly(tmp_path_factory, text):
+    # whatever the text, validate ends in an exit code, not a traceback
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "run.ini"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path)]) in (0, 2, 3)

@@ -66,7 +66,7 @@ def test_point_mass_displacement():
     s = ShearParams(1.5, 1.0)
     out = shear_evolve(w, s, method="fourier", check_support=False)
     ii = np.argmax(marginal_x(out))
-    target = GRID.x_at(i) + GRID.p_at(j) * s.t / s.m
+    target = GRID.x_at(i) + GRID.p_axis()[j] * s.t / s.m
     assert abs(GRID.x_at(ii) - target) <= GRID.dx
     assert abs(total_mass(out) - total_mass(w)) < 1e-9
 

@@ -10,7 +10,7 @@ predicates per thread.
 
 import pytest
 
-from wignerwall import kernel_from_indicator, project_gaussian_to_box, wigner_of
+from wignerwall import cli, kernel_from_indicator, project_gaussian_to_box, wigner_of
 from wignerwall.cli import _disk_indicator, _oracle_wave, load_config
 
 from conftest import traced_peak_mib
@@ -39,9 +39,9 @@ def test_disk_kernel_transform_working_set(disk_preset):
     assert traced_peak_mib(lambda: kernel_from_indicator(ind, [p_ax, p_ax])) <= 12.0
 
 
-def test_disk_indicator_sampling_working_set():
+def test_disk_indicator_sampling_working_set(monkeypatch):
     cfg = load_config(None, "disk-kernel")
-    cfg.threads = 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # the pool's size
     # the (3, 3, 441, 441) output alone is 13.4 MiB; holding every
     # subcell shift's predicate of a point adds 12 MiB per thread
     assert traced_peak_mib(lambda: _disk_indicator(cfg)) <= 20.0

@@ -69,12 +69,8 @@ def test_field_shape_and_immutability(grid):
         WignerField(grid, bad)
 
 
-def test_wave_norm_and_unit_check(grid, gaussian_wave):
+def test_wave_norm(gaussian_wave):
     assert abs(gaussian_wave.norm_sq() - 1.0) < 1e-9
-    gaussian_wave.require_unit_norm()
-    doubled = ComplexWave(grid.x_min, grid.dx, grid.n_x, 2 * gaussian_wave.samples)
-    with pytest.raises(ValidationError):
-        doubled.require_unit_norm()
 
 
 def test_marginal_x_unit_gaussian(grid, gaussian_wave):
