@@ -11,6 +11,10 @@
 # stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
 # `diff -r` finds any difference between the two trees of outputs.
 #
+# For every field (.bin) that differs, the largest change relative to the
+# base field's peak, max|a - b| / max|a|, is printed after the diff. Like
+# the table below, it is for reading only.
+#
 # Each command's peak resident set (the child's ru_maxrss, KiB on Linux)
 # is recorded in OUT_DIR/rss, outside the diffed trees, and printed as one
 # table at the end. The table is for reading only: it never fails the run.
@@ -29,6 +33,27 @@ code = subprocess.call([sys.executable, "-m", "wignerwall.cli", *args])
 with open(record, "a") as f:
     f.write(f"{name}\t{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\n")
 sys.exit(code)'
+
+# prints max|a - b| / max|a| for each .bin file that differs between the
+# two output roots; a field is the 64-byte <6d2Q header (six float64 grid
+# fields, then n_x and n_p), n_x * n_p float64 values and optional metadata
+bounds='import struct, sys
+from pathlib import Path
+import numpy as np
+
+def values(path):
+    raw = path.read_bytes()
+    n_x, n_p = struct.unpack_from("<6d2Q", raw)[6:]
+    return np.frombuffer(raw, "<f8", n_x * n_p, 64)
+
+base, head = Path(sys.argv[1]), Path(sys.argv[2])
+for a_path in sorted(base.rglob("*.bin")):
+    b_path = head / a_path.relative_to(base)
+    if not b_path.exists() or a_path.read_bytes() == b_path.read_bytes():
+        continue
+    a, b = values(a_path), values(b_path)
+    bound = np.abs(a - b).max() / np.abs(a).max() if a.shape == b.shape else np.nan
+    print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e}")'
 
 run_tree() {  # $1 = source tree, $2 = output root, $3 = ru_maxrss record
     mkdir -p "$2"
@@ -49,6 +74,7 @@ run_tree "$base" "$out/base" "$out/rss/base.tsv"
 run_tree "$head" "$out/head" "$out/rss/head.tsv"
 diff -r "$out/base" "$out/head" && echo "artifact parity: identical"
 status=$?
+python -c "$bounds" "$out/base" "$out/head"
 echo "peak RSS per command (child ru_maxrss):"
 awk -F'\t' 'NR == FNR { b[$1] = $2; next }
     FNR == 1 { printf "%-32s %10s %10s\n", "command", "base MiB", "head MiB" }

@@ -26,6 +26,7 @@ parts, is the jumps b_j = (j + 1/2) dy with w_j = g_j - g_{j+1}.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
@@ -156,7 +157,7 @@ def _y_step(ax: np.ndarray) -> float:
 def billiard_indicator(B: Callable[..., np.ndarray],
                        x_axes: Sequence[np.ndarray],
                        y_axes: Sequence[np.ndarray],
-                       subsamples: int = 1, workers: int = 1) -> ShapeIndicator:
+                       subsamples: int = 1) -> ShapeIndicator:
     """Sample g over the product grid of x and y axes.
 
     ``B`` takes n coordinate arrays and returns the level set value;
@@ -175,8 +176,9 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     isotropy checks at tight tolerance); the default 1 keeps the plain
     boolean field.
 
-    The x points are shared among ``workers`` threads. Each point's slice
-    is filled by one task, so g does not depend on the worker count.
+    The x points are shared among min(os.cpu_count() or 1, x points)
+    threads. Each point's slice is filled by one task, so g does not
+    depend on the thread count.
 
     Raises EmptyInterior when no x grid point lies inside.
     """
@@ -216,15 +218,10 @@ def billiard_indicator(B: Callable[..., np.ndarray],
             acc += minus & np.flip(minus)
 
     points = list(np.ndindex(*shape_x))
-    workers = min(workers, len(points))
-    if workers > 1:
-        # imported here: concurrent.futures.thread is not loaded with the CLI
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, points))
-    else:
-        for idx in points:
-            fill(idx)
+    # imported here: concurrent.futures.thread is not loaded with the CLI
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(points))) as pool:
+        list(pool.map(fill, points))
     out /= subsamples ** n if subsamples > 1 else 1
     return ShapeIndicator(n, x_axes, y_axes, out)
 

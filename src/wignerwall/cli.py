@@ -36,6 +36,7 @@ from .oracle import (
     compare_fields,
     images_reflect,
     project_gaussian_to_box,
+    require_in_window,
     require_inside,
 )
 from .phase_grid import (
@@ -302,13 +303,15 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
     """The scenario builder: free Wigner field of the image-extended
     packet, geometry kernel, and the evolution plan joining them.
 
-    The packet must start inside the region (``require_inside``). The
+    The packet must start inside the region (``require_inside``) and its
+    momentum density inside the grid's window (``require_in_window``). The
     half line uses the odd extension phi(x) - phi(-x) on the grid axis.
     The box uses the periodic odd-image train of ``_box_extended``; it
     fills the window, so the shear support guard is off, and wrapped
     content lands outside the box rows, which the kernel masks.
     """
     grid, g = cfg.grid, cfg.packet
+    require_in_window(g, grid.p_min, grid.p_max)
     if cfg.geometry["kind"] == "halfline":
         require_inside(g, 0.0, np.inf)
         x = grid.x_axis()
@@ -433,9 +436,7 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     def disk(x1, x2):
         return (x1**2 + x2**2) / R**2
 
-    # every core samples (one when the count is unknown)
-    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8,
-                             workers=os.cpu_count() or 1)
+    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8)
     return ind, p_ax, grid_p
 
 

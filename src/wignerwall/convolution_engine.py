@@ -12,8 +12,8 @@ twice the half-window. The engine therefore evaluates kernel rows on that
 momentum difference lattice from the kernel's jumps (``rows_at``) instead
 of reusing the grid-window samples; with window-limited rows the slow sinc
 tails are cut early enough to spoil oracle-level agreement near walls.
-The plan keeps only the spectrum of the rows from the first to the last
-inside row, so each frame transforms the field rows alone.
+The plan keeps only the spectrum of the inside rows' kernel rows, so each
+frame transforms those field rows alone.
 
 Transforms run on ``numpy.fft``, whose real and complex transforms give
 the same bits as ``scipy.fft``'s, at the same padded lengths.
@@ -84,7 +84,8 @@ class BoundedEvolutionPlan:
     interval), sharing one grid with ``kernel``. ``shear`` supplies the
     mass; ``evolve_bounded`` takes the time. ``check_support`` is
     forwarded to the shear (interval scenarios disable the support guard
-    since the image train legitimately fills the window).
+    since the image train legitimately fills the window). The plan keeps
+    the kernel's inside-row mask and the spectrum of those kernel rows.
 
     The grid must resolve the kernel: its rows oscillate in p at the
     separation reach 2|x|, so 2 max|x| < pi/dp. Half-line plans also
@@ -97,7 +98,6 @@ class BoundedEvolutionPlan:
     initial: WignerField
     check_support: bool = True
     _inside: np.ndarray = field(init=False, repr=False, compare=False)
-    _span: slice = field(init=False, repr=False, compare=False)
     _kernel_spectrum: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,14 +117,10 @@ class BoundedEvolutionPlan:
                     "half-line plans require the odd-extended state"
                 )
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
-        rows = self.kernel.rows_at(karg)
-        # the rows from the first to the last inside row; the rest are zero
         inside = self.kernel.inside_rows()
-        idx = np.flatnonzero(inside)
-        span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
         object.__setattr__(self, "_inside", inside)
-        object.__setattr__(self, "_span", span)
-        object.__setattr__(self, "_kernel_spectrum", _row_spectrum(rows[span], grid.n_p))
+        object.__setattr__(self, "_kernel_spectrum",
+                           _row_spectrum(self.kernel.rows_at(karg)[inside], grid.n_p))
 
 
 def point_symmetry_defect(w: WignerField) -> float:
@@ -147,18 +143,16 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     """Bounded field at time t.
 
     Shear first, then convolve each x row along p with its kernel row.
-    Only the span of rows from the first to the last inside row is
-    convolved, on views, against the plan's spectrum of their kernel rows;
-    rows whose kernel row vanishes (outside the walls) are exactly zero.
+    Only the inside rows are convolved, against the plan's spectrum of
+    their kernel rows; the rows outside the walls, whose kernel row
+    vanishes, are exactly +0.0.
     """
     grid = plan.initial.grid
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
                            check_support=plan.check_support)
     out = np.zeros_like(sheared.values)
-    span = plan._span
-    out[span] = _batched_fft_convolve(sheared.values[span], None, grid.dp,
-                                      grid.n_p - 1, plan._kernel_spectrum)
-    out[~plan._inside] = 0.0  # gap rows in the span: a zero kernel row may give -0.0
+    out[plan._inside] = _batched_fft_convolve(sheared.values[plan._inside], None, grid.dp,
+                                              grid.n_p - 1, plan._kernel_spectrum)
     return WignerField(grid, out)
 
 

@@ -2,10 +2,10 @@
 
 Free dynamics obeys dW/dt = -(p/m) dW/dx, solved exactly by
 W(x, p, t) = W(x - p t / m, p, 0): each momentum row translates along x
-at its own velocity p/m. Rows are shifted spectrally (exact for
-band-limited data) by default, with a cubic-spline fallback for data
-that is not safe to wrap. The spline is built here on NumPy, a cubic
-B-spline prefilter and a four-tap gather with the semantics of
+at its own velocity p/m. Rows of an edge-decayed field are shifted on
+its half spectrum (exact for band-limited data), any other field's by a
+cubic spline, which does not wrap. The spline is built here on NumPy, a
+cubic B-spline prefilter and a four-tap gather with the semantics of
 ``scipy.ndimage.map_coordinates(order=3, mode="constant", cval=0.0)``;
 it keeps that function's name, ``map_coordinates``, because the
 benchmark tracer wraps it. No SciPy module is imported.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportEscaped, ValidationError
-from .phase_grid import PhaseGrid, WignerField, abs_mass, edge_mass
+from .phase_grid import WignerField, abs_mass, edge_mass
 
 EDGE_GUARD_RATIO = 1e-4
 _FOURIER_SAFE_RATIO = 1e-6
@@ -47,16 +47,13 @@ class ShearParams:
             raise ValidationError("time must be finite")
 
 
-def _fourier_shift_rows(values: np.ndarray, grid: PhaseGrid,
-                        shifts: np.ndarray) -> np.ndarray:
-    # the spectrum of the real field is its rfft with the conjugate mirror
-    # appended, the spectrum scipy.fft.fft gives bit for bit; numpy's fft
-    # of the field cast to complex differs in the last bits
-    n = grid.n_x
+def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Periodic band-limited samples of ``values`` at row ``i - shifts[j]``
+    of column ``j``, shifts in rows as ``map_coordinates`` takes them."""
+    n = values.shape[0]
     R = np.fft.rfft(values, axis=0)
-    F = np.concatenate((R, np.conj(R[(n - 1) // 2:0:-1])))
-    F *= np.exp(-2j * np.pi * np.outer(np.fft.fftfreq(n, d=grid.dx), shifts))
-    return np.real(np.fft.ifft(F, axis=0))
+    R *= np.exp(-2j * np.pi * np.outer(np.fft.rfftfreq(n), shifts))
+    return np.fft.irfft(R, n, axis=0)
 
 
 def _spline_coefficients(values: np.ndarray) -> np.ndarray:
@@ -121,34 +118,29 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-def shear_evolve(w0: WignerField, s: ShearParams, method: str = "auto",
+def shear_evolve(w0: WignerField, s: ShearParams,
                  check_support: bool = True) -> WignerField:
     """Translate momentum row j by +p_j t / m along x; out-of-grid fill 0.
 
-    method "fourier" shifts spectrally, "cubic" by spline interpolation,
-    "auto" picks fourier when the field is safely edge-decayed and cubic
-    otherwise. t = 0 returns a bit-equal copy.
+    A field whose edge mass is at most 1e-6 of its absolute mass is
+    shifted spectrally (``_fourier_shift_rows``), any other by the cubic
+    spline (``map_coordinates``), which does not wrap. t = 0 returns a
+    bit-equal copy.
 
     Raises SupportEscaped when the post-shear edge mass exceeds
     1e-4 of the field's absolute mass (with check_support on; scenario
     builders for deliberately extended states switch it off).
     """
-    if method not in ("auto", "fourier", "cubic"):
-        raise ValueError(f"unknown shear method {method!r}")
     grid = w0.grid
     if s.t == 0.0:
         return WignerField(grid, w0.values)
-    shifts = grid.p_axis() * (s.t / s.m)
+    shifts = grid.p_axis() * (s.t / s.m) / grid.dx  # in rows
 
     total = abs_mass(w0)
-    pre_edge = edge_mass(w0)
-    if method == "auto":
-        method = "fourier" if (total == 0.0 or pre_edge <= _FOURIER_SAFE_RATIO * total) \
-            else "cubic"
-    if method == "fourier":
-        out = _fourier_shift_rows(w0.values, grid, shifts)
+    if total == 0.0 or edge_mass(w0) <= _FOURIER_SAFE_RATIO * total:
+        out = _fourier_shift_rows(w0.values, shifts)
     else:
-        out = map_coordinates(w0.values, shifts / grid.dx)
+        out = map_coordinates(w0.values, shifts)
 
     result = WignerField(grid, out)
     if check_support:
@@ -169,16 +161,13 @@ def naive_bounded_evolve(w0: WignerField, s: ShearParams) -> WignerField:
     from a state that vanishes for x <= 0.
     """
     grid = w0.grid
-    x = grid.x_axis()
-    wall_rows = x <= 0.0
-    wall_frac = np.abs(w0.values[wall_rows, :]).sum() * grid.dx * grid.dp
     total = abs_mass(w0)
-    if total > 0.0 and wall_frac > 1e-8 * total:
+    if total > 0.0 and wall_violation_mass(w0) > 1e-8 * total:
         raise ValidationError(
             "naive evolution expects an initial field vanishing for x <= 0"
         )
     sheared = shear_evolve(w0, s)
-    mask = (x[:, None] - grid.p_axis()[None, :] * (s.t / s.m)) > 0.0
+    mask = (grid.x_axis()[:, None] - grid.p_axis()[None, :] * (s.t / s.m)) > 0.0
     return WignerField(grid, sheared.values * mask)
 
 

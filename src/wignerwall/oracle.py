@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, SupportEscaped, TruncationTooSevere, ValidationError
-from .phase_grid import ComplexWave, WignerField, total_mass, wave_edge_fraction
+from .phase_grid import ComplexWave, WignerField, wave_edge_fraction
 
 _QUAD_POINTS = 20001  # box projection quadrature nodes over [a, b]
 _MODE_BLOCK = 8  # modes per projection block: 8 basis rows take 1.2 MiB
@@ -138,6 +138,19 @@ def require_inside(g: GaussianPacket, a: float, b: float) -> None:
                              f"the region ({a:g}, {b:g}) at t = 0")
 
 
+def require_in_window(g: GaussianPacket, p_min: float, p_max: float) -> None:
+    """Raise SupportEscaped when more than 1e-8 of the momentum density
+    1/2 [N(p0, s) + N(-p0, s)], s = 1/(2 sigma), lies outside [p_min, p_max];
+    the half line's odd extension and the box's image train both carry
+    +-p0. The mass outside is the sum of four normal tails, in closed form."""
+    scale = math.sqrt(2.0) / (2.0 * g.sigma)
+    outside = 0.25 * sum(math.erfc((c - p_min) / scale) + math.erfc((p_max - c) / scale)
+                         for c in (g.p0, -g.p0))
+    if outside > 1e-8:
+        raise SupportEscaped(f"{outside:.2e} of the packet's momentum density lies "
+                             f"outside the window [{p_min:g}, {p_max:g}]")
+
+
 def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
                             n_max: int) -> BoxSpectrum:
     """Sine-mode coefficients of the packet by quadrature on a fine axis.
@@ -205,7 +218,8 @@ class FieldComparison:
 
 def compare_fields(w_a: WignerField, w_b: WignerField) -> FieldComparison:
     """Distance of w_a from the reference w_b: ||a-b||_2/||b||_2, max |a-b|,
-    and |mass(a) - mass(b)|."""
+    and the mass of the difference |sum(a - b)| dx dp, which unlike
+    |mass(a) - mass(b)| does not lose digits to two masses near 1."""
     if w_a.grid != w_b.grid:
         raise GridMismatch("cannot compare fields on different grids")
     diff = w_a.values - w_b.values
@@ -214,5 +228,5 @@ def compare_fields(w_a: WignerField, w_b: WignerField) -> FieldComparison:
     return FieldComparison(
         l2_rel=l2,
         max_abs=float(np.abs(diff).max()),
-        mass_diff=abs(total_mass(w_a) - total_mass(w_b)),
+        mass_diff=abs(float(diff.sum() * w_a.grid.dx * w_a.grid.dp)),
     )

@@ -1,4 +1,5 @@
 import itertools
+import os
 import sys
 
 import numpy as np
@@ -426,16 +427,18 @@ _INDICATOR_CASES = pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
 
 
 @_INDICATOR_CASES
-def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples):
+def test_billiard_indicator_bit_identical_to_dense(monkeypatch, B, x_axes, y_axes,
+                                                   subsamples):
     dense = _dense_indicator(B, x_axes, y_axes, subsamples).view(np.uint64)
-    # 8 workers is more threads than cores; the short switch interval
-    # interleaves them often, so a slice written by two tasks would show
+    # the pool has one thread per reported core: 8 is more threads than
+    # cores; the short switch interval interleaves them often, so a slice
+    # written by two tasks would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 8):
-            g = billiard_indicator(B, x_axes, y_axes, subsamples=subsamples,
-                                   workers=workers).g
+            monkeypatch.setattr(os, "cpu_count", lambda n=workers: n)
+            g = billiard_indicator(B, x_axes, y_axes, subsamples=subsamples).g
             assert g.shape == dense.shape
             assert np.array_equal(g.view(np.uint64), dense), workers
     finally:
@@ -443,7 +446,8 @@ def test_billiard_indicator_bit_identical_to_dense(B, x_axes, y_axes, subsamples
 
 
 @_INDICATOR_CASES
-def test_billiard_indicator_samples_each_subcell_once(B, x_axes, y_axes, subsamples):
+def test_billiard_indicator_samples_each_subcell_once(monkeypatch, B, x_axes, y_axes,
+                                                      subsamples):
     # once on the dense x grid, then once per x point and subcell: a
     # shift's mirror is its term reversed, not two more calls
     calls = []
@@ -452,7 +456,8 @@ def test_billiard_indicator_samples_each_subcell_once(B, x_axes, y_axes, subsamp
         calls.append(None)
         return B(*coords)
 
-    billiard_indicator(counted, x_axes, y_axes, subsamples=subsamples, workers=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    billiard_indicator(counted, x_axes, y_axes, subsamples=subsamples)
     n_points = int(np.prod([ax.size for ax in x_axes]))
     assert len(calls) == 1 + n_points * subsamples ** len(x_axes)
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,34 @@ n_p = 241
 values = 0, 1.5
 
 [run]
+"""
+
+
+# a half-line packet whose momentum density, of std 1/(2 sigma) = 3.3, has
+# 23 % of its mass outside the window [-4, 4]
+NARROW_PACKET = """
+[geometry]
+kind = halfline
+
+[packet]
+x0 = 6.0
+p0 = 0.0
+sigma = 0.15
+mass = 1.0
+
+[grid]
+x_min = -12.0
+x_max = 12.0
+n_x = 65
+p_min = -4.0
+p_max = 4.0
+n_p = 65
+
+[times]
+values = 0
+
+[run]
+outputs = marginals
 """
 
 
@@ -145,11 +175,16 @@ def test_validate_exit_codes(tmp_path, capsys):
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\np_half = 200\n", 0),
     # the two times would write one field_t1.* and one report row t=1
     (FAST_HALFLINE.replace("values = 0, 1.5", "values = 1.0000001, 1.5, 1.0000002"), 2),
+    # the momentum density must lie in the window: 1.02e-8 and 9.93e-9 outside
+    (NARROW_PACKET, 3),
+    (NARROW_PACKET.replace("sigma = 0.15", "sigma = 0.716"), 3),
+    (NARROW_PACKET.replace("sigma = 0.15", "sigma = 0.7165"), 0),
 ], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan",
         "threads-2", "ok",
         "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
         "disk-slices-outside", "disk-n_p-1", "disk-p_half-240", "disk-p_half-600",
-        "disk-p_half-200", "times-share-tag"])
+        "disk-p_half-200", "times-share-tag", "momentum-outside-window",
+        "momentum-just-outside", "momentum-just-inside"])
 def test_validate_agrees_with_simulate(tmp_path, text, code):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
@@ -178,19 +213,20 @@ def test_simulate_writes_artifacts(tmp_path):
 def test_simulate_deterministic(monkeypatch, tmp_path):
     # the disk indicator's pool has one thread per core; two disk runs, on
     # one core and on two, write byte-identical files
-    workers = []
-    original = cli.billiard_indicator
+    pools = []
+    original = concurrent.futures.ThreadPoolExecutor
 
-    def recording(*args, **kwargs):
-        workers.append(kwargs["workers"])
-        return original(*args, **kwargs)
+    class Recording(original):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "billiard_indicator", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     outs = [tmp_path / f"cores{n}" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
         monkeypatch.setattr(cli.os, "cpu_count", lambda n=n: n)
         assert main(["simulate", "--preset", "disk-kernel", "--out", str(out)]) == 0
-    assert workers == [1, 2]
+    assert pools == [1, 2]
     names = sorted(f.name for f in outs[0].iterdir())
     assert names == sorted(f.name for f in outs[1].iterdir())
     for name in names:

@@ -19,7 +19,7 @@ from wignerwall import (
     project_gaussian_to_box,
     wigner_of,
 )
-from wignerwall.oracle import _MODE_BLOCK, _QUAD_POINTS
+from wignerwall.oracle import _MODE_BLOCK, _QUAD_POINTS, require_in_window
 
 
 AXIS = dict(x_min=-30.0, dx=0.02, n=3001)
@@ -268,6 +268,26 @@ def test_compare_fields(grid, gaussian_wave):
     other = PhaseGrid(-12.0, 12.0, 257, -8.0, 8.0, 259)
     with pytest.raises(GridMismatch):
         compare_fields(w, WignerField(other, np.zeros((257, 259))))
+
+
+def test_mass_diff_is_the_mass_of_the_difference(grid, gaussian_wave):
+    # two fields of mass near 1 that differ in one cell by a mass of 1e-12;
+    # the difference of their two masses would keep only about 4 digits
+    w = wigner_of(gaussian_wave, grid)
+    b = w.values.copy()
+    b[0, 0] = 0.0
+    a = b.copy()
+    a[0, 0] = 1e-12 / (grid.dx * grid.dp)
+    cmp = compare_fields(WignerField(grid, a), WignerField(grid, b))
+    assert abs(cmp.mass_diff - 1e-12) <= 1e-9 * 1e-12
+
+
+def test_require_in_window_counts_both_momenta():
+    g = GaussianPacket(x0=5.0, p0=4.0, sigma=0.6, m=1.0)
+    require_in_window(g, -12.0, 12.0)
+    # the mirror image carries -p0: a window holding +p0 alone leaves half out
+    with pytest.raises(SupportEscaped, match="5.00e-01"):
+        require_in_window(g, 0.0, 12.0)
 
 
 def test_images_equals_free_restriction_early():
