@@ -11,9 +11,13 @@
 # stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
 # `diff -r` finds any difference between the two trees of outputs.
 #
-# For every field (.bin) that differs, the largest change relative to the
-# base field's peak, max|a - b| / max|a|, is printed after the diff. Like
-# the table below, it is for reading only.
+# For every field that differs, the largest change relative to the base
+# field's peak, max|a - b| / max|a|, is printed after the diff: from the
+# .bin file, or from the field CSV (`x,p,value` rows after an optional
+# `#` metadata line) where there is no .bin twin, as for the disk kernel's
+# slices. A CSV bound reads the printed 12 significant digits, so a
+# change in the last digit shows as about 1e-13 of the peak. Like the
+# table below, it is for reading only.
 #
 # Each command's peak resident set (the child's ru_maxrss, KiB on Linux)
 # is recorded in OUT_DIR/rss, outside the diffed trees, and printed as one
@@ -34,20 +38,32 @@ with open(record, "a") as f:
     f.write(f"{name}\t{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\n")
 sys.exit(code)'
 
-# prints max|a - b| / max|a| for each .bin file that differs between the
-# two output roots; a field is the 64-byte <6d2Q header (six float64 grid
-# fields, then n_x and n_p), n_x * n_p float64 values and optional metadata
+# prints max|a - b| / max|a| for each field that differs between the two
+# output roots: each .bin file, a 64-byte <6d2Q header (six float64 grid
+# fields, then n_x and n_p), n_x * n_p float64 values and optional
+# metadata, and each field CSV with no .bin twin
 bounds='import struct, sys
 from pathlib import Path
 import numpy as np
 
 def values(path):
+    if path.suffix == ".csv":
+        lines = path.read_text().splitlines()
+        lines = lines[1:] if lines[:1] and lines[0].startswith("#") else lines
+        return np.loadtxt(lines[1:], delimiter=",", usecols=2, ndmin=1)
     raw = path.read_bytes()
     n_x, n_p = struct.unpack_from("<6d2Q", raw)[6:]
     return np.frombuffer(raw, "<f8", n_x * n_p, 64)
 
+def is_field_csv(path):
+    with path.open() as f:
+        first = f.readline()
+        return (f.readline() if first.startswith("#") else first).strip() == "x,p,value"
+
 base, head = Path(sys.argv[1]), Path(sys.argv[2])
-for a_path in sorted(base.rglob("*.bin")):
+fields = [*base.rglob("*.bin"), *(path for path in base.rglob("*.csv")
+                                  if not path.with_suffix(".bin").exists() and is_field_csv(path))]
+for a_path in sorted(fields):
     b_path = head / a_path.relative_to(base)
     if not b_path.exists() or a_path.read_bytes() == b_path.read_bytes():
         continue

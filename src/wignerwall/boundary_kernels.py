@@ -108,7 +108,17 @@ def halfline_kernel(grid: PhaseGrid) -> BoundaryKernel:
 
 
 def interval_kernel(grid: PhaseGrid, a: float, b: float) -> BoundaryKernel:
-    """Kernel of the box (a, b); half-width ell(x) = 2 min(x - a, b - x)."""
+    """Kernel of the box (a, b); half-width ell(x) = 2 min(x - a, b - x).
+
+    Convolved with a sheared odd-image-train field whose correlation is
+    capped (``evolve_bounded`` on the CLI's 3.5 L cap, L = b - a), the box
+    field holds only up to a horizon, and it is not p0 t / m <= L. With
+    L = 10 the l2_rel against the eigenmode oracle passes 1e-2 once
+    t (|p0| + 3 sigma_p) / m passes about 22-24.4, sigma_p = 1/(2 sigma):
+    it is 3.4e-2 for the box-traversal packet (p0 = 4, sigma = 0.6) at
+    t = 3.75 and 3.2e-2 for a p0 = 1 packet at t = 7.5, inside its first
+    traversal.
+    """
     if a >= b:
         raise BadInterval(f"need a < b, got a = {a!r}, b = {b!r}")
     if a < grid.x_min or b > grid.x_max:
@@ -176,9 +186,12 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     isotropy checks at tight tolerance); the default 1 keeps the plain
     boolean field.
 
-    The x points are shared among min(os.cpu_count() or 1, x points)
-    threads. Each point's slice is filled by one task, so g does not
-    depend on the thread count.
+    Each point's mirror pairs are split into as many blocks as it takes
+    to give each of os.cpu_count() threads a task, and the tasks run on
+    min(os.cpu_count() or 1, tasks) threads. A task counts its subcell
+    hits in a small unsigned integer array; the counts add exactly, and
+    g is written once from each point's sum, so g depends on neither the
+    split nor the thread count.
 
     Raises EmptyInterior when no x grid point lies inside.
     """
@@ -195,8 +208,6 @@ def billiard_indicator(B: Callable[..., np.ndarray],
 
     shape_x = tuple(ax.size for ax in x_axes)
     shape_y = tuple(ax.size for ax in y_axes)
-    out = np.zeros(shape_x + shape_y, dtype=np.float64)
-
     # y/2 per subcell shift on the odd y axes, y axis d shaped to vary
     # along axis d only; offset i mirrors offset -1 - i, the middle one is 0
     odd = [0.5 * (ax - ax[::-1]) for ax in y_axes]
@@ -206,23 +217,32 @@ def billiard_indicator(B: Callable[..., np.ndarray],
               for shift in offsets[:(len(offsets) + 1) // 2]]
     centre = halves.pop() if len(offsets) % 2 else None
 
-    def fill(idx: tuple[int, ...]) -> None:
+    points = list(np.ndindex(*shape_x))
+    workers = os.cpu_count() or 1
+    n_blocks = max(1, min(len(halves), -(-workers // len(points))))
+    hits = np.zeros(shape_x + shape_y, dtype=np.min_scalar_type(len(offsets)))
+
+    def count(task: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], np.ndarray]:
+        # block k of the point's mirror pairs; block 0 also takes the centre
+        idx, k = task
         x = [ax[i] for ax, i in zip(x_axes, idx)]
-        acc = out[idx]
-        for half in halves:
+        acc = np.zeros(shape_y, dtype=hits.dtype)
+        for half in halves[k::n_blocks]:
             acc += ((B(*[xd - hd for xd, hd in zip(x, half)]) < 1.0)
                     & (B(*[xd + hd for xd, hd in zip(x, half)]) < 1.0))
         acc += np.flip(acc)
-        if centre is not None:
+        if k == 0 and centre is not None:
             minus = B(*[xd - hd for xd, hd in zip(x, centre)]) < 1.0
             acc += minus & np.flip(minus)
+        return idx, acc
 
-    points = list(np.ndindex(*shape_x))
+    tasks = list(product(points, range(n_blocks)))
     # imported here: concurrent.futures.thread is not loaded with the CLI
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(points))) as pool:
-        list(pool.map(fill, points))
-    out /= subsamples ** n if subsamples > 1 else 1
+    with ThreadPoolExecutor(min(workers, len(tasks))) as pool:
+        for idx, acc in pool.map(count, tasks):
+            hits[idx] += acc
+    out = hits / (subsamples ** n if subsamples > 1 else 1)
     return ShapeIndicator(n, x_axes, y_axes, out)
 
 

@@ -411,20 +411,24 @@ _DISK_N_Y = 441  # samples per disk y axis, over |y| <= 2.125 R
 
 def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     """The disk's set-up, shared by ``simulate`` and ``validate``: its shape
-    indicator on the ``[kernel2d]`` x axis, with 8x8 subcells per y-cell
-    and y axes over |y| <= 2.125 R (the support is |y| < 2R, so the
-    sampling per radius is the preset's at any R), the momentum axis, and
-    the (p1, p2) grid of the slices.
+    indicator on the x >= 0 points of the ``[kernel2d]`` x axis, with 8x8
+    subcells per y-cell and y axes over |y| <= 2.125 R (the support is
+    |y| < 2R, so the sampling per radius is the preset's at any R), the
+    whole x axis, the momentum axis, and the (p1, p2) grid of the slices.
+    The x and momentum axes are made exactly odd, as the indicator's y
+    axes are, so that ``run_billiard_kernel`` can mirror the x >= 0
+    slices onto the others.
 
     The sampled indicator's transform is 2 pi/dy periodic, so the slice
     grid's corner sqrt(2) p_half must lie below pi/dy of the simulate
     axis (``validate``'s short axis is checked against the same dy)."""
     R = cfg.geometry["radius"]
     k2 = cfg.kernel2d
-    nxp, xh = k2["x_points"], k2["x_half"]
-    x_ax = np.linspace(-xh, xh, nxp) if nxp > 1 else np.array([0.0])
+    x_ax = np.linspace(-k2["x_half"], k2["x_half"], k2["x_points"])
+    x_ax = 0.5 * (x_ax - x_ax[::-1])
     n_p, ph = k2["n_p"], k2["p_half"]
     p_ax = np.linspace(-ph, ph, n_p)
+    p_ax = 0.5 * (p_ax - p_ax[::-1])
     grid_p = PhaseGrid(-ph, ph, n_p, -ph, ph, n_p)
     band = np.pi * (_DISK_N_Y - 1) / (4.25 * R)
     if np.sqrt(2.0) * ph >= band:
@@ -434,26 +438,33 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     y_ax = np.linspace(-2.125 * R, 2.125 * R, n_y)
 
     def disk(x1, x2):
-        return (x1**2 + x2**2) / R**2
+        return (x1 / R)**2 + (x2 / R)**2
 
-    ind = billiard_indicator(disk, [x_ax, x_ax], [y_ax, y_ax], subsamples=8)
-    return ind, p_ax, grid_p
+    quadrant = x_ax[len(x_ax) // 2:]
+    ind = billiard_indicator(disk, [quadrant, quadrant], [y_ax, y_ax], subsamples=8)
+    return ind, x_ax, p_ax, grid_p
 
 
 def run_billiard_kernel(cfg: ScenarioConfig, out_dir: str) -> int:
-    """Kernel-only mode for the 2-D disk billiard: no dynamics."""
-    ind, p_ax, grid_p = _disk_indicator(cfg)
+    """Kernel-only mode for the 2-D disk billiard: no dynamics.
+
+    Only the x >= 0 slices are sampled and transformed. The disk is
+    symmetric under x_d -> -x_d, which reverses y_d in g(x, y) and so p_d
+    in K(x, p); each other slice is written from its (|x1|, |x2|) slice
+    with the p1 axis reversed where x1 < 0 and the p2 axis where x2 < 0,
+    which on the exactly odd momentum axis is K at -p_d."""
+    ind, x_ax, p_ax, grid_p = _disk_indicator(cfg)
     K = kernel_from_indicator(ind, [p_ax, p_ax])
-    x_ax = ind.x_axes[0]
-    for i in range(len(x_ax)):
-        for j in range(len(x_ax)):
-            meta = {"provenance": "numeric", "geometry":
-                    {"shape": "disk", "radius": cfg.geometry["radius"],
-                     "x1": float(x_ax[i]), "x2": float(x_ax[j]),
-                     "axes": "p1,p2"}}
-            path = os.path.join(out_dir, f"kernel2d_x{i}_{j}.csv")
-            write_field_csv(WignerField(grid_p, K[i, j]), path, metadata=meta)
-    print(f"wrote {len(x_ax)**2} disk kernel slices to {out_dir}")
+    n, h = len(x_ax), len(x_ax) // 2
+    for i, j in np.ndindex(n, n):
+        k = K[max(i, n - 1 - i) - h, max(j, n - 1 - j) - h]
+        meta = {"provenance": "numeric", "geometry":
+                {"shape": "disk", "radius": cfg.geometry["radius"],
+                 "x1": float(x_ax[i]), "x2": float(x_ax[j]), "axes": "p1,p2"}}
+        path = os.path.join(out_dir, f"kernel2d_x{i}_{j}.csv")
+        write_field_csv(WignerField(grid_p, k[::-1 if i < h else 1, ::-1 if j < h else 1]),
+                        path, metadata=meta)
+    print(f"wrote {n**2} disk kernel slices to {out_dir}")
     return 0
 
 

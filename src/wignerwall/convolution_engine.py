@@ -146,6 +146,10 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     Only the inside rows are convolved, against the plan's spectrum of
     their kernel rows; the rows outside the walls, whose kernel row
     vanishes, are exactly +0.0.
+
+    A box plan holds only up to a horizon that is not p0 t / m <= L: with
+    L = 10 its l2_rel passes 1e-2 once t (|p0| + 3 sigma_p) / m passes
+    about 22-24.4, sigma_p = 1/(2 sigma) (see ``interval_kernel``).
     """
     grid = plan.initial.grid
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),

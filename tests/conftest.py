@@ -51,10 +51,15 @@ def scipy_modules_after(code: str) -> list[str]:
 
 @pytest.fixture(scope="session")
 def disk_preset():
-    """The disk-kernel preset's sampled indicator (3 x 3 x points, 441 x 441
-    y samples each) and its momentum axis."""
+    """The disk-kernel preset's sampled indicator on every x point (3 x 3 x
+    points, 441 x 441 y samples each) and its momentum axis. The CLI
+    samples the x >= 0 points only; this samples the whole x axis with
+    the CLI's axes and subcells (R = 1, so x1**2 + x2**2 is its level
+    set bit for bit)."""
     from wignerwall.cli import _disk_indicator, load_config
-    ind, p_ax, _ = _disk_indicator(load_config(None, "disk-kernel"))
+    quadrant, x_ax, p_ax, _ = _disk_indicator(load_config(None, "disk-kernel"))
+    ind = wignerwall.billiard_indicator(lambda x1, x2: x1**2 + x2**2, [x_ax, x_ax],
+                                        quadrant.y_axes, subsamples=8)
     return ind, p_ax
 
 

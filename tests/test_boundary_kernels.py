@@ -423,7 +423,9 @@ _INDICATOR_CASES = pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
     (_slab, [_DISK_X, np.array([0.0, 0.3])], [_DISK_Y, _DISK_Y[10:-10]], 3),
     (_halfline, [_LINE_X], [_LINE_Y], 1),
     (_halfline, [_LINE_X], [_LINE_Y], 3),
-], ids=["disk-s8", "box", "x1-only-s3", "halfline-s1", "halfline-s3"])
+    # one point: its mirror pairs are split into one block per thread
+    (_disk, [np.array([0.2]), np.array([-0.1])], [_DISK_Y, _DISK_Y], 8),
+], ids=["disk-s8", "box", "x1-only-s3", "halfline-s1", "halfline-s3", "disk-one-point-s8"])
 
 
 @_INDICATOR_CASES
@@ -443,6 +445,32 @@ def test_billiard_indicator_bit_identical_to_dense(monkeypatch, B, x_axes, y_axe
             assert np.array_equal(g.view(np.uint64), dense), workers
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("points,subsamples,pools", [
+    (1, 8, [1, 2, 8]),   # 32 mirror pairs: one block per thread
+    (1, 1, [1, 1, 1]),   # the centre shift alone makes one task
+    (4, 8, [1, 2, 8]),   # one block per point, two for eight threads
+])
+def test_billiard_indicator_pool_size(monkeypatch, points, subsamples, pools):
+    # a call with fewer x points than cores still runs on every core
+    import concurrent.futures
+
+    sizes = []
+    original = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(original):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    x = np.linspace(-0.3, 0.3, points)
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda n=workers: n)
+        billiard_indicator(_disk, [x, np.array([0.0])], [_DISK_Y, _DISK_Y],
+                           subsamples=subsamples)
+    assert sizes == pools
 
 
 @_INDICATOR_CASES

@@ -1,10 +1,14 @@
 import concurrent.futures
+import contextlib
+import functools
+import io
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from wignerwall import boundary_kernels, cli
+from wignerwall import billiard_indicator, boundary_kernels, cli, kernel_from_indicator
 from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
 from wignerwall.errors import ConfigError
 from wignerwall.oracle import FieldComparison
@@ -351,6 +355,71 @@ def test_billiard_kernel_scales_with_radius(tmp_path):
     assert np.abs(w.values - exact).max() <= 5e-5 * R * R / np.pi
 
 
+def _written_disk_slices(monkeypatch, cfg) -> dict:
+    """Run the disk kernel with each slice's values and metadata recorded,
+    by file name, instead of written."""
+    written = {}
+
+    def record(w, path, metadata=None):
+        written[os.path.basename(path)] = (np.array(w.values), metadata)
+    monkeypatch.setattr(cli, "write_field_csv", record)
+    assert cli.run_billiard_kernel(cfg, "unused") == 0
+    return written
+
+
+@pytest.mark.parametrize("radius,kernel2d,n_y", [
+    (1.0, "", None),  # the preset, on the disk_preset fixture's indicator
+    # linspace leaves 2 of these x samples and 11 of these p samples off
+    # the exact negatives of their mirrors
+    (1.0, "x_half = 0.7\nx_points = 4\np_half = 1.7\nn_p = 33\n", 121),
+    (1.3, "x_half = 0.7\nx_points = 5\np_half = 1.7\nn_p = 33\n", 121),
+], ids=["preset", "x_points-4", "x_points-5-radius-1.3"])
+def test_disk_slices_mirror_direct_transform(monkeypatch, disk_preset, radius, kernel2d, n_y):
+    # only the x >= 0 slices are transformed, the others are mirrored from
+    # them: each written slice lies within 1e-15 of its peak of the slice
+    # transformed from the whole x grid's indicator, the x >= 0 slices
+    # bit for bit
+    cfg = parse_config(PRESETS["disk-kernel"].replace("radius = 1.0", f"radius = {radius}")
+                       + "[kernel2d]\n" + kernel2d)
+    if n_y is None:
+        ind, p_ax = disk_preset
+    else:
+        monkeypatch.setattr(cli, "_disk_indicator",
+                            functools.partial(cli._disk_indicator, n_y=n_y))
+        quadrant, x_ax, p_ax, _ = cli._disk_indicator(cfg)
+        ind = billiard_indicator(lambda x1, x2: (x1 / radius)**2 + (x2 / radius)**2,
+                                 [x_ax, x_ax], quadrant.y_axes, subsamples=8)
+    direct = kernel_from_indicator(ind, [p_ax, p_ax])
+    x_ax = ind.x_axes[0]
+    assert np.array_equal(x_ax, -x_ax[::-1]) and np.array_equal(p_ax, -p_ax[::-1])
+    written = _written_disk_slices(monkeypatch, cfg)
+    n, h = x_ax.size, x_ax.size // 2
+    assert len(written) == n * n
+    for i, j in np.ndindex(n, n):
+        values, meta = written[f"kernel2d_x{i}_{j}.csv"]
+        assert (meta["geometry"]["x1"], meta["geometry"]["x2"]) == (x_ax[i], x_ax[j])
+        ref = direct[i, j]
+        if i >= h and j >= h:
+            assert np.array_equal(values.view(np.uint64), ref.view(np.uint64)), (i, j)
+        assert np.abs(values - ref).max() <= 1e-15 * np.abs(ref).max(), (i, j)
+
+
+def test_disk_preset_level_set_evaluations(monkeypatch):
+    # the 2 x 2 points with x >= 0: one evaluation per x point, then one
+    # per 441 x 441 lattice cell for each of 64 subcells at each point
+    evals = []
+
+    def counting(B, *args, **kwargs):
+        def counted(*coords):
+            value = B(*coords)
+            evals.append(np.size(value))
+            return value
+        return billiard_indicator(counted, *args, **kwargs)
+    monkeypatch.setattr(cli, "billiard_indicator", counting)
+    cli._disk_indicator(load_config(None, "disk-kernel"))
+    assert sum(evals) == 4 + 4 * 64 * 441**2 == 49_787_140  # 112,021,065 on 3 x 3
+
+
 def test_guard_failure_exits_3(tmp_path):
     # packet reaches the grid edge within the requested times
     text = FAST_HALFLINE.replace("values = 0, 1.5", "values = 0, 12.0")
@@ -538,3 +607,63 @@ def test_validate_fuzzed_config_exits_cleanly(tmp_path_factory, text):
     cfg_path = tmp_path_factory.mktemp("fuzz") / "run.ini"
     cfg_path.write_text(text)
     assert main(["validate", "--config", str(cfg_path)]) in (0, 2, 3)
+
+
+@st.composite
+def simulate_configs(draw):
+    """Scenario texts that simulate runs in well under a second: disk
+    kernels with 1-5 x points and small momentum grids, and half-line and
+    box packets on grids of at most 65 samples per axis.
+
+    On such grids the set-up guards (the packet's mass, momentum density
+    and box-wall amplitude inside to 1e-8 or 1e-6, the momentum window
+    inside the x axis's band, the kernel reach inside the p axis's) pass
+    only near one scenario per geometry: x in [-12, 12], p in [-4, 4],
+    sigma = 0.75 and x0 = 6 on the half line; the box (-5, 5) with x in
+    [-10, 10], p in [-5, 5], sigma = 0.6 and x0 = 0. The draws perturb
+    these, scaled by s (x and sigma by s, p by 1/s and t by m s^2, which
+    leaves their physics alone)."""
+    ints, pick = st.integers, st.sampled_from
+    kind = draw(pick(["halfline", "box", "billiard2d"]))
+    if kind == "billiard2d":
+        return (PRESETS["disk-kernel"].replace("radius = 1.0",
+                                               f"radius = {draw(pick(['0.5', '1', '2']))}")
+                + f"[kernel2d]\nx_points = {draw(ints(1, 5))}\n"
+                f"x_half = {draw(pick(['0.1', '0.4', '0.9', '1.5']))}\n"
+                f"n_p = {draw(ints(2, 9))}\np_half = {draw(pick(['0.5', '2', '8']))}\n")
+    s, m = draw(pick([1.0, 0.5, 2.0])), draw(pick([1.0, 0.5, 2.0]))
+    if kind == "halfline":
+        geometry, x_half, p_half, sigma, x0 = "", 12, 4, 0.75, 6.0
+    else:
+        geometry = f"a = {(-5.0 + draw(pick([0.0, 0.25]))) * s:g}\nb = {5 * s:g}\n"
+        x_half, p_half, sigma, x0 = 10, 5, 0.6, 0.0
+    x0 += draw(pick([0.0, 0.25, -0.5]))
+    sigma *= draw(pick([1.0, 1.05, 0.95, 1.1]))
+    times = sorted(draw(st.sets(ints(0, 4), min_size=1, max_size=3)))
+    return (f"[geometry]\nkind = {kind}\n{geometry}"
+            f"[packet]\nx0 = {x0 * s:g}\np0 = {draw(pick([0.0, 0.25, -0.25])) / s:g}\n"
+            f"sigma = {sigma * s:g}\nmass = {m:g}\n"
+            f"[grid]\nx_min = {-x_half * s:g}\nx_max = {x_half * s:g}\n"
+            f"n_x = {draw(pick([65, 64, 61]))}\n"
+            f"p_min = {-p_half / s:g}\np_max = {p_half / s:g}\nn_p = {draw(pick([65, 63, 64]))}\n"
+            f"[times]\nvalues = {', '.join(f'{k / 2 * m * s * s:g}' for k in times)}\n"
+            f"[run]\noutputs = {draw(pick(['report', 'fields,report', 'marginals,report', 'fields']))}\n")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(text=simulate_configs())
+def test_simulate_fuzzed_config_exits_cleanly(tmp_path_factory, text):
+    # simulate ends in an exit code with no traceback, and a run that
+    # exits 0 with a report is within 0.05 of its oracle at every time
+    out = tmp_path_factory.mktemp("fuzz")
+    cfg_path = out / "run.ini"
+    cfg_path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out / "out")])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "report" in text:
+        rows = (out / "out" / "report.csv").read_text().splitlines()[1:]
+        assert rows and all(float(row.split(",")[1]) < 0.05 for row in rows)

@@ -42,6 +42,8 @@ def test_disk_kernel_transform_working_set(disk_preset):
 def test_disk_indicator_sampling_working_set(monkeypatch):
     cfg = load_config(None, "disk-kernel")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # the pool's size
-    # the (3, 3, 441, 441) output alone is 13.4 MiB; holding every
-    # subcell shift's predicate of a point adds 12 MiB per thread
-    assert traced_peak_mib(lambda: _disk_indicator(cfg)) <= 20.0
+    # the indicator of the 2 x 2 points with x >= 0 is 5.9 MiB (7.3 MiB
+    # peak); all 3 x 3 points' output alone would be 13.4 MiB, and
+    # holding every subcell shift's predicate of a point adds 12 MiB
+    # per thread
+    assert traced_peak_mib(lambda: _disk_indicator(cfg)) <= 12.0
