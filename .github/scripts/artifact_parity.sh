@@ -22,6 +22,8 @@
 # Each command's peak resident set (the child's ru_maxrss, KiB on Linux)
 # is recorded in OUT_DIR/rss, outside the diffed trees, and printed as one
 # table at the end. The table is for reading only: it never fails the run.
+# So is the last line, the total count of lines in the .py files under
+# each tree's src/ and its change.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -96,4 +98,9 @@ awk -F'\t' 'NR == FNR { b[$1] = $2; next }
     FNR == 1 { printf "%-32s %10s %10s\n", "command", "base MiB", "head MiB" }
     { printf "%-32s %10.1f %10.1f\n", $1, b[$1] / 1024, $2 / 1024 }' \
     "$out/rss/base.tsv" "$out/rss/head.tsv"
+src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l; }
+base_lines=$(src_lines "$base")
+head_lines=$(src_lines "$head")
+printf 'src/ lines: base %d, head %d (%+d)\n' "$base_lines" "$head_lines" \
+    "$((head_lines - base_lines))"
 exit $status

@@ -139,10 +139,10 @@ class ShapeIndicator:
     has shape (*n_x_axes, *n_y_axes) and holds
     [B(x - y/2) < 1] * [B(x + y/2) < 1], or its subcell-averaged
     refinement when anti-aliased sampling was requested. Symmetric under
-    y -> -y bit for bit: ``billiard_indicator`` samples on the y axes made
-    exactly odd, 0.5 (y - y[::-1]), which moves each sample by at most
-    half the 1e-12 asymmetry that the y axes may have; ``y_axes`` holds
-    the axes as given.
+    y -> -y bit for bit: ``billiard_indicator`` mirrors its y_1 >= 0 half,
+    sampled on the y axes made exactly odd, 0.5 (y - y[::-1]), which moves
+    each sample by at most half the 1e-12 asymmetry that the y axes may
+    have; ``y_axes`` holds the axes as given.
     """
 
     dimension: int
@@ -171,33 +171,33 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     """Sample g over the product grid of x and y axes.
 
     ``B`` takes n coordinate arrays and returns the level set value;
-    inside is strict B < 1. It is called once on the dense x grid, then
-    once per x point and subcell on per-axis arrays that cover that
-    point's y lattice: array d varies along axis d only, so ``B`` must
-    broadcast them like a numpy ufunc (a result narrower than the
-    lattice, from a B that ignores an axis, broadcasts too).
-    The lattices are taken on the y axes made exactly odd, so the term of
-    subcell shift -d at y is bit for bit that of shift d at -y: one shift
-    of each mirror pair is sampled and its sum added reversed, and the
-    centre shift (odd ``subsamples``) pairs its minus factor with that
-    factor reversed. g is even in y bit for bit.
-    ``subsamples`` > 1 averages the boolean over an s^n subcell lattice
+    inside is strict B < 1. It is called once on the dense x grid, then,
+    per x point and subcell, at x - y/2 and at x + y/2 on per-axis arrays
+    that cover the y_1 >= 0 half of the point's y lattice: array d varies
+    along axis d only, so ``B`` must broadcast them like a numpy ufunc (a
+    result narrower than the lattice, from a B that ignores an axis,
+    broadcasts too). The y_1 < 0 half is the y_1 > 0 half reversed in
+    every y axis, so g is even in y bit for bit. On the y axes made
+    exactly odd, where the lattice is taken, that is the sampled sum bit
+    for bit when the subcell centres are exact negatives of each other
+    (s = 1-4, 8, 16 and 32 among s <= 64).
+    ``subsamples`` s > 1 averages the boolean over an s^n subcell lattice
     per y-cell, giving a real-valued anti-aliased indicator (needed by
     isotropy checks at tight tolerance); the default 1 keeps the plain
     boolean field.
 
-    Each point's mirror pairs are split into as many blocks as it takes
-    to give each of os.cpu_count() threads a task, and the tasks run on
-    min(os.cpu_count() or 1, tasks) threads. A task counts its subcell
-    hits in a small unsigned integer array; the counts add exactly, and
-    g is written once from each point's sum, so g depends on neither the
-    split nor the thread count.
+    Each x point is one task, on min(os.cpu_count() or 1, points)
+    threads; it counts its subcell hits in a small unsigned integer
+    array, so g depends on neither the order nor the thread count.
 
-    Raises EmptyInterior when no x grid point lies inside.
+    Raises EmptyInterior when no x grid point lies inside, and BadSampling
+    unless ``subsamples`` is an integer >= 1.
     """
     n = len(x_axes)
     if len(y_axes) != n:
         raise AsymmetricIndicator("x and y need one axis per dimension")
+    if not (isinstance(subsamples, (int, np.integer)) and subsamples >= 1):
+        raise BadSampling(f"subsamples must be an integer >= 1, got {subsamples!r}")
     x_axes = tuple(np.asarray(ax, dtype=np.float64) for ax in x_axes)
     y_axes = tuple(np.asarray(ax, dtype=np.float64) for ax in y_axes)
     dys = [_y_step(ax) for ax in y_axes]
@@ -206,52 +206,32 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     if not np.any(inside_x):
         raise EmptyInterior("no grid point lies inside the level set")
 
-    shape_x = tuple(ax.size for ax in x_axes)
-    shape_y = tuple(ax.size for ax in y_axes)
-    # y/2 per subcell shift on the odd y axes, y axis d shaped to vary
-    # along axis d only; offset i mirrors offset -1 - i, the middle one is 0
+    # y/2 per subcell shift on the odd y axes, y_1 >= 0 only, y axis d
+    # shaped to vary along axis d only
     odd = [0.5 * (ax - ax[::-1]) for ax in y_axes]
-    offsets = _subcell_offsets(subsamples, n)
+    odd[0] = odd[0][odd[0].size // 2:]
+    centres = (np.arange(subsamples) + 0.5) / subsamples - 0.5
     halves = [[(0.5 * (ax + d * dy)).reshape([-1 if j == k else 1 for j in range(n)])
                for k, (ax, d, dy) in enumerate(zip(odd, shift, dys))]
-              for shift in offsets[:(len(offsets) + 1) // 2]]
-    centre = halves.pop() if len(offsets) % 2 else None
+              for shift in product(centres, repeat=n)]
+    dtype = np.min_scalar_type(len(halves))
 
-    points = list(np.ndindex(*shape_x))
-    workers = os.cpu_count() or 1
-    n_blocks = max(1, min(len(halves), -(-workers // len(points))))
-    hits = np.zeros(shape_x + shape_y, dtype=np.min_scalar_type(len(offsets)))
-
-    def count(task: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], np.ndarray]:
-        # block k of the point's mirror pairs; block 0 also takes the centre
-        idx, k = task
+    def count(idx: tuple[int, ...]) -> np.ndarray:
         x = [ax[i] for ax, i in zip(x_axes, idx)]
-        acc = np.zeros(shape_y, dtype=hits.dtype)
-        for half in halves[k::n_blocks]:
+        acc = np.zeros(tuple(ax.size for ax in odd), dtype=dtype)
+        for half in halves:
             acc += ((B(*[xd - hd for xd, hd in zip(x, half)]) < 1.0)
                     & (B(*[xd + hd for xd, hd in zip(x, half)]) < 1.0))
-        acc += np.flip(acc)
-        if k == 0 and centre is not None:
-            minus = B(*[xd - hd for xd, hd in zip(x, centre)]) < 1.0
-            acc += minus & np.flip(minus)
-        return idx, acc
+        return np.concatenate([np.flip(acc[1:]), acc])
 
-    tasks = list(product(points, range(n_blocks)))
+    hits = np.empty(tuple(ax.size for ax in x_axes + y_axes), dtype=dtype)
+    points = list(np.ndindex(*hits.shape[:n]))
     # imported here: concurrent.futures.thread is not loaded with the CLI
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(workers, len(tasks))) as pool:
-        for idx, acc in pool.map(count, tasks):
-            hits[idx] += acc
-    out = hits / (subsamples ** n if subsamples > 1 else 1)
-    return ShapeIndicator(n, x_axes, y_axes, out)
-
-
-def _subcell_offsets(s: int, n: int) -> list[tuple[float, ...]]:
-    """Fractional subcell center offsets (units of dy), one tuple per subcell."""
-    if s <= 1:
-        return [(0.0,) * n]
-    centers = (np.arange(s) + 0.5) / s - 0.5
-    return [tuple(c) for c in product(centers, repeat=n)]
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(points))) as pool:
+        for idx, acc in zip(points, pool.map(count, points)):
+            hits[idx] = acc
+    return ShapeIndicator(n, x_axes, y_axes, hits / subsamples ** n)
 
 
 def kernel_from_indicator(s: ShapeIndicator,

@@ -119,8 +119,12 @@ class _Key(NamedTuple):
     low: float | None = None
 
 
+# the [geometry] keys each kind reads besides ``kind``
+_GEOMETRY_KEYS = {"halfline": (), "box": ("a", "b"), "billiard2d": ("radius",)}
+
+
 def _kind(raw: str) -> str:
-    if raw not in ("halfline", "box", "billiard2d"):
+    if raw not in _GEOMETRY_KEYS:
         raise ValueError("must be halfline, box, or billiard2d")
     return raw
 
@@ -235,18 +239,17 @@ def _times(cp: configparser.ConfigParser) -> list[float]:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from INI text.
 
-    Geometry and packet carry no defaults; everything else does.
+    Geometry and packet carry no defaults; everything else does. A
+    [geometry] key that the kind does not read is an error.
     """
     cp = _load_ini(text)
     kind = _get(cp, "geometry", "kind")
-    geometry: dict = {"kind": kind}
-    if kind == "box":
-        geometry["a"] = _get(cp, "geometry", "a")
-        geometry["b"] = _get(cp, "geometry", "b")
-        if geometry["a"] >= geometry["b"]:
-            raise ConfigError("box needs a < b")
-    elif kind == "billiard2d":
-        geometry["radius"] = _get(cp, "geometry", "radius")
+    unread = set(cp.options("geometry")) - {"kind", *_GEOMETRY_KEYS[kind]}
+    if unread:
+        raise ConfigError(f"[geometry] kind = {kind} reads no {sorted(unread)}")
+    geometry = {"kind": kind, **{key: _get(cp, "geometry", key) for key in _GEOMETRY_KEYS[kind]}}
+    if kind == "box" and geometry["a"] >= geometry["b"]:
+        raise ConfigError("box needs a < b")
 
     packet = GaussianPacket(*_section(cp, "packet").values())
     grid = PhaseGrid(**_section(cp, "grid"))
@@ -409,7 +412,7 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
 _DISK_N_Y = 441  # samples per disk y axis, over |y| <= 2.125 R
 
 
-def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
+def _disk_indicator(cfg: ScenarioConfig):
     """The disk's set-up, shared by ``simulate`` and ``validate``: its shape
     indicator on the x >= 0 points of the ``[kernel2d]`` x axis, with 8x8
     subcells per y-cell and y axes over |y| <= 2.125 R (the support is
@@ -417,11 +420,11 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
     whole x axis, the momentum axis, and the (p1, p2) grid of the slices.
     The x and momentum axes are made exactly odd, as the indicator's y
     axes are, so that ``run_billiard_kernel`` can mirror the x >= 0
-    slices onto the others.
+    slices onto the others. ``billiard_indicator`` samples the y_1 >= 0
+    half of each point's lattice, one point per thread.
 
     The sampled indicator's transform is 2 pi/dy periodic, so the slice
-    grid's corner sqrt(2) p_half must lie below pi/dy of the simulate
-    axis (``validate``'s short axis is checked against the same dy)."""
+    grid's corner sqrt(2) p_half must lie below pi/dy."""
     R = cfg.geometry["radius"]
     k2 = cfg.kernel2d
     x_ax = np.linspace(-k2["x_half"], k2["x_half"], k2["x_points"])
@@ -435,7 +438,7 @@ def _disk_indicator(cfg: ScenarioConfig, n_y: int = _DISK_N_Y):
         raise ConfigError(f"[kernel2d] p_half = {ph:g} puts the slice corner "
                           f"sqrt(2) p_half at or beyond the indicator's band "
                           f"pi/dy = {band:.4g} (dy = 4.25 R / {_DISK_N_Y - 1})")
-    y_ax = np.linspace(-2.125 * R, 2.125 * R, n_y)
+    y_ax = np.linspace(-2.125 * R, 2.125 * R, _DISK_N_Y)
 
     def disk(x1, x2):
         return (x1 / R)**2 + (x2 / R)**2
@@ -499,9 +502,9 @@ def validate(cfg: ScenarioConfig) -> int:
     (the packet-in-region check, the transform's band check, the plan's
     p = 0, kernel-reach and symmetry checks), then, when ``outputs`` has
     ``report``, check the oracle's preconditions at t = 0. For the disk,
-    build the kernel's axes and indicator on a 3-sample y axis."""
+    build the kernel's axes and indicator as ``simulate`` does."""
     if cfg.geometry["kind"] == "billiard2d":
-        _disk_indicator(cfg, n_y=3)
+        _disk_indicator(cfg)
         print("ok: disk kernel settings within their bounds")
         return 0
     build_plan(cfg)

@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -411,10 +412,16 @@ def _halfline(x):
     return 1.0 - x
 
 
+def _ball(x1, x2, x3):
+    return x1**2 + x2**2 + x3**2
+
+
 _DISK_X = np.linspace(-0.4, 0.4, 3)
 _DISK_Y = np.linspace(-2.125, 2.125, 61)
 _LINE_X = np.linspace(-1.0, 3.0, 9)
 _LINE_Y = np.linspace(-4.0, 4.0, 81)
+_BALL_X = [np.array([0.0, 0.3]), np.array([-0.2]), np.array([0.1, 0.5])]
+_BALL_Y = np.linspace(-2.125, 2.125, 21)
 
 
 _INDICATOR_CASES = pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
@@ -423,9 +430,11 @@ _INDICATOR_CASES = pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
     (_slab, [_DISK_X, np.array([0.0, 0.3])], [_DISK_Y, _DISK_Y[10:-10]], 3),
     (_halfline, [_LINE_X], [_LINE_Y], 1),
     (_halfline, [_LINE_X], [_LINE_Y], 3),
-    # one point: its mirror pairs are split into one block per thread
+    # one point: one task, on one thread
     (_disk, [np.array([0.2]), np.array([-0.1])], [_DISK_Y, _DISK_Y], 8),
-], ids=["disk-s8", "box", "x1-only-s3", "halfline-s1", "halfline-s3", "disk-one-point-s8"])
+    (_ball, _BALL_X, [_BALL_Y] * 3, 2),
+], ids=["disk-s8", "box", "x1-only-s3", "halfline-s1", "halfline-s3", "disk-one-point-s8",
+        "ball-s2"])
 
 
 @_INDICATOR_CASES
@@ -448,12 +457,12 @@ def test_billiard_indicator_bit_identical_to_dense(monkeypatch, B, x_axes, y_axe
 
 
 @pytest.mark.parametrize("points,subsamples,pools", [
-    (1, 8, [1, 2, 8]),   # 32 mirror pairs: one block per thread
-    (1, 1, [1, 1, 1]),   # the centre shift alone makes one task
-    (4, 8, [1, 2, 8]),   # one block per point, two for eight threads
+    (1, 8, [1, 1, 1]),   # one point is one task
+    (1, 1, [1, 1, 1]),
+    (4, 8, [1, 2, 4]),   # one task per point, no more threads than points
 ])
 def test_billiard_indicator_pool_size(monkeypatch, points, subsamples, pools):
-    # a call with fewer x points than cores still runs on every core
+    # one thread per core, up to one per x point
     import concurrent.futures
 
     sizes = []
@@ -476,18 +485,47 @@ def test_billiard_indicator_pool_size(monkeypatch, points, subsamples, pools):
 @_INDICATOR_CASES
 def test_billiard_indicator_samples_each_subcell_once(monkeypatch, B, x_axes, y_axes,
                                                       subsamples):
-    # once on the dense x grid, then once per x point and subcell: a
-    # shift's mirror is its term reversed, not two more calls
-    calls = []
+    # once on the dense x grid, then twice per x point and subcell shift,
+    # B(x - h) and B(x + h) on the y_1 >= 0 half lattice. B(x + h) is the
+    # minus factor of subcell -2h, so over a point's calls the minus
+    # factor meets every subcell of the whole lattice once, those of the
+    # y_1 = 0 row twice
+    calls = {}
 
     def counted(*coords):
-        calls.append(None)
+        calls.setdefault(threading.get_ident(), []).append(coords)
         return B(*coords)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     billiard_indicator(counted, x_axes, y_axes, subsamples=subsamples)
+    n, s = len(x_axes), subsamples
     n_points = int(np.prod([ax.size for ax in x_axes]))
-    assert len(calls) == 1 + n_points * subsamples ** len(x_axes)
+    assert len(calls.pop(threading.get_ident())) == 1  # the x grid, on this thread
+    assert sum(map(len, calls.values())) == 2 * n_points * s**n
+
+    dys = [ax[1] - ax[0] for ax in y_axes]
+    covered = np.zeros((n_points,) + tuple(s * ax.size for ax in y_axes), dtype=int)
+    for minus, plus in (pair for seq in calls.values() for pair in zip(seq[::2], seq[1::2])):
+        x = [0.5 * np.mean(a + b) for a, b in zip(minus, plus)]
+        point = np.ravel_multi_index([int(np.abs(ax - xd).argmin())
+                                      for ax, xd in zip(x_axes, x)],
+                                     [ax.size for ax in x_axes])
+        z = np.broadcast_arrays(*[b - a for a, b in zip(minus, plus)])  # y + shift dy
+        for sign in (1.0, -1.0):
+            # subcell index k s + j of y_k + ((j + 1/2) / s - 1/2) dy
+            cell = tuple(np.rint((sign * zd / dy + ax.size // 2 + 0.5) * s - 0.5).astype(int)
+                         for zd, dy, ax in zip(z, dys, y_axes))
+            np.add.at(covered[point], cell, 1)
+    expected = np.ones_like(covered)
+    mid = y_axes[0].size // 2
+    expected[:, mid * s:(mid + 1) * s] = 2
+    assert np.array_equal(covered, expected)
+
+
+@pytest.mark.parametrize("subsamples", [0, -3, 2.5, np.float64(2.0), "2", None])
+def test_billiard_indicator_rejects_bad_subsamples(subsamples):
+    with pytest.raises(BadSampling):
+        billiard_indicator(_halfline, [_LINE_X], [_LINE_Y], subsamples=subsamples)
 
 
 @pytest.mark.parametrize("B,x_axes,y_axes,subsamples", [
@@ -496,7 +534,9 @@ def test_billiard_indicator_samples_each_subcell_once(monkeypatch, B, x_axes, y_
     (_halfline, [_LINE_X], [_LINE_Y], 1),
     (_halfline, [_LINE_X], [_LINE_Y], 4),
     (_halfline, [0.5 * _LINE_Y[41:]], [_LINE_Y], 1),
-], ids=["disk-s8", "disk-s3", "halfline-s1", "halfline-s4", "halfline-walls-on-nodes"])
+    (_ball, _BALL_X, [_BALL_Y] * 3, 2),
+], ids=["disk-s8", "disk-s3", "halfline-s1", "halfline-s4", "halfline-walls-on-nodes",
+        "ball-s2"])
 def test_billiard_indicator_even_bit_for_bit(B, x_axes, y_axes, subsamples):
     # linspace axes: 32 of 61 and 54 of 81 samples are not the exact
     # negatives of their mirrors, yet g is even in y in every bit, also

@@ -1,6 +1,5 @@
 import concurrent.futures
 import contextlib
-import functools
 import io
 import os
 
@@ -122,6 +121,13 @@ mass = 1.0
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[times]\nvalues = 1.0000001, 1.5, 1.0000002\n",
      "[times] values 1.0000001 and 1.0000002 share the file tag t1"),
+    # a [geometry] key the kind does not read would be silently ignored
+    ("[geometry]\nkind = halfline\na = 3.0\nb = 9.0\nradius = 2.0\n[packet]\nx0=9\np0=0\n"
+     "sigma=1\nmass=1\n", "[geometry] kind = halfline reads no ['a', 'b', 'radius']"),
+    ("[geometry]\nkind = box\na = 0\nb = 10\nradius = 1\n[packet]\nx0=5\np0=0\nsigma=1\n"
+     "mass=1\n", "[geometry] kind = box reads no ['radius']"),
+    ("[geometry]\nkind = billiard2d\nradius = 1\na = -1\nb = 1\n[packet]\nx0=0\np0=0\n"
+     "sigma=1\nmass=1\n", "[geometry] kind = billiard2d reads no ['a', 'b']"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -384,8 +390,7 @@ def test_disk_slices_mirror_direct_transform(monkeypatch, disk_preset, radius, k
     if n_y is None:
         ind, p_ax = disk_preset
     else:
-        monkeypatch.setattr(cli, "_disk_indicator",
-                            functools.partial(cli._disk_indicator, n_y=n_y))
+        monkeypatch.setattr(cli, "_DISK_N_Y", n_y)
         quadrant, x_ax, p_ax, _ = cli._disk_indicator(cfg)
         ind = billiard_indicator(lambda x1, x2: (x1 / radius)**2 + (x2 / radius)**2,
                                  [x_ax, x_ax], quadrant.y_axes, subsamples=8)
@@ -405,8 +410,9 @@ def test_disk_slices_mirror_direct_transform(monkeypatch, disk_preset, radius, k
 
 
 def test_disk_preset_level_set_evaluations(monkeypatch):
-    # the 2 x 2 points with x >= 0: one evaluation per x point, then one
-    # per 441 x 441 lattice cell for each of 64 subcells at each point
+    # the 2 x 2 points with x >= 0: one evaluation per x point, then two
+    # per cell of the 221 x 441 half lattice (y_1 >= 0) for each of 64
+    # subcells at each point; the y_1 = 0 row is evaluated by both factors
     evals = []
 
     def counting(B, *args, **kwargs):
@@ -417,7 +423,8 @@ def test_disk_preset_level_set_evaluations(monkeypatch):
         return billiard_indicator(counted, *args, **kwargs)
     monkeypatch.setattr(cli, "billiard_indicator", counting)
     cli._disk_indicator(load_config(None, "disk-kernel"))
-    assert sum(evals) == 4 + 4 * 64 * 441**2 == 49_787_140  # 112,021,065 on 3 x 3
+    assert sum(evals) == 4 + 4 * 64 * 2 * 221 * 441 == 4 + 4 * 64 * (441**2 + 441)
+    assert sum(evals) == 49_900_036
 
 
 def test_guard_failure_exits_3(tmp_path):
@@ -557,18 +564,23 @@ _REMOVED_KEYS = {"geometry": ["wall"], "run": ["threads", "oracle_oversample", "
 def config_texts(draw):
     """INI text with grids of at most 65 samples per axis. One value in
     ten is malformed, non-finite or out of range; optional keys are set
-    half the time; a removed key or an unknown section now and then."""
+    half the time; the drawn kind's own [geometry] keys are always set and
+    another kind's now and then; a removed key or an unknown section now
+    and then."""
     ints = st.integers
 
     def pick(good):
         return str(draw(_BAD if draw(ints(0, 9)) == 5 else good))
 
+    kind = draw(st.sampled_from(["halfline", "box", "billiard2d"] * 3 + ["circle"]))
+    own = cli._GEOMETRY_KEYS.get(kind, ())
+    if draw(ints(0, 15)) == 7:  # a key of another kind
+        own += (draw(st.sampled_from(sorted({"a", "b", "radius"} - set(own)))),)
+    geometry = {"kind": st.just(kind), "a": ints(-10, 2), "b": ints(-2, 10),
+                "radius": st.sampled_from(["0.5", "1", "2"])}
     p_half = draw(ints(1, 16))
     values = {
-        "geometry": {"kind": st.sampled_from(["halfline", "box", "billiard2d"] * 3
-                                             + ["circle"]),
-                     "a": ints(-10, 2), "b": ints(-2, 10),
-                     "radius": st.sampled_from(["0.5", "1", "2"])},
+        "geometry": {key: geometry[key] for key in ("kind", *own)},
         "packet": {"x0": ints(-5, 15), "p0": ints(-6, 6),
                    "sigma": st.sampled_from(["0.3", "0.6", "1", "2"]),
                    "mass": st.sampled_from(["0.5", "1", "2"])},
@@ -583,7 +595,7 @@ def config_texts(draw):
         "kernel2d": {"x_points": ints(0, 3), "x_half": st.sampled_from(["0.1", "0.4", "3"]),
                      "n_p": ints(-1, 65), "p_half": st.sampled_from(["0.5", "2", "300"])},
     }
-    required = {"geometry", "packet", "kind", "a", "b", "radius", "x0", "p0", "sigma", "mass"}
+    required = {"geometry", "packet", "kind", *own, "x0", "p0", "sigma", "mass"}
     lines = []
     for section, keys in values.items():
         if section not in required and not draw(st.booleans()):
@@ -606,7 +618,10 @@ def test_validate_fuzzed_config_exits_cleanly(tmp_path_factory, text):
     # whatever the text, validate ends in an exit code, not a traceback
     cfg_path = tmp_path_factory.mktemp("fuzz") / "run.ini"
     cfg_path.write_text(text)
-    assert main(["validate", "--config", str(cfg_path)]) in (0, 2, 3)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate", "--config", str(cfg_path)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
 
 
 @st.composite
