@@ -3,10 +3,10 @@
 #
 #   .github/scripts/artifact_parity.sh BASE_TREE HEAD_TREE OUT_DIR
 #
-# Runs the commands listed in cli_runs.txt next to this script (`simulate`
-# and `validate` on the three presets, `kernel` on halfline-bounce and
-# box-traversal, and `demo-naive` on halfline-bounce) with the package of
-# each tree, writing OUT_DIR/base and OUT_DIR/head.
+# Runs the commands listed in cli_runs.txt next to this script (`simulate`,
+# `kernel` and `validate` on the three presets, and `demo-naive` on
+# halfline-bounce) with the package of each tree, writing OUT_DIR/base and
+# OUT_DIR/head.
 # Every command runs from its output root with relative paths, and its
 # stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
 # `diff -r` finds any difference between the two trees of outputs.

@@ -119,16 +119,6 @@ class _Key(NamedTuple):
     low: float | None = None
 
 
-# the [geometry] keys each kind reads besides ``kind``
-_GEOMETRY_KEYS = {"halfline": (), "box": ("a", "b"), "billiard2d": ("radius",)}
-
-
-def _kind(raw: str) -> str:
-    if raw not in _GEOMETRY_KEYS:
-        raise ValueError("must be halfline, box, or billiard2d")
-    return raw
-
-
 def _floats(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",")]
 
@@ -145,7 +135,7 @@ def _outputs(raw: str) -> set[str]:
 # argument order of the object they build (PhaseGrid, GaussianPacket,
 # the [run] fields of ScenarioConfig).
 _CONFIG = {
-    "geometry": {"kind": _Key(_kind), "a": _Key(float), "b": _Key(float),
+    "geometry": {"kind": _Key(str), "a": _Key(float), "b": _Key(float),
                  "radius": _Key(float, low=0.0)},
     "packet": {"x0": _Key(float), "p0": _Key(float),
                "sigma": _Key(float, low=0.0), "mass": _Key(float, low=0.0)},
@@ -170,6 +160,66 @@ class ScenarioConfig:
     outputs: set[str]
     n_modes: int
     kernel2d: dict
+
+
+def _halfline_extension(cfg: ScenarioConfig) -> tuple[ComplexWave, None]:
+    """The odd extension phi(x) - phi(-x) on the grid axis, with no y cap."""
+    g, grid = cfg.packet, cfg.grid
+    require_inside(g, 0.0, np.inf)
+    x = grid.x_axis()
+    return ComplexWave(grid.x_min, grid.dx, grid.n_x,
+                       g.amplitude(x, 0.0) - g.amplitude(-x, 0.0)), None
+
+
+def _box_extension(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
+    """Periodic odd-image extension of the packet, on an axis reaching
+    half the y cap beyond the grid, plus that cap.
+
+    The correlation of the image train is a ladder of rungs at multiples
+    of L = b - a (start x0 at the box center to keep the ladder sparse);
+    the cap is 3.5 L, the gap above the rung that shears into the walls
+    within one traversal.
+    """
+    g, grid = cfg.packet, cfg.grid
+    a, b = cfg.geometry["a"], cfg.geometry["b"]
+    require_inside(g, a, b)
+    L = b - a
+    ycap = 3.5 * L
+    pad = int(np.ceil((0.5 * ycap) / grid.dx)) + 2
+    ax_min = grid.x_min - pad * grid.dx
+    n_axis = grid.n_x + 2 * pad
+    x = ax_min + grid.dx * np.arange(n_axis)
+    reach = max(abs(x[0]), abs(x[-1])) + abs(g.x0) + 8.0 * g.sigma
+    n_img = int(np.ceil(reach / (2.0 * L))) + 1
+    values = np.zeros(n_axis, dtype=np.complex128)
+    for n in range(-n_img, n_img + 1):
+        values += g.amplitude(x + 2.0 * n * L, 0.0)
+        values -= g.amplitude(2.0 * a - x + 2.0 * n * L, 0.0)
+    return ComplexWave(ax_min, grid.dx, n_axis, values), ycap
+
+
+class _Kind(NamedTuple):
+    """A [geometry] kind: the keys it reads besides ``kind``; with dynamics,
+    its t = 0 extension (packet-in-region check, then the wave and its y cap
+    or None), its kernel, and its oracle wave at t on an (x_min, dx, n) axis."""
+
+    keys: tuple[str, ...]
+    extend: Callable[[ScenarioConfig], tuple[ComplexWave, float | None]] | None = None
+    kernel: Callable[[PhaseGrid, dict], object] | None = None
+    wave: Callable[..., ComplexWave] | None = None
+
+
+# lambdas look library functions up when called, so wrappers set on module attributes run
+_KINDS = {
+    "halfline": _Kind((), _halfline_extension,
+                      lambda grid, geo: boundary_kernels.halfline_kernel(grid),
+                      lambda cfg, t, *axis: images_reflect(cfg.packet, t, *axis)),
+    "box": _Kind(("a", "b"), _box_extension,
+                 lambda grid, geo: boundary_kernels.interval_kernel(grid, geo["a"], geo["b"]),
+                 lambda cfg, t, *axis: box_evolve(_box_spectrum(
+                     cfg.packet, cfg.geometry["a"], cfg.geometry["b"], cfg.n_modes), t, *axis)),
+    "billiard2d": _Kind(("radius",)),
+}
 
 
 def _load_ini(text: str) -> configparser.ConfigParser:
@@ -244,11 +294,13 @@ def parse_config(text: str) -> ScenarioConfig:
     """
     cp = _load_ini(text)
     kind = _get(cp, "geometry", "kind")
-    unread = set(cp.options("geometry")) - {"kind", *_GEOMETRY_KEYS[kind]}
+    if kind not in _KINDS:
+        raise ConfigError(f"bad [geometry] kind = {kind!r}: must be halfline, box, or billiard2d")
+    unread = set(cp.options("geometry")) - {"kind", *_KINDS[kind].keys}
     if unread:
         raise ConfigError(f"[geometry] kind = {kind} reads no {sorted(unread)}")
-    geometry = {"kind": kind, **{key: _get(cp, "geometry", key) for key in _GEOMETRY_KEYS[kind]}}
-    if kind == "box" and geometry["a"] >= geometry["b"]:
+    geometry = {"kind": kind, **{key: _get(cp, "geometry", key) for key in _KINDS[kind].keys}}
+    if "a" in geometry and geometry["a"] >= geometry["b"]:
         raise ConfigError("box needs a < b")
 
     packet = GaussianPacket(*_section(cp, "packet").values())
@@ -268,7 +320,7 @@ def load_config(path: str | None, preset: str | None) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return parse_config(f.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
@@ -276,62 +328,23 @@ def load_config(path: str | None, preset: str | None) -> ScenarioConfig:
 # scenario assembly
 # ---------------------------------------------------------------------------
 
-def _box_extended(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
-    """Periodic odd-image extension of the packet, on an axis reaching
-    half the y cap beyond the grid, plus that cap.
-
-    The correlation of the image train is a ladder of rungs at multiples
-    of L = b - a (start x0 at the box center to keep the ladder sparse);
-    the cap is 3.5 L, the gap above the rung that shears into the walls
-    within one traversal.
-    """
-    g, grid = cfg.packet, cfg.grid
-    a, b = cfg.geometry["a"], cfg.geometry["b"]
-    L = b - a
-    ycap = 3.5 * L
-    pad = int(np.ceil((0.5 * ycap) / grid.dx)) + 2
-    ax_min = grid.x_min - pad * grid.dx
-    n_axis = grid.n_x + 2 * pad
-    x = ax_min + grid.dx * np.arange(n_axis)
-    reach = max(abs(x[0]), abs(x[-1])) + abs(g.x0) + 8.0 * g.sigma
-    n_img = int(np.ceil(reach / (2.0 * L))) + 1
-    values = np.zeros(n_axis, dtype=np.complex128)
-    for n in range(-n_img, n_img + 1):
-        values += g.amplitude(x + 2.0 * n * L, 0.0)
-        values -= g.amplitude(2.0 * a - x + 2.0 * n * L, 0.0)
-    return ComplexWave(ax_min, grid.dx, n_axis, values), ycap
-
-
 def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
-    """The scenario builder: free Wigner field of the image-extended
-    packet, geometry kernel, and the evolution plan joining them.
-
-    The packet must start inside the region (``require_inside``) and its
-    momentum density inside the grid's window (``require_in_window``). The
-    half line uses the odd extension phi(x) - phi(-x) on the grid axis.
-    The box uses the periodic odd-image train of ``_box_extended``; it
-    fills the window, so the shear support guard is off, and wrapped
-    content lands outside the box rows, which the kernel masks.
-    """
+    """The scenario builder: free Wigner field of the kind's image-extended
+    packet, its kernel, and the evolution plan joining them. The packet
+    must start inside the region (``require_inside``) and its momentum
+    density inside the grid's window (``require_in_window``). A capped
+    extension (the box's image train) fills the window, so the shear
+    support guard is off; wrapped content lands outside the box rows,
+    which the kernel masks."""
     grid, g = cfg.grid, cfg.packet
     require_in_window(g, grid.p_min, grid.p_max)
-    if cfg.geometry["kind"] == "halfline":
-        require_inside(g, 0.0, np.inf)
-        x = grid.x_axis()
-        psi = ComplexWave(grid.x_min, grid.dx, grid.n_x,
-                          g.amplitude(x, 0.0) - g.amplitude(-x, 0.0))
-        w0 = wigner_of(psi, grid)
-        kernel = boundary_kernels.halfline_kernel(grid)
-    elif cfg.geometry["kind"] == "box":
-        a, b = cfg.geometry["a"], cfg.geometry["b"]
-        require_inside(g, a, b)
-        psi, ycap = _box_extended(cfg)
-        w0 = wigner_of(psi, grid, y_halfwidth=ycap)
-        kernel = boundary_kernels.interval_kernel(grid, a, b)
-    else:
+    kind = _KINDS[cfg.geometry["kind"]]
+    if kind.extend is None:
         raise ConfigError("dynamics is defined for halfline and box geometries only")
-    return BoundedEvolutionPlan(kernel, ShearParams(0.0, g.m), w0,
-                                check_support=cfg.geometry["kind"] == "halfline")
+    psi, ycap = kind.extend(cfg)
+    w0 = wigner_of(psi, grid, y_halfwidth=ycap)
+    return BoundedEvolutionPlan(kind.kernel(grid, cfg.geometry), ShearParams(0.0, g.m), w0,
+                                check_support=ycap is None)
 
 
 _ORACLE_OVERSAMPLE = 8  # the oracle axis refines the grid's x step 8x
@@ -351,11 +364,7 @@ def _oracle_wave(cfg: ScenarioConfig, t: float) -> ComplexWave:
     evolution in the box."""
     grid, k = cfg.grid, _ORACLE_OVERSAMPLE
     axis = (grid.x_min, grid.dx / k, (grid.n_x - 1) * k + 1)
-    if cfg.geometry["kind"] == "halfline":
-        return images_reflect(cfg.packet, t, *axis)
-    spectrum = _box_spectrum(cfg.packet, cfg.geometry["a"], cfg.geometry["b"],
-                             cfg.n_modes)
-    return box_evolve(spectrum, t, *axis)
+    return _KINDS[cfg.geometry["kind"]].wave(cfg, t, *axis)
 
 
 def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
@@ -369,7 +378,7 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
     report frame whose l2_rel is not below 1e-2 raises NumericalGuardError
     once every artifact is written."""
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.geometry["kind"] == "billiard2d":
+    if _KINDS[cfg.geometry["kind"]].extend is None:
         return run_billiard_kernel(cfg, out_dir)
 
     plan = build_plan(cfg)
@@ -503,7 +512,7 @@ def validate(cfg: ScenarioConfig) -> int:
     p = 0, kernel-reach and symmetry checks), then, when ``outputs`` has
     ``report``, check the oracle's preconditions at t = 0. For the disk,
     build the kernel's axes and indicator as ``simulate`` does."""
-    if cfg.geometry["kind"] == "billiard2d":
+    if _KINDS[cfg.geometry["kind"]].extend is None:
         _disk_indicator(cfg)
         print("ok: disk kernel settings within their bounds")
         return 0
@@ -564,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # config files are read in load_config
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -159,6 +159,11 @@ def test_validate_exit_codes(tmp_path, capsys):
     broken = tmp_path / "broken.ini"
     broken.write_text("[geometry]\nkind = nowhere\n")
     assert main(["validate", "--config", str(broken)]) == 2
+    capsys.readouterr()
+    broken.write_bytes(b"\xff\xfe[geometry]\n")  # not UTF-8
+    assert main(["validate", "--config", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,code", [
@@ -302,11 +307,45 @@ def test_demo_naive_outgoing_packet_agrees(tmp_path):
     assert np.abs(naive.values[pos] - conv.values[pos]).max() < 1e-3 * scale
 
 
-def test_demo_naive_rejects_box(tmp_path):
-    cfg_path = tmp_path / "box.ini"
-    cfg_path.write_text(PRESETS["box-traversal"])
+@pytest.mark.parametrize("preset", ["box-traversal", "disk-kernel"], ids=["box", "billiard2d"])
+def test_demo_naive_rejects_box(tmp_path, capsys, preset):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(PRESETS[preset])
     assert main(["demo-naive", "--config", str(cfg_path), "--out",
                  str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: demo-naive runs on the halfline geometry only\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_build_plan_rejects_disk():
+    with pytest.raises(ConfigError, match="dynamics is defined for halfline and box "
+                                          "geometries only"):
+        build_plan(load_config(None, "disk-kernel"))
+
+
+@pytest.mark.parametrize("command,preset", [("simulate", "disk-kernel"),
+                                            ("kernel", "box-traversal"),
+                                            ("demo-naive", "halfline-bounce")])
+def test_unusable_out_exits_2(tmp_path, capsys, command, preset):
+    # an --out that is a file, or lies under one, cannot hold the artifacts
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "sub"):
+        assert main([command, "--preset", preset, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_directory_at_report_path_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(FAST_HALFLINE + "outputs = marginals,report\n")
+    out = tmp_path / "out"
+    (out / "report.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "report.csv" in err
+    assert (out / "marginal_x_t1.5.csv").is_file()  # written before the report
 
 
 def test_billiard_kernel_only(tmp_path):
@@ -455,29 +494,36 @@ def test_unknown_config_keys_exit_2(tmp_path):
 
 
 def test_build_plan_looks_up_kernels_through_module(monkeypatch):
-    # the benchmark tracer wraps these module attributes; a plan built
-    # without calling through them would record no kernel span
+    # the benchmark tracer wraps these module attributes; a plan or oracle
+    # built without calling through them would record no span
     calls = []
 
-    def recording(name):
-        original = getattr(boundary_kernels, name)
+    def recording(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("halfline_kernel", "interval_kernel"):
-        monkeypatch.setattr(boundary_kernels, name, recording(name))
-    build_plan(parse_config(FAST_HALFLINE))
-    assert calls == ["halfline_kernel"]
+        recording(boundary_kernels, name)
+    for name in ("wigner_of", "images_reflect", "box_evolve"):
+        recording(cli, name)
+    halfline = parse_config(FAST_HALFLINE)
+    build_plan(halfline)
+    assert calls == ["wigner_of", "halfline_kernel"]
+    cli.oracle_field(halfline, 1.5)
+    assert calls[2:] == ["images_reflect", "wigner_of"]
     # sigma = 0.5 keeps the packet's mass outside (-4, 4) below 1e-8
     box = parse_config(FAST_HALFLINE.replace("kind = halfline",
                                              "kind = box\na = -4.0\nb = 4.0")
                        .replace("x0 = 8.0", "x0 = 0.0")
                        .replace("sigma = 1.0", "sigma = 0.5"))
     build_plan(box)
-    assert calls == ["halfline_kernel", "interval_kernel"]
+    assert calls[4:] == ["wigner_of", "interval_kernel"]
+    cli.oracle_field(box, 1.5)
+    assert calls[6:] == ["box_evolve", "wigner_of"]
 
 
 def test_box_spectrum_projected_once_through_module(monkeypatch, tmp_path):
@@ -573,7 +619,7 @@ def config_texts(draw):
         return str(draw(_BAD if draw(ints(0, 9)) == 5 else good))
 
     kind = draw(st.sampled_from(["halfline", "box", "billiard2d"] * 3 + ["circle"]))
-    own = cli._GEOMETRY_KEYS.get(kind, ())
+    own = cli._KINDS[kind].keys if kind in cli._KINDS else ()
     if draw(ints(0, 15)) == 7:  # a key of another kind
         own += (draw(st.sampled_from(sorted({"a", "b", "radius"} - set(own)))),)
     geometry = {"kind": st.just(kind), "a": ints(-10, 2), "b": ints(-2, 10),
