@@ -28,6 +28,7 @@ from .phase_grid import WignerField, abs_mass, edge_mass
 EDGE_GUARD_RATIO = 1e-4
 _FOURIER_SAFE_RATIO = 1e-6
 _POLE = np.sqrt(3.0) - 2.0  # the cubic B-spline prefilter's pole
+_BLOCK_ROWS = 16  # momentum columns per phase block, x rows per spline gather block
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,14 @@ class ShearParams:
 
 def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Periodic band-limited samples of ``values`` at row ``i - shifts[j]``
-    of column ``j``, shifts in rows as ``map_coordinates`` takes them."""
+    of column ``j``, shifts in rows as ``map_coordinates`` takes them. The
+    phase ramps are applied ``_BLOCK_ROWS`` columns at a time, so no
+    spectrum-sized phase matrix is built."""
     n = values.shape[0]
-    R = np.fft.rfft(values, axis=0)
-    R *= np.exp(-2j * np.pi * np.outer(np.fft.rfftfreq(n), shifts))
+    R, freq = np.fft.rfft(values, axis=0), np.fft.rfftfreq(n)
+    for lo in range(0, R.shape[1], _BLOCK_ROWS):
+        cols = slice(lo, lo + _BLOCK_ROWS)
+        R[:, cols] *= np.exp(-2j * np.pi * np.outer(freq, shifts[cols]))
     return np.fft.irfft(R, n, axis=0)
 
 
@@ -85,10 +90,11 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
     Each column moves by one shift, so its integer offset and its four
     weights are computed once and every output row is four gathered
-    coefficient rows. The name stays a module attribute that
-    ``shear_evolve`` looks up at call time, because the benchmark
-    tracer wraps ``free_evolution.map_coordinates`` and requires its span
-    under ``shear_evolve``.
+    coefficient rows, gathered ``_BLOCK_ROWS`` output rows at a time so
+    that the index and tap arrays stay block-sized. The name stays a
+    module attribute that ``shear_evolve`` looks up at call time, because
+    the benchmark tracer wraps ``free_evolution.map_coordinates`` and
+    requires its span under ``shear_evolve``.
     """
     n, n_p = values.shape
     # rows -1 .. n + 1 of the mirror-extended coefficients (period 2n - 2)
@@ -100,21 +106,21 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     start = np.floor(back)
     t = back - start
     start = start.astype(np.intp)
-    # flat index of tap 0 (coefficient row floor(i - shift) - 1) of each
-    # point; points off the grid read clipped indices and are zeroed last
-    i = np.arange(n)[:, None]
-    flat = i * n_p + (start * n_p + np.arange(n_p))
     t2, t3 = t * t, t * t * t
-    out = np.take(coef, flat, mode="clip")
-    out *= (1.0 - t) ** 3 / 6.0
-    tap = np.empty_like(out)
-    for k, w in ((1, 2.0 / 3.0 - t2 + t3 / 2.0),
-                 (2, (1.0 + 3.0 * (t + t2 - t3)) / 6.0),
-                 (3, t3 / 6.0)):
-        np.take(coef[k * n_p:], flat, mode="clip", out=tap)
-        tap *= w
-        out += tap
-    np.copyto(out, 0.0, where=(i < -start) | (i > n - 1 - start - (t > 0.0)))
+    weights = ((1.0 - t) ** 3 / 6.0, 2.0 / 3.0 - t2 + t3 / 2.0,
+               (1.0 + 3.0 * (t + t2 - t3)) / 6.0, t3 / 6.0)
+    base, last = start * n_p + np.arange(n_p), n - 1 - start - (t > 0.0)
+    out = np.empty((n, n_p))
+    for lo in range(0, n, _BLOCK_ROWS):
+        # flat index of tap 0 (coefficient row floor(i - shift) - 1) of each
+        # point; points off the grid read clipped indices and are zeroed last
+        i = np.arange(lo, min(lo + _BLOCK_ROWS, n))[:, None]
+        flat, block = i * n_p + base, out[lo:lo + _BLOCK_ROWS]
+        np.take(coef, flat, mode="clip", out=block)
+        block *= weights[0]
+        for k in (1, 2, 3):
+            block += np.take(coef[k * n_p:], flat, mode="clip") * weights[k]
+        np.copyto(block, 0.0, where=(i < -start) | (i > last))
     return out
 
 
@@ -137,12 +143,10 @@ def shear_evolve(w0: WignerField, s: ShearParams,
     shifts = grid.p_axis() * (s.t / s.m) / grid.dx  # in rows
 
     total = abs_mass(w0)
-    if total == 0.0 or edge_mass(w0) <= _FOURIER_SAFE_RATIO * total:
-        out = _fourier_shift_rows(w0.values, shifts)
-    else:
-        out = map_coordinates(w0.values, shifts)
-
-    result = WignerField(grid, out)
+    fourier = total == 0.0 or edge_mass(w0) <= _FOURIER_SAFE_RATIO * total
+    # the shifted array dies once the field has copied it
+    result = WignerField(grid, (_fourier_shift_rows if fourier else map_coordinates)(
+        w0.values, shifts))
     if check_support:
         post_total = abs_mass(result)
         if post_total > 0.0 and edge_mass(result) > EDGE_GUARD_RATIO * post_total:

@@ -21,6 +21,8 @@ FFT-native frequencies.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainTooSmall, GridMismatch, NyquistViolation, RealnessViolation
@@ -28,23 +30,20 @@ from .phase_grid import ComplexWave, PhaseGrid, WignerField, wave_edge_fraction
 
 REALNESS_TOL = 1e-10
 _EDGE_FRACTION_TOL = 1e-9
-_CZT_ROWS = 8  # rows per chirp-z block: 8 padded rows of 2560 take 0.3 MiB
+_BLOCK_ROWS = 16  # rows per block: 16 rows of 2047 lags and their chirp-z take 1.9 MiB
 
 
-def _anchor_rows(psi: ComplexWave, grid: PhaseGrid) -> np.ndarray:
-    """Wave-axis indices of the grid x nodes; GridMismatch if off-lattice."""
+def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None
+           ) -> tuple[slice, np.ndarray, np.ndarray, int]:
+    """(sel, r, lags, K): the grid rows anchored on the wave's nonzero
+    support [lo, hi], their wave-axis indices, each one's largest usable lag
+    min(cap, r - lo, hi - r) and the largest K of those; beyond it, or off
+    the rows, psi*(x_r + y_k/2) psi(x_r - y_k/2) = 0. GridMismatch if a
+    grid x node is off the wave axis."""
     frac = (grid.x_axis() - psi.x_min) / psi.dx
     rows = np.round(frac).astype(int)
     if np.abs(frac - rows).max() > 1e-6:
         raise GridMismatch("grid x nodes do not lie on the wave axis")
-    return rows
-
-
-def _reach(psi: ComplexWave, rows: np.ndarray,
-           y_halfwidth: float | None) -> tuple[slice, np.ndarray]:
-    """Slice of grid rows anchored on the wave's nonzero support [lo, hi]
-    and each such row's largest usable lag, min(cap, r - lo, hi - r):
-    beyond it, or off the slice, psi*(x_r + y_k/2) psi(x_r - y_k/2) = 0."""
     if rows.min() < 0 or rows.max() > psi.n - 1:
         raise DomainTooSmall("wave axis does not cover the grid x range")
     if y_halfwidth is None:
@@ -69,7 +68,8 @@ def _reach(psi: ComplexWave, rows: np.ndarray,
     sel = slice(int(np.searchsorted(rows, lo)),
                 int(np.searchsorted(rows, hi, side="right")))
     r = rows[sel]
-    return sel, np.minimum(cap, np.minimum(r - lo, hi - r))
+    lags = np.minimum(cap, np.minimum(r - lo, hi - r))
+    return sel, r, lags, int(lags.max(initial=0))
 
 
 def next_fast_len(n: int) -> int:
@@ -87,6 +87,21 @@ def next_fast_len(n: int) -> int:
         m += 1
 
 
+@functools.lru_cache(maxsize=8)
+def _chirp(n: int, m: int, w: complex, a: complex
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Chirp, padded chirp spectrum, pre-multiplier and padded length of an
+    n-to-m chirp-z transform, as ``signal.czt`` forms them; cached."""
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    wk2 = w ** (k ** 2 / 2.0)
+    nfft = next_fast_len(n + m - 1)
+    Fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    pre = a ** -k[:n] * wk2[:n]
+    for v in (wk2, Fwk2, pre):
+        v.flags.writeable = False  # the cache hands them to every caller
+    return wk2, Fwk2, pre, nfft
+
+
 def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     """Chirp-z transform sum_k x[..., k] a^-k w^(jk), j < m, along the last
     axis (Bluestein 1968). Each step repeats the arithmetic of SciPy's
@@ -94,42 +109,39 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     bits as ``scipy.fft``'s, so the results are bit-identical to
     ``scipy.signal.czt`` without importing SciPy at all.
 
-    The chirp, its spectrum and the pre-multiplier are formed once; the
-    leading rows then go through the padded transforms ``_CZT_ROWS`` at a
-    time, so the working set is a few padded rows, not all of them. Each
-    row's transform is independent of the others, so the bits do not
-    depend on the block size."""
+    All rows of ``x`` are transformed at once: the caller sizes the working
+    set, and ``wigner_of`` passes one block of rows at a time."""
     n = x.shape[-1]
-    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    wk2 = w ** (k ** 2 / 2.0)
-    nfft = next_fast_len(n + m - 1)
-    Fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    pre = a ** -k[:n] * wk2[:n]
-    rows = x.reshape(-1, n)
-    out = np.empty((len(rows), m), dtype=np.complex128)
-    for lo in range(0, len(rows), _CZT_ROWS):
-        block = slice(lo, lo + _CZT_ROWS)
-        y = np.fft.ifft(Fwk2 * np.fft.fft(rows[block] * pre, nfft))
-        out[block] = y[:, n - 1:n + m - 1] * wk2[:m]
-    return out.reshape(x.shape[:-1] + (m,))
+    wk2, Fwk2, pre, nfft = _chirp(n, m, w, a)
+    y = np.fft.ifft(Fwk2 * np.fft.fft(x * pre, nfft))
+    return y[..., n - 1:n + m - 1] * wk2[:m]
+
+
+@functools.lru_cache(maxsize=8)
+def _origin_phase(K: int, dy: float, p_bytes: bytes) -> np.ndarray:
+    """exp(-i K dy p) over the momentum axis p given by its bytes; cached."""
+    v = np.exp(-1j * K * dy * np.frombuffer(p_bytes))
+    return np.broadcast_to(v, v.shape)  # a read-only view: the cache shares it
 
 
 def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
-                       y_halfwidth: float | None = None
-                       ) -> tuple[np.ndarray, int, slice]:
+                       y_halfwidth: float | None = None,
+                       block: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None
+                       ) -> tuple[np.ndarray, int, slice | np.ndarray]:
     """Correlation slices c(x_i, y_k) = psi*(x_i + y_k/2) psi(x_i - y_k/2).
 
     Returns (C, K, sel): one row of C per grid row in ``sel`` (the rows
     anchored on the wave's nonzero support), 2K+1 columns with column
     k + K holding y_k, K the largest lag those rows use. Every product the
     cut drops vanishes: its factors lie off the support or off the axis.
+
+    ``block``, a ``_reach`` tuple narrowed to some of those rows (sel an
+    index array, K still the whole transform's), restricts C to them.
     """
-    rows = _anchor_rows(psi, grid)
-    sel, lags = _reach(psi, rows, y_halfwidth)
-    K = int(lags.max(initial=0))
+    sel, rows, lags, K = _reach(psi, grid, y_halfwidth) if block is None else block
     s = psi.samples
     C = np.zeros((len(lags), 2 * K + 1), dtype=s.dtype)
-    for i, (r, lag) in enumerate(zip(rows[sel], lags)):
+    for i, (r, lag) in enumerate(zip(rows, lags)):
         C[i, K - lag:K + lag + 1] = (np.conj(s[r - lag:r + lag + 1])
                                      * s[r + lag::-1][:2 * lag + 1])
     return C, K, sel
@@ -148,14 +160,13 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
     if backend == "czt":
         dp = p_axis[1] - p_axis[0]
         S = _czt(C, len(p_axis), np.exp(1j * dp * dy), np.exp(-1j * p_axis[0] * dy))
+        # czt indexes columns from 0; restore the y_{-K} origin
+        S *= _origin_phase(K, dy, p_axis.tobytes())
     elif backend == "direct":
         y = dy * np.arange(-K, K + 1)
         S = C @ np.exp(1j * np.outer(y, p_axis))
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "czt":
-        # czt indexes columns from 0; restore the y_{-K} origin
-        S *= np.exp(-1j * K * dy * p_axis)
     # in place: S is this call's own array, and a copy would double it
     return np.multiply(dy / (2.0 * np.pi), S, out=S)
 
@@ -171,7 +182,8 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     on their axis (image trains, box eigenmodes) require it, and the cap
     must then sit in a region where the correlation is negligible. The
     correlation and its transform run over the wave's nonzero support
-    only (``correlation_matrix``).
+    only (``correlation_matrix``), ``_BLOCK_ROWS`` rows at a time into the
+    real field, so no full correlation matrix or complex field is held.
 
     Raises DomainTooSmall, NyquistViolation, GridMismatch, or
     RealnessViolation (imaginary residue of the transform >= 1e-10).
@@ -179,22 +191,20 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     dy = 2.0 * psi.dx
     pmax = max(abs(grid.p_min), abs(grid.p_max))
     if pmax * dy >= np.pi:
-        raise NyquistViolation(
-            f"momentum window |p| <= {pmax:g} exceeds the representable "
-            f"band {np.pi / dy:g} of the correlation lattice"
-        )
-    C, K, sel = correlation_matrix(psi, grid, y_halfwidth)
-    rows = fourier_over_separation(C, K, dy, grid.p_axis(), backend) if len(C) else 0.0
-    del C  # spent: freed before the grid-sized array is allocated
+        raise NyquistViolation(f"momentum window |p| <= {pmax:g} exceeds the representable "
+                               f"band {np.pi / dy:g} of the correlation lattice")
+    sel, rows, lags, K = _reach(psi, grid, y_halfwidth)
+    at, p = np.arange(grid.n_x)[sel], grid.p_axis()
     # rows anchored off the wave's nonzero support are exact zeros
-    W = np.zeros((grid.n_x, grid.n_p), dtype=np.complex128)
-    W[sel] = rows
-    del rows  # before the residue check allocates a grid-sized array
-    residue = float(np.abs(W.imag).max())
+    W, residue = np.zeros((grid.n_x, grid.n_p)), 0.0
+    for lo in range(0, len(lags), _BLOCK_ROWS):
+        b = slice(lo, lo + _BLOCK_ROWS)
+        C, K, dest = correlation_matrix(psi, grid, y_halfwidth, (at[b], rows[b], lags[b], K))
+        S = fourier_over_separation(C, K, dy, p, backend)
+        residue = max(residue, float(np.abs(S.imag).max()))
+        W[dest] = S.real
     if residue >= REALNESS_TOL:
-        raise RealnessViolation(
-            f"imaginary residue {residue:g} of the transform exceeds "
-            f"{REALNESS_TOL:g}; corrupted correlation input?"
-        )
-    return WignerField(grid, W.real)
+        raise RealnessViolation(f"imaginary residue {residue:g} of the transform exceeds "
+                                f"{REALNESS_TOL:g}; corrupted correlation input?")
+    return WignerField(grid, W)
 

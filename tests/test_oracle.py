@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,6 +269,29 @@ def test_compare_fields(grid, gaussian_wave):
     other = PhaseGrid(-12.0, 12.0, 257, -8.0, 8.0, 259)
     with pytest.raises(GridMismatch):
         compare_fields(w, WignerField(other, np.zeros((257, 259))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compare_fields_norms_without_blas(seed, monkeypatch):
+    # the L2 norms are einsum sums: BLAS's norm and dot (and the threads
+    # they wake) are never reached, and the ratio matches an exactly
+    # rounded reference
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-13.0, 13.0, 521, -8.0, 8.0, 513)
+    b = rng.standard_normal((521, 513)) * np.exp(rng.uniform(-3.0, 3.0, 513))
+    a = b + 1e-3 * rng.standard_normal(b.shape)
+
+    def blas(*args, **kwargs):
+        raise AssertionError("compare_fields reached a BLAS norm or dot")
+
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    monkeypatch.setattr(np, "dot", blas)
+    cmp = compare_fields(WignerField(grid, a), WignerField(grid, b))
+    d = (a - b).ravel()
+    ref = math.sqrt(math.fsum(d * d)) / math.sqrt(math.fsum(b.ravel() ** 2))
+    assert abs(cmp.l2_rel - ref) <= 1e-13 * ref
+    zero = compare_fields(WignerField(grid, a), WignerField(grid, np.zeros_like(b)))
+    assert abs(zero.l2_rel - math.sqrt(math.fsum(a.ravel() ** 2))) <= 1e-13 * zero.l2_rel
 
 
 def test_mass_diff_is_the_mass_of_the_difference(grid, gaussian_wave):

@@ -20,7 +20,6 @@ from wignerwall import (
 )
 from wignerwall.convolution_engine import point_symmetry_defect
 from wignerwall.wigner_transform import (
-    _CZT_ROWS,
     _czt,
     correlation_matrix,
     fourier_over_separation,
@@ -260,13 +259,12 @@ def test_support_cut_matches_direct_sum():
 
 @pytest.mark.parametrize("shape, m", [((257,), 129), ((257,), 400),
                                       ((3, 257), 129), ((3, 257), 400)]
-                         # row counts about the block size, and a 3-D stack
-                         + [((rows, 257), m) for rows in (1, _CZT_ROWS - 1, _CZT_ROWS,
-                                                          _CZT_ROWS + 1, 257)
+                         # stacks of several row counts, and a 3-D stack
+                         + [((rows, 257), m) for rows in (1, 7, 8, 9, 257)
                             for m in (129, 400)]
                          + [((2, 5, 257), 129)])
 def test_czt_bit_identical_to_scipy_signal(shape, m):
-    # _czt runs its rows through the padded transforms _CZT_ROWS at a time
+    # _czt runs every row of its input through the padded transforms at once
     rng = np.random.default_rng(7)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     dy, p0, dp = 0.1, -4.0, 8.0 / (m - 1)
