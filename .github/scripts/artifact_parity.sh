@@ -20,10 +20,11 @@
 # table below, it is for reading only.
 #
 # Each command's peak resident set (the child's ru_maxrss, KiB on Linux)
-# is recorded in OUT_DIR/rss, outside the diffed trees, and printed as one
-# table at the end. The table is for reading only: it never fails the run.
-# So is the last line, the total count of lines in the .py files under
-# each tree's src/ and its change.
+# and wall seconds are recorded in OUT_DIR/rss, outside the diffed trees,
+# and printed as one table at the end. The table is for reading only (one
+# run's seconds are noisy): it never fails the run. So is the last line,
+# the total count of lines in the .py files under each tree's src/ and
+# its change.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -32,12 +33,15 @@ out=$3
 runs=$(cd "$(dirname "$0")" && pwd)/cli_runs.txt
 
 # runs the CLI with the given arguments as a child process, appends
-# "<name>\t<its ru_maxrss>" to the record file and exits with its code
-measure='import resource, subprocess, sys
+# "<name>\t<its ru_maxrss>\t<its wall seconds>" to the record file and
+# exits with its code
+measure='import resource, subprocess, sys, time
 record, name, args = sys.argv[1], sys.argv[2], sys.argv[3:]
+start = time.perf_counter()
 code = subprocess.call([sys.executable, "-m", "wignerwall.cli", *args])
+wall = time.perf_counter() - start
 with open(record, "a") as f:
-    f.write(f"{name}\t{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\n")
+    f.write(f"{name}\t{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\t{wall:.3f}\n")
 sys.exit(code)'
 
 # prints max|a - b| / max|a| for each field that differs between the two
@@ -93,10 +97,11 @@ run_tree "$head" "$out/head" "$out/rss/head.tsv"
 diff -r "$out/base" "$out/head" && echo "artifact parity: identical"
 status=$?
 python -c "$bounds" "$out/base" "$out/head"
-echo "peak RSS per command (child ru_maxrss):"
-awk -F'\t' 'NR == FNR { b[$1] = $2; next }
-    FNR == 1 { printf "%-32s %10s %10s\n", "command", "base MiB", "head MiB" }
-    { printf "%-32s %10.1f %10.1f\n", $1, b[$1] / 1024, $2 / 1024 }' \
+echo "peak RSS (child ru_maxrss) and wall seconds per command:"
+awk -F'\t' 'NR == FNR { b[$1] = $2; s[$1] = $3; next }
+    FNR == 1 { printf "%-32s %10s %10s %8s %8s\n", "command", "base MiB", "head MiB",
+                      "base s", "head s" }
+    { printf "%-32s %10.1f %10.1f %8.2f %8.2f\n", $1, b[$1] / 1024, $2 / 1024, s[$1], $3 }' \
     "$out/rss/base.tsv" "$out/rss/head.tsv"
 src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l; }
 base_lines=$(src_lines "$base")

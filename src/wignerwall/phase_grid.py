@@ -9,6 +9,7 @@ Fields are expected to be compactly supported inside the grid; the
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from .errors import GridMismatch, ValidationError
 _BIN_HEADER = struct.Struct("<6d2Q")
 _RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
 _NUM = "%.12g"  # every number of every CSV the package writes
+_CELLS = 8192  # cells of a field CSV formatted per NumPy pass
 
 
 @dataclass(frozen=True, eq=True)
@@ -166,9 +168,9 @@ def edge_mass(w: WignerField) -> float:
     Compact support inside the grid means this is a negligible fraction
     of abs_mass; shear and transform guards compare the two.
     """
-    v = np.abs(w.values)
-    total = v[:_RIM, :].sum() + v[-_RIM:, :].sum()
-    total += v[_RIM:-_RIM, :_RIM].sum() + v[_RIM:-_RIM, -_RIM:].sum()
+    v = w.values
+    total = np.abs(v[:_RIM, :]).sum() + np.abs(v[-_RIM:, :]).sum()
+    total += np.abs(v[_RIM:-_RIM, :_RIM]).sum() + np.abs(v[_RIM:-_RIM, -_RIM:]).sum()
     return float(total * w.grid.dx * w.grid.dp)
 
 
@@ -201,19 +203,106 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
     _write_lines(path, header, (line % tuple(row) for row in rows), metadata)
 
 
+@functools.cache
+def _g12_tables():
+    """``_g12``'s lookup tables, built on its first call."""
+    c = np.arange(10000)[:, None]  # each 4-digit chunk: its ASCII word and trailing zeros
+    digits = (c // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    chunk = digits.view("<u4").ravel().astype(np.uint64)
+    chunk_tz = (c % [10, 100, 1000, 10000] == 0).sum(1)
+    pow10 = np.array([float(f"1e{k}") for k in range(-300, 308)])
+    # per decimal exponent X = -300..300: the bytes before the digits ('0.000'
+    # of a fixed 0.0001 <= |v| < 1) and after them ('e+XX' and a newline)
+    x = np.arange(-300, 301)[:, None]
+    fixed, small = (x >= -4) & (x < 12), (x >= -4) & (x < 0)
+    words = np.zeros((x.size, 16), np.uint8)
+    words[:, 1:6] = small * (np.arange(5) < 1 - x) * list(b"0.000")
+    exponent = abs(x) // [100, 10, 1] % 10 + ord("0")
+    exponent[:, 0] *= abs(x[:, 0]) >= 100
+    sign = np.where(x < 0, ord("-"), ord("+"))
+    words[:, 8:13] = ~fixed * np.hstack([np.full_like(x, ord("e")), sign, exponent])
+    words[:, 13] = ord("\n")
+    # and the digit counts before the '.' (16: none) and always kept
+    counts = np.hstack([np.where(fixed, np.where(small, 16, x + 1), 1),
+                        np.where(fixed & ~small, x + 1, 1)])
+    # per byte count k: masks of the low k bytes of a 16-byte (lo, hi) word pair, a '.' at byte k
+    k, byte = np.arange(17)[:, None], np.arange(16)
+    masks = np.hstack([(byte < k) * 255, (byte == k) * ord(".")]).astype(np.uint8)
+    return chunk, chunk_tz, pow10, words.view("<u8"), counts, masks.view("<u8").T.copy()
+
+
+def _g12(v: np.ndarray) -> np.ndarray:
+    """``(len(v), 32)`` uint8 rows whose bytes, NUL bytes removed, read
+    ``_NUM % v[i] + "\\n"``: the sign and prefix, 12 rounded digits with a
+    '.' inserted and trailing fraction zeros cleared, then the exponent.
+    The digits are rint(|v| 10**(11 - X)), the decimal exponent X from
+    log10 and corrected once so that they lie in [1e11, 1e12], carried at
+    1e12. That product is within 2e-4 of exact, so values within 1e-3 of
+    a rounding tie, |v| <= 1e-290 and |v| >= 1e290 (and, as a guard, any
+    whose digits still fall outside that range) are formatted by ``%``."""
+    chunk, chunk_tz, pow10, words, counts, masks = _g12_tables()
+    a = np.abs(v)
+    zero = a == 0
+    fast = zero | ((a > 1e-290) & (a < 1e290))
+    a = np.where(fast & ~zero, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a * pow10[311 - e]
+    e += (y >= 1e12).astype(np.intp) - (y < 1e11)
+    y = a * pow10[311 - e]
+    n = np.rint(y)
+    fast &= (np.abs(y - np.floor(y) - 0.5) >= 1e-3) & (n >= 1e11) & (n <= 1e12)
+    carry = n == 1e12
+    e += carry
+    n = np.where(zero | carry, carry * 1e11, n).astype(np.int64)
+    q = n // 10000
+    c0, c2 = q // 10000, n - q * 10000
+    c1 = q - c0 * 10000
+    del a, y, n, q  # freed before the word arrays are formed
+    tz = chunk_tz[c2] + (c2 == 0) * (chunk_tz[c1] + (c1 == 0) * chunk_tz[c0])
+    affix, (dot, kept) = words.take(e + 300, axis=0), counts.take(e + 300, axis=0).T
+    kept = np.maximum(12 - tz, kept)
+    dot[dot >= kept] = 16
+    below_lo, below_hi, dot_lo, dot_hi = (m[dot] for m in masks)
+    lo = (chunk[c0] | chunk[c1] << np.uint64(32)) & masks[0][kept]
+    hi = chunk[c2] & masks[1][kept]
+    up = lo & ~below_lo  # from the '.' on, the digits move up a byte; lo's top byte into hi
+    rows = np.column_stack([
+        affix[:, 0] | np.signbit(v) * np.uint64(ord("-")),
+        (lo & below_lo) | up << np.uint64(8) | dot_lo,
+        (hi & below_hi) | (hi & ~below_hi) << np.uint64(8) | up >> np.uint64(56) | dot_hi,
+        affix[:, 1]]).astype("<u8", copy=False).view(np.uint8)
+    for i, x in zip(np.flatnonzero(~fast).tolist(), v[~fast].tolist()):
+        rows[i] = np.frombuffer((_NUM % x + "\n").encode().ljust(32, b"\0"), np.uint8)
+    return rows
+
+
 def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
     """``x,p,value`` rows in ``write_csv``'s format, row-major in x then p;
-    ``metadata`` is the leading JSON line (kernel provenance). The ``,p,value``
-    cells are formatted once, so each x row is one ``%`` on a tuple, and
-    the ``,p,0`` cells once, so a row of all +0.0 (every bit clear; a -0.0
-    prints ``-0`` and is formatted) is a plain join."""
-    cells = [f",{_NUM % p},{_NUM}\n" for p in w.grid.p_axis().tolist()]
-    zeros = [cell % 0.0 for cell in cells]
-    xs = (_NUM % x for x in w.grid.x_axis().tolist())
-    nonzero = w.values.view(np.uint64).any(axis=1).tolist()
-    lines = ((x + x.join(cells)) % tuple(vals.tolist()) if some else x + x.join(zeros)
-             for x, some, vals in zip(xs, nonzero, w.values))
-    _write_lines(path, ("x", "p", "value"), lines, metadata)
+    ``metadata`` is the leading JSON line (kernel provenance). In blocks of
+    about ``_CELLS`` cells, rows of all +0.0 (every bit clear) are joins of
+    the ``,p,0`` cells; other values are formatted by ``_g12``, joined to
+    the ``x`` and ``,p,`` texts and written with the NUL bytes removed."""
+    g = w.grid
+    xs = [_NUM % x for x in g.x_axis().tolist()]
+    ps = [f",{_NUM % p}," for p in g.p_axis().tolist()]
+    zeros = [p + "0\n" for p in ps]
+    x_text, p_text = (np.array(t, "S").view(np.uint8).reshape(len(t), -1) for t in (xs, ps))
+    nonzero = w.values.view(np.uint64).any(axis=1)
+    step = max(1, _CELLS // g.n_p)
+    cells = np.empty((step, g.n_p, x_text.shape[1] + p_text.shape[1] + 32), np.uint8)
+    cells[:, :, x_text.shape[1]:-32] = p_text
+
+    def lines():
+        for i in range(0, g.n_x, step):
+            j = min(i + step, g.n_x)
+            if not nonzero[i:j].any():
+                yield from (x + x.join(zeros) for x in xs[i:j])
+                continue
+            cells[:j - i, :, :x_text.shape[1]] = x_text[i:j, None]
+            cells[:j - i, :, -32:] = _g12(w.values[i:j].ravel()).reshape(j - i, g.n_p, 32)
+            yield cells[:j - i].tobytes().translate(None, b"\0").decode()
+
+    _write_lines(path, ("x", "p", "value"), lines(), metadata)
 
 
 def read_field_csv(path) -> tuple[WignerField, dict | None]:

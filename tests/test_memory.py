@@ -4,16 +4,16 @@ Each of these steps once held a full-size temporary (a 64-mode basis over
 20001 quadrature nodes, the correlation matrix and complex transform of
 every support row at once, a complex copy of the whole disk indicator,
 the padded convolution of every inside row, the spline gather's index
-and tap arrays over the whole field) and now works in blocks. A change
-that brings such a temporary back fails here. The disk indicator's
-sampling is held to its output plus a few lattice-sized predicates per
-thread.
+and tap arrays over the whole field, the text arrays of a whole field
+CSV) and now works in blocks. A change that brings such a temporary
+back fails here. The disk indicator's sampling is held to its output
+plus a few lattice-sized predicates per thread.
 """
 
 import pytest
 
 from wignerwall import (cli, evolve_bounded, kernel_from_indicator, project_gaussian_to_box,
-                        wigner_of)
+                        wigner_of, write_field_csv)
 from wignerwall.cli import _disk_indicator, _oracle_wave, load_config
 
 from conftest import traced_peak_mib
@@ -46,6 +46,14 @@ def test_halfline_oracle_transform_working_set(t):
 def test_bounded_frame_working_set(preset, t, ceiling):
     plan = cli.build_plan(load_config(None, preset))
     assert traced_peak_mib(lambda: evolve_bounded(plan, t)) <= ceiling
+
+
+def test_field_csv_working_set(tmp_path):
+    w = evolve_bounded(cli.build_plan(load_config(None, "halfline-bounce")), 2.0)
+    write_field_csv(w, tmp_path / "warm.csv")  # the formatter's tables, built once
+    # 0.14 MiB with one '%' per row, 2.0 MiB with NumPy text arrays of
+    # 8192 cells or less and 36 MiB with those of the whole field at once
+    assert traced_peak_mib(lambda: write_field_csv(w, tmp_path / "field.csv")) <= 3.0
 
 
 def test_disk_kernel_transform_working_set(disk_preset):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerwall import (
     ComplexWave,
@@ -18,7 +19,7 @@ from wignerwall import (
     write_field_csv,
 )
 from wignerwall.errors import GridMismatch
-from wignerwall.phase_grid import abs_mass, edge_mass, wave_edge_fraction, write_csv
+from wignerwall.phase_grid import _g12, abs_mass, edge_mass, wave_edge_fraction, write_csv
 
 from conftest import odd_extended_wave
 
@@ -148,6 +149,17 @@ def test_edge_mass_diagnostic(grid, gaussian_wave):
     assert wave_edge_fraction(psi) > 1e-3
 
 
+@pytest.mark.parametrize("shape", [(513, 513), (521, 513), (65, 65), (5, 7), (4, 4)])
+def test_edge_mass_bit_identical_to_abs_of_whole_field(shape):
+    # |W| of the four rim slices sums to the same bits as the rims of |W|
+    rng = np.random.default_rng(shape[0] * shape[1])
+    grid = PhaseGrid(-1.0, 1.0, shape[0], -2.0, 2.0, shape[1])
+    w = WignerField(grid, rng.standard_normal(shape))
+    v = np.abs(w.values)
+    total = v[:2, :].sum() + v[-2:, :].sum() + v[2:-2, :2].sum() + v[2:-2, -2:].sum()
+    assert edge_mass(w) == float(total * grid.dx * grid.dp)
+
+
 def test_csv_roundtrip(tmp_path, grid, gaussian_wave):
     w = wigner_of(gaussian_wave, grid)
     path = tmp_path / "field.csv"
@@ -180,6 +192,18 @@ def test_csv_exact_text(tmp_path):
     assert path.read_text(encoding="utf-8") == "t,mass\n0,1\n2.5,0.666666666667\n"
 
 
+def assert_field_csv_is_write_csv(tmp_path, w, metadata=None) -> bytes:
+    """write_field_csv of ``w`` is byte for byte write_csv of its
+    (x, p, value) triples; returns the bytes."""
+    triples = ((x, p, w.values[i, j]) for i, x in enumerate(w.grid.x_axis())
+               for j, p in enumerate(w.grid.p_axis()))
+    ref, out = tmp_path / "ref.csv", tmp_path / "field.csv"
+    write_csv(ref, ("x", "p", "value"), triples, metadata)
+    write_field_csv(w, out, metadata)
+    assert out.read_bytes() == ref.read_bytes()
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("metadata", [None, {"geometry": "halfline", "wall": 0.0}])
 def test_field_csv_same_bytes_as_write_csv(tmp_path, metadata):
     # axis values that need all 12 digits, a signed zero and a subnormal-scale
@@ -191,16 +215,67 @@ def test_field_csv_same_bytes_as_write_csv(tmp_path, metadata):
     values[:7] = np.linspace(-1.0, 1.0, 35).reshape(7, 5) / 3
     values[0, 0], values[3, 2], values[6, 4] = -0.0, 1e-300, 0.0
     values[8, 1], values[9, 3] = -0.0, 5e-324
-    w = WignerField(grid, values)
-    triples = ((x, p, w.values[i, j]) for i, x in enumerate(grid.x_axis())
-               for j, p in enumerate(grid.p_axis()))
-    ref, out = tmp_path / "ref.csv", tmp_path / "field.csv"
-    write_csv(ref, ("x", "p", "value"), triples, metadata)
-    write_field_csv(w, out, metadata)
-    assert out.read_bytes() == ref.read_bytes()
-    body = out.read_bytes()
+    body = assert_field_csv_is_write_csv(tmp_path, WignerField(grid, values), metadata)
     assert body.count(b"-0\n") == 2
     assert b"1e-300\n" in body and b"4.94065645841e-324\n" in body
+
+
+def _seam_field(case):
+    rng = np.random.default_rng(len(case))
+    if case == "block-ends-inside":  # 27 rows of 300 cells per block
+        values = rng.standard_normal((61, 300))
+    elif case == "one-nonzero-row":
+        values = np.zeros((9, 7))
+        values[4] = rng.standard_normal(7)
+    elif case == "2x2":
+        values = rng.standard_normal((2, 2))
+    elif case == "2x8193":  # one row per block
+        values = rng.standard_normal((2, 8193))
+    elif case == "negative-zero":
+        values = rng.standard_normal((3, 11))
+        values[1, [0, 5, 10]] = -0.0
+    else:  # [10, 1e12) and >= 1e12, on both sides of each power of 10
+        values = 10.0 ** rng.uniform(1.0, 16.0, (6, 50)) * rng.choice([-1.0, 1.0], (6, 50))
+        values[0, :16] = [float(f"1e{k}") for k in range(1, 17)]
+        values[1, :16] = np.nextafter(values[0, :16], 0)
+    n_x, n_p = values.shape
+    return WignerField(PhaseGrid(-1.7, 2.3, n_x, -np.pi, np.pi, n_p), values)
+
+
+@pytest.mark.parametrize("case", ["block-ends-inside", "one-nonzero-row", "2x2", "2x8193",
+                                  "negative-zero", "large-values"])
+def test_field_csv_block_seams(tmp_path, case):
+    assert_field_csv_is_write_csv(tmp_path, _seam_field(case))
+
+
+def g12_lines(values) -> tuple[list[bytes], list[bytes]]:
+    """The vectorised formatter's lines and '%.12g' % v's, for each value."""
+    v = np.asarray(values, dtype=np.float64)
+    got = _g12(v).tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    return got, [("%.12g" % x).encode() for x in v.tolist()]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_g12_matches_percent_format(values):
+    got, want = g12_lines(values)
+    assert got == want
+
+
+def test_g12_matches_percent_format_seeded():
+    rng = np.random.default_rng(23)
+    bits = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-40, 41)])
+    # a half in the 12th digit (exact, or as near as a double gets), and the doubles next to them
+    halves = (rng.integers(10**11, 10**12, 20_000) + 0.5) * 10.0 ** rng.integers(-30, 30, 20_000)
+    special = [999999999999.5, 9.999999999995e-5, 0.99999999999995, 0.0, 5e-324,
+               1.7976931348623157e308, np.inf, np.nan]
+    values = np.concatenate([bits, np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf),
+                             np.nextafter(halves, 0), halves, np.nextafter(halves, np.inf),
+                             rng.standard_normal(20_000) * 1e-3, special])
+    values = np.concatenate([values, -values])
+    got, want = g12_lines(values)
+    assert got == want
 
 
 def test_percent_template_prints_format_text(tmp_path):
