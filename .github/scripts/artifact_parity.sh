@@ -7,6 +7,11 @@
 # `kernel` and `validate` on the three presets, and `demo-naive` on
 # halfline-bounce) with the package of each tree, writing OUT_DIR/base and
 # OUT_DIR/head.
+# Both trees' src/ are byte-compiled first (`compileall`), so neither
+# side's commands compile the package from source: with
+# PYTHONDONTWRITEBYTECODE=1 a tree without __pycache__ would otherwise
+# compile on every command, and that compile's allocations raise its peak
+# resident set in the table below.
 # Every command runs from its output root with relative paths, and its
 # stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
 # `diff -r` finds any difference between the two trees of outputs.
@@ -90,6 +95,7 @@ run_tree() {  # $1 = source tree, $2 = output root, $3 = ru_maxrss record
     )
 }
 
+python -m compileall -q "$base/src" "$head/src"
 rm -rf "$out/base" "$out/head" "$out/rss"
 mkdir -p "$out/rss"
 run_tree "$base" "$out/base" "$out/rss/base.tsv"

@@ -183,8 +183,8 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     (s = 1-4, 8, 16 and 32 among s <= 64).
     ``subsamples`` s > 1 averages the boolean over an s^n subcell lattice
     per y-cell, giving a real-valued anti-aliased indicator (needed by
-    isotropy checks at tight tolerance); the default 1 keeps the plain
-    boolean field.
+    isotropy checks at tight tolerance); at the default 1, g is still
+    float64 (hits / s^n), holding only the values 0.0 and 1.0.
 
     Each x point is one task, on min(os.cpu_count() or 1, points)
     threads; it counts its subcell hits in a small unsigned integer

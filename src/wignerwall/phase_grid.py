@@ -42,6 +42,8 @@ class PhaseGrid:
     def __post_init__(self):
         if self.n_x < 2 or self.n_p < 2:
             raise ValidationError("grid needs at least 2 samples per axis")
+        if not np.isfinite([self.x_min, self.x_max, self.p_min, self.p_max]).all():
+            raise ValidationError("grid extents must be finite")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValidationError("grid extents must satisfy max > min")
 
@@ -121,18 +123,14 @@ class ComplexWave:
             raise ValidationError(f"expected {self.n} samples, got {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValidationError("wave samples must be finite")
-        if self.dx <= 0 or self.n < 2:
-            raise ValidationError("wave axis needs dx > 0 and n >= 2")
+        if not (np.isfinite(self.x_min) and 0 < self.dx < np.inf) or self.n < 2:
+            raise ValidationError("wave axis needs a finite x_min, 0 < dx < inf and n >= 2")
         s = s.copy()
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     def x_axis(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
-
-    @property
-    def x_max(self) -> float:
-        return self.x_min + (self.n - 1) * self.dx
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.dx)
@@ -356,4 +354,4 @@ def read_field_binary(path) -> tuple[WignerField, dict | None]:
     tail = raw[off + 8 * count:]
     if tail:
         metadata = json.loads(tail.decode("utf-8"))
-    return WignerField(grid, values.copy()), metadata
+    return WignerField(grid, values), metadata

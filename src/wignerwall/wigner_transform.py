@@ -117,13 +117,6 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     return y[..., n - 1:n + m - 1] * wk2[:m]
 
 
-@functools.lru_cache(maxsize=8)
-def _origin_phase(K: int, dy: float, p_bytes: bytes) -> np.ndarray:
-    """exp(-i K dy p) over the momentum axis p given by its bytes; cached."""
-    v = np.exp(-1j * K * dy * np.frombuffer(p_bytes))
-    return np.broadcast_to(v, v.shape)  # a read-only view: the cache shares it
-
-
 def correlation_matrix(psi: ComplexWave, grid: PhaseGrid,
                        y_halfwidth: float | None = None,
                        block: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None
@@ -161,7 +154,7 @@ def fourier_over_separation(C: np.ndarray, K: int, dy: float,
         dp = p_axis[1] - p_axis[0]
         S = _czt(C, len(p_axis), np.exp(1j * dp * dy), np.exp(-1j * p_axis[0] * dy))
         # czt indexes columns from 0; restore the y_{-K} origin
-        S *= _origin_phase(K, dy, p_axis.tobytes())
+        S *= np.exp(-1j * K * dy * p_axis)
     elif backend == "direct":
         y = dy * np.arange(-K, K + 1)
         S = C @ np.exp(1j * np.outer(y, p_axis))

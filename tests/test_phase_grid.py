@@ -46,10 +46,22 @@ def test_grid_equality_by_defining_fields():
     dict(x_min=0, x_max=0, n_x=4, p_min=-1, p_max=1, n_p=4),
     dict(x_min=0, x_max=1, n_x=1, p_min=-1, p_max=1, n_p=4),
     dict(x_min=0, x_max=1, n_x=4, p_min=2, p_max=1, n_p=4),
+    # an infinite extent passes max > min, and its axis would be all NaN
+    dict(x_min=-np.inf, x_max=0, n_x=5, p_min=-1, p_max=1, n_p=5),
+    dict(x_min=0, x_max=np.inf, n_x=5, p_min=-1, p_max=1, n_p=5),
+    dict(x_min=0, x_max=1, n_x=5, p_min=-np.inf, p_max=1, n_p=5),
+    dict(x_min=0, x_max=1, n_x=5, p_min=-1, p_max=np.inf, n_p=5),
 ])
 def test_grid_validation(kwargs):
     with pytest.raises(ValidationError):
         PhaseGrid(**kwargs)
+
+
+@pytest.mark.parametrize("x_min, dx", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
+                                       (0.0, np.nan), (0.0, np.inf), (0.0, 0.0), (0.0, -0.1)])
+def test_wave_rejects_bad_axis(x_min, dx):
+    with pytest.raises(ValidationError):
+        ComplexWave(x_min, dx, 4, np.ones(4))
 
 
 def test_zero_p_index():

@@ -272,6 +272,19 @@ def test_czt_bit_identical_to_scipy_signal(shape, m):
     assert same_bits(_czt(x, m, w, a), czt(x, m=m, w=w, a=a, axis=-1))
 
 
+def test_czt_path_bit_identical_to_scipy_signal():
+    # fourier_over_separation's "czt" backend, post-multiplies included, at
+    # the half-line oracle's sizes: one 16-row block of 2047 lags (K = 1023)
+    # on the 8x axis (dy = 2 * 48 / 512 / 8) against 513 momenta in [-16, 16]
+    rng = np.random.default_rng(11)
+    K, dy, p = 1023, 2 * 0.09375 / 8, np.linspace(-16.0, 16.0, 513)
+    C = rng.standard_normal((16, 2 * K + 1)) + 1j * rng.standard_normal((16, 2 * K + 1))
+    w, a = np.exp(1j * (p[1] - p[0]) * dy), np.exp(-1j * p[0] * dy)
+    expected = (dy / (2 * np.pi)) * (czt(C, m=p.size, w=w, a=a, axis=-1)
+                                     * np.exp(-1j * K * dy * p))
+    assert same_bits(fourier_over_separation(C, K, dy, p), expected)
+
+
 def test_next_fast_len_matches_scipy():
     assert [next_fast_len(n) for n in range(1, 20001)] == \
         [sfft.next_fast_len(n) for n in range(1, 20001)]
