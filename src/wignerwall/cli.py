@@ -3,7 +3,7 @@ key=value config with section headers; emit fields, marginals, kernels, and
 oracle comparison reports.
 
 Units are natural (hbar = 1, user-set mass). Exit codes: 0 success,
-2 validation failure, 3 numerical-guard failure (including a report
+2 validation failure, 3 numerical-guard failure (including any dynamic
 frame whose l2_rel against the oracle is not below 1e-2).
 """
 
@@ -374,9 +374,10 @@ def oracle_field(cfg: ScenarioConfig, t: float) -> WignerField:
 
 
 def run(cfg: ScenarioConfig, out_dir: str) -> int:
-    """Execute the scenario and write artifacts; returns the exit code. A
-    report frame whose l2_rel is not below 1e-2 raises NumericalGuardError
-    once every artifact is written."""
+    """Execute the scenario and write artifacts; returns the exit code.
+    Every frame is compared with ``oracle_field`` and its line printed; a
+    frame whose l2_rel is not below 1e-2 raises NumericalGuardError once
+    every artifact is written. ``report`` only adds report.csv."""
     os.makedirs(out_dir, exist_ok=True)
     if _KINDS[cfg.geometry["kind"]].extend is None:
         return run_billiard_kernel(cfg, out_dir)
@@ -388,7 +389,7 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
         print(f"wrote kernel files to {out_dir}")
     tail = kernel_tail_bound(plan.kernel, plan.initial)
 
-    report_rows = []
+    rows = []
     for t in cfg.times:
         w = evolve_bounded(plan, t)
         tag = f"t{_fmt_t(t)}"
@@ -400,21 +401,18 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
                                      ("p", w.grid.p_axis(), marginal_p(w))):
                 write_csv(os.path.join(out_dir, f"marginal_{name}_{tag}.csv"),
                           (name, "density"), zip(axis, dens))
-        if "report" in cfg.outputs:
-            ref = oracle_field(cfg, t)
-            cmp = compare_fields(w, ref)
-            report_rows.append((t, cmp.l2_rel, cmp.max_abs, cmp.mass_diff, tail))
+        cmp = compare_fields(w, oracle_field(cfg, t))
+        rows.append((t, cmp.l2_rel, cmp.max_abs, cmp.mass_diff, tail))
+        print(f"t={t:g}: l2_rel={cmp.l2_rel:.3e} max_abs={cmp.max_abs:.3e} "
+              f"mass_diff={cmp.mass_diff:.3e} kernel_tail_mass={tail:.3e}")
 
-    if report_rows:
+    if "report" in cfg.outputs:
         write_csv(os.path.join(out_dir, "report.csv"),
-                  ("t", "l2_rel", "max_abs", "mass_diff", "kernel_tail_mass"), report_rows)
-        for row in report_rows:
-            print(f"t={row[0]:g}: l2_rel={row[1]:.3e} max_abs={row[2]:.3e} "
-                  f"mass_diff={row[3]:.3e} kernel_tail_mass={row[4]:.3e}")
-        for t, l2, *_ in report_rows:
-            if not l2 < 1e-2:  # a NaN fails too
-                raise NumericalGuardError(f"t={t:g}: l2_rel = {l2:.3e} against "
-                                          "the oracle is not below 1e-2")
+                  ("t", "l2_rel", "max_abs", "mass_diff", "kernel_tail_mass"), rows)
+    for t, l2, *_ in rows:
+        if not l2 < 1e-2:  # a NaN fails too
+            raise NumericalGuardError(f"t={t:g}: l2_rel = {l2:.3e} against "
+                                      "the oracle is not below 1e-2")
     return 0
 
 
@@ -509,9 +507,9 @@ def demo_naive(cfg: ScenarioConfig, out_dir: str) -> int:
 def validate(cfg: ScenarioConfig) -> int:
     """Run the set-up of ``simulate`` without evolving: build the plan
     (the packet-in-region check, the transform's band check, the plan's
-    p = 0, kernel-reach and symmetry checks), then, when ``outputs`` has
-    ``report``, check the oracle's preconditions at t = 0. For the disk,
-    build the kernel's axes and indicator as ``simulate`` does."""
+    p = 0, kernel-reach and symmetry checks), then check the oracle's
+    preconditions at t = 0, as every ``simulate`` frame does. For the
+    disk, build the kernel's axes and indicator as ``simulate`` does."""
     if _KINDS[cfg.geometry["kind"]].extend is None:
         _disk_indicator(cfg)
         print("ok: disk kernel settings within their bounds")
@@ -520,8 +518,6 @@ def validate(cfg: ScenarioConfig) -> int:
     print("ok: plan built (packet inside the region, p = 0 on the momentum "
           "axis, momentum window inside the band, kernel reach inside the "
           "alias-free band)")
-    if "report" not in cfg.outputs:
-        return 0
     _oracle_wave(cfg, 0.0)
     print("ok: oracle wave built at t = 0 (the oracle's preconditions hold)")
     return 0

@@ -313,7 +313,10 @@ def read_field_csv(path) -> tuple[WignerField, dict | None]:
             first = f.readline()
         if first.strip() != "x,p,value":
             raise ValidationError(f"unexpected CSV header {first!r}")
-        data = np.loadtxt(f, delimiter=",")
+        try:
+            data = np.loadtxt(f, delimiter=",")
+        except ValueError as exc:  # a cell that is not a number
+            raise ValidationError(f"malformed CSV field rows: {exc}") from exc
     xs = np.unique(data[:, 0])
     ps = np.unique(data[:, 1])
     n_x, n_p = len(xs), len(ps)
@@ -341,6 +344,9 @@ def write_field_binary(w: WignerField, path, metadata: dict | None = None) -> No
 def read_field_binary(path) -> tuple[WignerField, dict | None]:
     with open(path, "rb") as f:
         raw = f.read()
+    if len(raw) < _BIN_HEADER.size:
+        raise ValidationError(f"a {len(raw)}-byte file is shorter than the "
+                              f"{_BIN_HEADER.size}-byte field header")
     x_min, x_max, p_min, p_max, dx, dp, n_x, n_p = _BIN_HEADER.unpack_from(raw, 0)
     n_x, n_p = int(n_x), int(n_p)
     grid = PhaseGrid(x_min, x_max, n_x, p_min, p_max, n_p)
@@ -349,6 +355,9 @@ def read_field_binary(path) -> tuple[WignerField, dict | None]:
         raise ValidationError("stored spacings disagree with grid extents")
     off = _BIN_HEADER.size
     count = n_x * n_p
+    if len(raw) < off + 8 * count:
+        raise ValidationError(f"the file holds {len(raw) - off} bytes of values, "
+                              f"not the {8 * count} of its {n_x} x {n_p} grid")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(n_x, n_p)
     metadata = None
     tail = raw[off + 8 * count:]

@@ -2,10 +2,11 @@ import concurrent.futures
 import contextlib
 import io
 import os
+import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from wignerwall import billiard_indicator, boundary_kernels, cli, kernel_from_indicator
 from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
@@ -178,8 +179,8 @@ def test_validate_exit_codes(tmp_path, capsys):
     # set-up checks the packet is inside the region, with or without the oracle
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5") + "outputs = fields\n", 3),
     (PRESETS["box-traversal"].replace("x0 = 5.0", "x0 = 40.0"), 3),
-    # the n_modes truncation is the oracle's own check: no report, no check
-    (PRESETS["box-traversal"] + "\n[run]\nn_modes = 8\noutputs = marginals\n", 0),
+    # the n_modes truncation is the oracle's own check, which every run makes
+    (PRESETS["box-traversal"] + "\n[run]\nn_modes = 8\noutputs = marginals\n", 3),
     # every disk slice lies outside the disk: the indicator's own check
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 2\nx_half = 5.0\n", 2),
     # one momentum sample cannot make a slice grid
@@ -466,6 +467,67 @@ def test_disk_preset_level_set_evaluations(monkeypatch):
     assert sum(evals) == 49_900_036
 
 
+def test_report_only_adds_its_file(tmp_path, capsys):
+    # every frame is compared with the oracle whatever outputs holds:
+    # report adds report.csv and changes no exit code, stdout or other file
+    runs = {}
+    for outputs in ("marginals", "marginals,report"):
+        cfg_path = tmp_path / f"{outputs}.ini"
+        cfg_path.write_text(FAST_HALFLINE + f"outputs = {outputs}\n")
+        out = tmp_path / outputs
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        runs[outputs] = code, capsys.readouterr().out, files
+    (code, stdout, files), (code_r, stdout_r, files_r) = runs.values()
+    assert code == code_r == 0
+    assert stdout == stdout_r and stdout.count(": l2_rel=") == 2
+    assert files_r.pop("report.csv").startswith(b"t,l2_rel,")
+    assert files == files_r and len(files) == 4
+
+
+BOX = PRESETS["box-traversal"] + "\n[run]\noutputs = marginals\n"
+
+
+def _l2_rel_error(t):
+    return f"numerical guard: t={t}: l2_rel = "
+
+
+@pytest.mark.parametrize("text,error,written", [
+    # a grid barely wider than the box: wrong from the first frame
+    (BOX.replace("x_min = -26.0", "x_min = -6.0").replace("x_max = 26.0", "x_max = 6.0")
+     .replace("p_min = -12.0", "p_min = -8.0").replace("p_max = 12.0", "p_max = 8.0")
+     .replace("n_x = 521", "n_x = 65").replace("n_p = 513", "n_p = 65")
+     .replace("a = 0.0", "a = -5.0").replace("b = 10.0", "b = 5.0")
+     .replace("x0 = 5.0", "x0 = 0.0").replace("p0 = 4.0", "p0 = 0.0")
+     .replace("values = 0, 0.625, 1.25, 1.875, 2.5", "values = 0, 1")
+     .replace("outputs = marginals", "outputs = fields"),
+     _l2_rel_error("0"), ["field_t0.csv", "field_t0.bin", "field_t1.csv", "field_t1.bin"]),
+    # past the grid path's horizon: the preset at t = 5, a slow packet at 7.5
+    (BOX.replace("values = 0, 0.625, 1.25, 1.875, 2.5", "values = 2.5, 5"),
+     _l2_rel_error("5"),
+     ["marginal_x_t2.5.csv", "marginal_p_t2.5.csv", "marginal_x_t5.csv", "marginal_p_t5.csv"]),
+    (BOX.replace("values = 0, 0.625, 1.25, 1.875, 2.5", "values = 5, 7.5")
+     .replace("p0 = 4.0", "p0 = 1.0"),
+     _l2_rel_error("7.5"), ["marginal_x_t5.csv", "marginal_p_t5.csv", "marginal_x_t7.5.csv",
+                            "marginal_p_t7.5.csv"]),
+    # at t = 4.5 the reflected packet reaches the oracle axis's ends, so the
+    # frame cannot be checked
+    (PRESETS["halfline-bounce"].replace("values = 0, 1, 2, 3, 4", "values = 4.5")
+     + "\n[run]\noutputs = marginals\n",
+     "numerical guard: reflected state reaches the axis ends\n",
+     ["marginal_p_t4.5.csv", "marginal_x_t4.5.csv"]),
+], ids=["narrow-grid-box", "box-traversal-t5", "slow-box-t7.5", "halfline-t4.5"])
+def test_unchecked_frame_exits_3_without_report(tmp_path, capsys, text, error, written):
+    # no report in outputs: every artifact is written, then a frame the
+    # oracle rejects, or cannot check, sets exit 3
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(error)
+    assert sorted(f.name for f in out.iterdir()) == sorted(written)
+
+
 def test_guard_failure_exits_3(tmp_path):
     # packet reaches the grid edge within the requested times
     text = FAST_HALFLINE.replace("values = 0, 1.5", "values = 0, 12.0")
@@ -708,23 +770,41 @@ def simulate_configs(draw):
             f"n_x = {draw(pick([65, 64, 61]))}\n"
             f"p_min = {-p_half / s:g}\np_max = {p_half / s:g}\nn_p = {draw(pick([65, 63, 64]))}\n"
             f"[times]\nvalues = {', '.join(f'{k / 2 * m * s * s:g}' for k in times)}\n"
-            f"[run]\noutputs = {draw(pick(['report', 'fields,report', 'marginals,report', 'fields']))}\n")
+            f"[run]\noutputs = {draw(pick(['report', 'fields,report', 'marginals,report', 'fields', 'marginals']))}\n")
+
+
+_NO_REPORT_HALFLINE = ("[geometry]\nkind = halfline\n[packet]\nx0 = 6\np0 = -0.25\n"
+                       "sigma = 0.75\nmass = 1\n[grid]\nx_min = -12\nx_max = 12\nn_x = 65\n"
+                       "p_min = -4\np_max = 4\nn_p = 65\n[times]\nvalues = 0, 1\n"
+                       "[run]\noutputs = fields\n")
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(text=simulate_configs())
+# runs without report that exit 0, which the drawn examples need not hold
+@example(text=_NO_REPORT_HALFLINE)
+@example(text=_NO_REPORT_HALFLINE.replace("kind = halfline", "kind = box\na = -5\nb = 5")
+         .replace("x0 = 6", "x0 = 0").replace("p0 = -0.25", "p0 = 0.25")
+         .replace("sigma = 0.75", "sigma = 0.6").replace("x_min = -12", "x_min = -10")
+         .replace("x_max = 12", "x_max = 10").replace("p_min = -4", "p_min = -5")
+         .replace("p_max = 4", "p_max = 5").replace("outputs = fields", "outputs = marginals"))
 def test_simulate_fuzzed_config_exits_cleanly(tmp_path_factory, text):
-    # simulate ends in an exit code with no traceback, and a run that
-    # exits 0 with a report is within 0.05 of its oracle at every time
+    # simulate ends in an exit code with no traceback; a dynamic run that
+    # exits 0 prints one l2_rel line per time, each below 1e-2, with or
+    # without a report, and its report is within 0.05 of its oracle
     out = tmp_path_factory.mktemp("fuzz")
     cfg_path = out / "run.ini"
     cfg_path.write_text(text)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         code = main(["simulate", "--config", str(cfg_path), "--out", str(out / "out")])
     event(f"exit {code}")
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 0 and "billiard2d" not in text:
+        lines = re.findall(r"^t=(\S+): l2_rel=(\S+) ", stdout.getvalue(), re.M)
+        assert [t for t, _ in lines] == [f"{t:g}" for t in parse_config(text).times]
+        assert all(float(l2) < 1e-2 for _, l2 in lines)
     if code == 0 and "report" in text:
         rows = (out / "out" / "report.csv").read_text().splitlines()[1:]
         assert rows and all(float(row.split(",")[1]) < 0.05 for row in rows)

@@ -318,3 +318,26 @@ def test_binary_roundtrip_bit_exact(tmp_path, grid, gaussian_wave):
     assert meta == {"note": "check"}
     assert back.grid == w.grid
     assert np.array_equal(back.values, w.values)
+
+
+@pytest.mark.parametrize("cut,message", [
+    (lambda raw: raw[:40], "a 40-byte file is shorter than the 64-byte field header"),
+    (lambda raw: raw[:-8], "the file holds 112 bytes of values, not the 120 of its 3 x 5 grid"),
+], ids=["40-byte-file", "8-bytes-short"])
+def test_binary_reader_rejects_truncated_file(tmp_path, cut, message):
+    # a file cut inside its 64-byte header, or 8 bytes short of its values,
+    # is a ValidationError that names the problem, not struct's or NumPy's
+    w = WignerField(PhaseGrid(-1, 1, 3, -2, 2, 5), np.arange(15.0).reshape(3, 5))
+    path = tmp_path / "field.bin"
+    write_field_binary(w, path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValidationError) as err:
+        read_field_binary(path)
+    assert str(err.value) == message
+
+
+def test_csv_reader_rejects_non_numeric_cell(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("x,p,value\n-1,-1,0\n-1,1,abc\n1,-1,0\n1,1,0\n")
+    with pytest.raises(ValidationError, match="malformed CSV field rows: .*'abc'"):
+        read_field_csv(path)
