@@ -10,6 +10,7 @@ Fields are expected to be compactly supported inside the grid; the
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -304,27 +305,43 @@ def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
 
 
 def read_field_csv(path) -> tuple[WignerField, dict | None]:
-    """Inverse of write_field_csv; grid inferred from the coordinate columns."""
+    """Inverse of write_field_csv. The x and p columns must be its
+    row-major uniform grid, x repeated n_p times and p tiled n_x times, to
+    within the 12 printed digits; any other file raises ValidationError."""
     metadata = None
     with open(path, "r", encoding="utf-8") as f:
-        first = f.readline()
-        if first.startswith("#"):
-            metadata = json.loads(first[1:].strip())
+        try:
             first = f.readline()
+            if first.startswith("#"):
+                metadata = json.loads(first[1:])
+                first = f.readline()
+        except ValueError as exc:  # not UTF-8, or a # line that is not JSON
+            raise ValidationError(f"malformed CSV field: {exc}") from exc
         if first.strip() != "x,p,value":
             raise ValidationError(f"unexpected CSV header {first!r}")
         try:
-            data = np.loadtxt(f, delimiter=",")
-        except ValueError as exc:  # a cell that is not a number
+            row = f.readline()  # NumPy warns on a file with no rows
+            if not row:
+                raise ValidationError("the CSV field has no rows")
+            data = np.loadtxt(itertools.chain([row], f), delimiter=",", ndmin=2)
+        except ValueError as exc:  # not UTF-8, or a cell that is not a number
             raise ValidationError(f"malformed CSV field rows: {exc}") from exc
-    xs = np.unique(data[:, 0])
-    ps = np.unique(data[:, 1])
-    n_x, n_p = len(xs), len(ps)
-    if n_x * n_p != data.shape[0]:
+    if data.shape[1] != 3:
+        raise ValidationError(f"CSV field rows have {data.shape[1]} columns, not 3")
+    x, p = data[:, 0], data[:, 1]
+    n_p = int(np.argmax(x != x[0])) or len(x)  # the rows of the first x
+    n_x = len(x) // n_p
+    if n_x * n_p != len(x):
         raise ValidationError("CSV rows do not form a complete grid")
-    grid = PhaseGrid(float(xs[0]), float(xs[-1]), n_x, float(ps[0]), float(ps[-1]), n_p)
-    values = data[:, 2].reshape(n_x, n_p)
-    return WignerField(grid, values), metadata
+    grid = PhaseGrid(float(x[0]), float(x[-1]), n_x, float(p[0]), float(p[n_p - 1]), n_p)
+    # a printed coordinate and the axis rebuilt from the printed ends each
+    # lie within 5e-12 max|end| of the written axis: 2e-11 holds both
+    for name, col, axis in (("x", x, np.repeat(grid.x_axis(), n_p)),
+                            ("p", p, np.tile(grid.p_axis(), n_x))):
+        if not np.all(np.abs(col - axis) <= 2e-11 * np.abs(axis[[0, -1]]).max()):
+            raise ValidationError(f"the CSV's {name} column is not the row-major uniform "
+                                  f"{n_x} x {n_p} grid of write_field_csv to 12 digits")
+    return WignerField(grid, data[:, 2].reshape(n_x, n_p)), metadata
 
 
 def write_field_binary(w: WignerField, path, metadata: dict | None = None) -> None:
@@ -362,5 +379,9 @@ def read_field_binary(path) -> tuple[WignerField, dict | None]:
     metadata = None
     tail = raw[off + 8 * count:]
     if tail:
-        metadata = json.loads(tail.decode("utf-8"))
+        try:
+            metadata = json.loads(tail.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError(f"the {len(tail)}-byte metadata tail is not UTF-8 JSON: "
+                                  f"{exc}") from exc
     return WignerField(grid, values), metadata

@@ -257,7 +257,13 @@ def _seam_field(case):
 @pytest.mark.parametrize("case", ["block-ends-inside", "one-nonzero-row", "2x2", "2x8193",
                                   "negative-zero", "large-values"])
 def test_field_csv_block_seams(tmp_path, case):
-    assert_field_csv_is_write_csv(tmp_path, _seam_field(case))
+    w = _seam_field(case)
+    assert_field_csv_is_write_csv(tmp_path, w)
+    # and it reads back: the grid's coordinates pass the reader's check
+    back, _ = read_field_csv(tmp_path / "field.csv")
+    assert np.allclose(back.grid.x_axis(), w.grid.x_axis(), rtol=0, atol=1e-11)
+    assert np.allclose(back.grid.p_axis(), w.grid.p_axis(), rtol=0, atol=1e-11)
+    assert np.allclose(back.values, w.values, rtol=1e-11, atol=0)
 
 
 def g12_lines(values) -> tuple[list[bytes], list[bytes]]:
@@ -341,3 +347,61 @@ def test_csv_reader_rejects_non_numeric_cell(tmp_path):
     path.write_text("x,p,value\n-1,-1,0\n-1,1,abc\n1,-1,0\n1,1,0\n")
     with pytest.raises(ValidationError, match="malformed CSV field rows: .*'abc'"):
         read_field_csv(path)
+
+
+def _field_csv_3x5(tmp_path):
+    """The lines of write_field_csv's file of a 3 x 5 field: the header,
+    then the rows."""
+    path = tmp_path / "field.csv"
+    write_field_csv(WignerField(PhaseGrid(-1, 1, 3, -2, 2, 5), np.arange(15.0).reshape(3, 5)),
+                    path)
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: ["# {not json}\n", *lines], "malformed CSV field: Expecting"),
+    (lambda lines: [b"\xff\xfe".decode("latin-1"), *lines],
+     "malformed CSV field: 'utf-8' codec can't decode"),
+    (lambda lines: lines[:1], "the CSV field has no rows"),
+    (lambda lines: lines[:2], "grid needs at least 2 samples per axis"),
+    (lambda lines: lines[:1] + [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]],
+     "CSV field rows have 2 columns, not 3"),
+], ids=["not-json", "not-utf8", "header-only", "one-row", "two-columns"])
+def test_csv_reader_rejects_malformed_file(tmp_path, edit, message):
+    # each of these once raised json's, the codec's or NumPy's own error
+    # (a header-only file after a NumPy warning), not a ValidationError
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(edit(_field_csv_3x5(tmp_path))).encode("latin-1"))
+    with pytest.raises(ValidationError) as err:
+        read_field_csv(path)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("edit,message", [
+    # the rows in reverse order: x runs from 1 down to -1
+    (lambda lines: lines[:1] + lines[:0:-1], "grid extents must satisfy max > min"),
+    (lambda lines: [line.replace("1,", "3,", 1) if line.startswith("1,") else line
+                    for line in lines],  # x = -1, 0, 3: not uniform
+     "the CSV's x column is not the row-major uniform 3 x 5 grid"),
+    (lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],  # two rows swapped
+     "the CSV's p column is not the row-major uniform 3 x 5 grid"),
+], ids=["rows-reversed", "x-not-uniform", "p-rows-swapped"])
+def test_csv_reader_rejects_coordinates_off_the_grid(tmp_path, edit, message):
+    # the reader once returned a wrong field for these: the coordinates must
+    # be write_field_csv's row-major uniform grid
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(edit(_field_csv_3x5(tmp_path))), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        read_field_csv(path)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("tail", [b"{not json}", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_binary_reader_rejects_bad_metadata_tail(tmp_path, tail):
+    w = WignerField(PhaseGrid(-1, 1, 3, -2, 2, 5), np.arange(15.0).reshape(3, 5))
+    path = tmp_path / "field.bin"
+    write_field_binary(w, path)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ValidationError, match=f"the {len(tail)}-byte metadata tail is not "
+                                              "UTF-8 JSON: "):
+        read_field_binary(path)
