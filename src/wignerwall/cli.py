@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .convolution_engine import BoundedEvolutionPlan, evolve_bounded, kernel_tai
 from .errors import ConfigError, NumericalGuardError, ValidationError
 from .free_evolution import ShearParams, naive_bounded_evolve, wall_violation_mass
 from .oracle import (
-    BoxSpectrum,
     GaussianPacket,
     box_evolve,
     compare_fields,
@@ -216,7 +214,7 @@ _KINDS = {
                       lambda cfg, t, *axis: images_reflect(cfg.packet, t, *axis)),
     "box": _Kind(("a", "b"), _box_extension,
                  lambda grid, geo: boundary_kernels.interval_kernel(grid, geo["a"], geo["b"]),
-                 lambda cfg, t, *axis: box_evolve(_box_spectrum(
+                 lambda cfg, t, *axis: box_evolve(project_gaussian_to_box(
                      cfg.packet, cfg.geometry["a"], cfg.geometry["b"], cfg.n_modes), t, *axis)),
     "billiard2d": _Kind(("radius",)),
 }
@@ -348,14 +346,6 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
 
 
 _ORACLE_OVERSAMPLE = 8  # the oracle axis refines the grid's x step 8x
-
-
-@functools.lru_cache(maxsize=1)
-def _box_spectrum(g: GaussianPacket, a: float, b: float, n_modes: int) -> BoxSpectrum:
-    """The packet's box spectrum, which does not depend on t: computed once
-    per packet and box, not once per frame. ``project_gaussian_to_box`` is
-    looked up through this module at call time."""
-    return project_gaussian_to_box(g, a, b, n_modes)
 
 
 def _oracle_wave(cfg: ScenarioConfig, t: float) -> ComplexWave:

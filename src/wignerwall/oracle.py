@@ -2,9 +2,9 @@
 
 Closed-form dispersive Gaussian packets, the image-reflection solution on
 the half line, and eigenmode evolution in a finite box, plus field
-comparison metrics. All dynamics here are exact in time; the only
-numerics are sampling and the projection quadrature, which runs on a
-finer auxiliary axis so oracle error stays far below method error.
+comparison metrics. All dynamics here are exact in time, and the box
+spectrum is the image train's Fourier transform in closed form, so the
+only numerics are sampling and the truncation of the mode sum.
 
 Units: hbar = 1 and i dpsi/dt = -(1/2m) psi''. A packet with momentum
 p0 > 0 moves to the right with velocity p0/m.
@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import GridMismatch, SupportEscaped, TruncationTooSevere, ValidationError
 from .phase_grid import ComplexWave, WignerField, wave_edge_fraction
-
-_QUAD_POINTS = 20001  # box projection quadrature nodes over [a, b]
-_MODE_BLOCK = 8  # modes per projection block: 8 basis rows take 1.2 MiB
 
 
 @dataclass(frozen=True)
@@ -153,40 +150,34 @@ def require_in_window(g: GaussianPacket, p_min: float, p_max: float) -> None:
 
 def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
                             n_max: int) -> BoxSpectrum:
-    """Sine-mode coefficients of the packet by quadrature on a fine axis.
+    """Sine-mode coefficients of the packet's odd image train in [a, b].
 
-    The modes are sampled ``_MODE_BLOCK`` at a time, so the working set is
-    a few quadrature rows, not n_max of them. Each coefficient is the same
-    row-wise trapezoid, and the reconstruction adds c_n u_n in mode order,
-    as a sum over the mode axis does, so the bits do not depend on the
-    block size.
+    Unfolded over its images, the train's coefficient on u_n is the
+    packet's Fourier transform at k_n = n pi / L, in closed form:
+    c_n = sqrt(2/L) (e^{-i k_n a} phi^(k_n) - e^{i k_n a} phi^(-k_n)) / 2i
+    with phi^(k) = (8 pi sigma^2)^{1/4} e^{i k x0 - sigma^2 (k + p0)^2}.
+    Past n_all = ceil((|p0| + 10/sigma) L / pi) every Gaussian factor is
+    below e^{-100}, so the first min(n_max, n_all) modes are returned.
 
-    Raises TruncationTooSevere when the reconstruction misses more than
-    1e-6 of the state in L2.
+    Raises TruncationTooSevere when the modes past n_max hold more than
+    1e-6 of the state in L2 (Parseval's tail).
     """
-    if b <= a:
-        raise ValidationError("need b > a")
+    if b <= a or n_max < 1:  # a negative n_max would slice from the end
+        raise ValidationError("need b > a and n_max >= 1")
     require_inside(g, a, b)
     L = b - a
-    x = np.linspace(a, b, _QUAD_POINTS)
-    psi0 = g.amplitude(x, 0.0)
-    phase = np.pi * (x - a) / L
-    modes = np.arange(1, n_max + 1)
-    c = np.empty(len(modes), dtype=np.complex128)
-    # residual against the (unit-norm) packet restricted to the box
-    recon = np.zeros_like(psi0)
-    for lo in range(0, len(modes), _MODE_BLOCK):
-        block = slice(lo, lo + _MODE_BLOCK)
-        basis = np.sqrt(2.0 / L) * np.sin(np.outer(modes[block], phase))
-        c[block] = np.trapezoid(basis * psi0[None, :], x, axis=1)
-        for cn, row in zip(c[block], basis):
-            recon += cn * row
-    err = float(np.sqrt(np.trapezoid(np.abs(recon - psi0) ** 2, x)))
+    n_all = math.ceil((abs(g.p0) + 10.0 / g.sigma) * L / math.pi)
+    k = np.pi / L * np.arange(1, n_all + 1)
+    s2, phase = g.sigma**2, k * (g.x0 - a)
+    c = (np.sqrt(2.0 / L) * (8.0 * np.pi * s2) ** 0.25 / 2j
+         * (np.exp(1j * phase - s2 * (k + g.p0) ** 2)
+            - np.exp(-1j * phase - s2 * (k - g.p0) ** 2)))
+    err = float(np.sqrt(np.sum(np.abs(c[n_max:]) ** 2)))
     if err > 1e-6:
         raise TruncationTooSevere(
             f"n_max = {n_max} reconstruction error {err:g} exceeds 1e-6"
         )
-    c = c / np.sqrt(np.sum(np.abs(c) ** 2))
+    c = c[:n_max] / np.sqrt(np.sum(np.abs(c[:n_max]) ** 2))
     return BoxSpectrum(a, b, g.m, c)
 
 

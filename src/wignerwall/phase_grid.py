@@ -333,14 +333,23 @@ def read_field_csv(path) -> tuple[WignerField, dict | None]:
     n_x = len(x) // n_p
     if n_x * n_p != len(x):
         raise ValidationError("CSV rows do not form a complete grid")
+
+    def off_grid(name):
+        return ValidationError(f"the CSV's {name} column is not the row-major uniform "
+                               f"{n_x} x {n_p} grid of write_field_csv to 12 digits")
+
+    # an axis runs up from a finite start (a NaN first x, unequal to
+    # itself, made every row its own run); one sample is PhaseGrid's check
+    for name, lo, hi, n in (("x", x[0], x[-1], n_x), ("p", p[0], p[n_p - 1], n_p)):
+        if not (lo < hi or n == 1 and lo == hi):
+            raise off_grid(name)
     grid = PhaseGrid(float(x[0]), float(x[-1]), n_x, float(p[0]), float(p[n_p - 1]), n_p)
     # a printed coordinate and the axis rebuilt from the printed ends each
     # lie within 5e-12 max|end| of the written axis: 2e-11 holds both
     for name, col, axis in (("x", x, np.repeat(grid.x_axis(), n_p)),
                             ("p", p, np.tile(grid.p_axis(), n_x))):
         if not np.all(np.abs(col - axis) <= 2e-11 * np.abs(axis[[0, -1]]).max()):
-            raise ValidationError(f"the CSV's {name} column is not the row-major uniform "
-                                  f"{n_x} x {n_p} grid of write_field_csv to 12 digits")
+            raise off_grid(name)
     return WignerField(grid, data[:, 2].reshape(n_x, n_p)), metadata
 
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from wignerwall import (
     project_gaussian_to_box,
     wigner_of,
 )
-from wignerwall.oracle import _MODE_BLOCK, _QUAD_POINTS, require_in_window
+from wignerwall.cli import load_config
+from wignerwall.oracle import require_in_window
 
 
 AXIS = dict(x_min=-30.0, dx=0.02, n=3001)
@@ -205,48 +205,46 @@ def test_projection_idempotent():
     assert np.abs(c2 - s1.coefficients).max() < 1e-12
 
 
-def _one_shot_projection(amplitude, a, b, n_max):
-    """Every mode's basis row at once: the normalised coefficients and the
-    reconstruction error of the projection formula."""
+@pytest.mark.parametrize("x0, p0, sigma, a, b", [
+    (5.0, 4.0, 0.6, 0.0, 10.0),  # the box-traversal preset
+    (1.4, 0.0, 0.6, -5.0, 5.0),  # 1e-9 of its mass outside the walls
+    (0.5, 2.0, 0.5, -3.0, 4.5),
+    (0.2, 1.0, 0.4, -3.0, 3.5),
+])
+def test_projection_matches_image_train_quadrature(x0, p0, sigma, a, b):
+    # the closed form against a 200001-node trapezoid of the normalised
+    # odd image train: the train is smooth and 2L-periodic and each
+    # integrand is even about both walls, so the trapezoid is spectrally
+    # accurate
+    g = GaussianPacket(x0=x0, p0=p0, sigma=sigma, m=1.0)
     L = b - a
-    x = np.linspace(a, b, _QUAD_POINTS)
-    psi0 = amplitude(x, 0.0)
-    n = np.arange(1, n_max + 1)
-    basis = np.sqrt(2.0 / L) * np.sin(np.outer(n, np.pi * (x - a) / L))
-    c = np.trapezoid(basis * psi0[None, :], x, axis=1)
-    recon = np.sum(c[:, None] * basis, axis=0)
-    err = float(np.sqrt(np.trapezoid(np.abs(recon - psi0) ** 2, x)))
-    return c / np.sqrt(np.sum(np.abs(c) ** 2)), err
+    x = np.linspace(a, b, 200001)
+    train = sum(g.amplitude(x + 2.0 * m * L, 0.0) - g.amplitude(2.0 * a - x + 2.0 * m * L, 0.0)
+                for m in range(-3, 4))
+    train /= np.sqrt(np.trapezoid(np.abs(train) ** 2, x))
+    got = project_gaussian_to_box(g, a, b, 1000).coefficients
+    ref = [np.trapezoid(np.sqrt(2.0 / L) * np.sin(n * np.pi * (x - a) / L) * train, x)
+           for n in range(1, len(got) + 1)]
+    assert np.abs(got - ref).max() < 1e-13
 
 
-@pytest.mark.parametrize("n_max", [1, 7, 8, 9, 64])
-def test_projection_blocks_bit_identical_to_one_shot(n_max):
-    # the projection works _MODE_BLOCK modes at a time; a state of the
-    # first n_max sine modes with random complex weights passes the
-    # truncation check at every n_max, and a packet too wide for n_max
-    # must raise with the one-shot formula's error
-    assert _MODE_BLOCK == 8
-    a, b = -3.0, 4.5
-    L = b - a
-    w = np.array([1.0, 1j]) @ np.random.default_rng(n_max).standard_normal((2, n_max))
-    w /= np.linalg.norm(w)
+def test_projection_mode_count_and_tail():
+    # the box-traversal packet: n_all = ceil((4 + 10/0.6) 10/pi) = 66 modes
+    # carry it, and the tail past 8 modes is the parent's reconstruction error
+    cfg = load_config(None, "box-traversal")
+    g, a, b = cfg.packet, cfg.geometry["a"], cfg.geometry["b"]
+    with pytest.raises(TruncationTooSevere,
+                       match=r"^n_max = 8 reconstruction error 0\.972505 exceeds 1e-6$"):
+        project_gaussian_to_box(g, a, b, 8)
+    assert project_gaussian_to_box(g, a, b, 1000).n_max == 66
 
-    def amplitude(x, t):
-        n = np.arange(1, n_max + 1)
-        return w @ (np.sqrt(2.0 / L) * np.sin(np.outer(n, np.pi * (x - a) / L)))
 
-    # duck-typed packet: require_inside reads x0 and sigma, BoxSpectrum m
-    modes = SimpleNamespace(x0=0.75, sigma=0.1, m=1.0, amplitude=amplitude)
-    packet = GaussianPacket(x0=0.5, p0=2.0, sigma=0.5, m=1.0)
-    for state in (modes, packet):
-        ref, err = _one_shot_projection(state.amplitude, a, b, n_max)
-        if err > 1e-6:
-            assert state is packet and n_max < 64
-            with pytest.raises(TruncationTooSevere, match=f"error {err:g} exceeds"):
-                project_gaussian_to_box(state, a, b, n_max)
-        else:
-            got = project_gaussian_to_box(state, a, b, n_max).coefficients
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+@pytest.mark.parametrize("b, n_max", [(10.0, 0), (10.0, -1), (0.0, 64)])
+def test_projection_rejects_empty_box_or_mode_count(b, n_max):
+    # a negative n_max would otherwise keep all but the last modes
+    g = GaussianPacket(x0=5.0, p0=4.0, sigma=0.6, m=1.0)
+    with pytest.raises(ValidationError, match="need b > a and n_max >= 1"):
+        project_gaussian_to_box(g, 0.0, b, n_max)
 
 
 def test_truncation_guard_fires():

@@ -379,13 +379,18 @@ def test_csv_reader_rejects_malformed_file(tmp_path, edit, message):
 
 @pytest.mark.parametrize("edit,message", [
     # the rows in reverse order: x runs from 1 down to -1
-    (lambda lines: lines[:1] + lines[:0:-1], "grid extents must satisfy max > min"),
+    (lambda lines: lines[:1] + lines[:0:-1],
+     "the CSV's x column is not the row-major uniform 3 x 5 grid"),
     (lambda lines: [line.replace("1,", "3,", 1) if line.startswith("1,") else line
                     for line in lines],  # x = -1, 0, 3: not uniform
      "the CSV's x column is not the row-major uniform 3 x 5 grid"),
     (lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],  # two rows swapped
      "the CSV's p column is not the row-major uniform 3 x 5 grid"),
-], ids=["rows-reversed", "x-not-uniform", "p-rows-swapped"])
+    # NaN is unequal to itself, so every row was read as a run of the first x
+    (lambda lines: lines[:1] + [line.replace("-1,", "nan,", 1) if line.startswith("-1,")
+                                else line for line in lines[1:]],
+     "the CSV's x column is not the row-major uniform 1 x 15 grid"),
+], ids=["rows-reversed", "x-not-uniform", "p-rows-swapped", "nan-x"])
 def test_csv_reader_rejects_coordinates_off_the_grid(tmp_path, edit, message):
     # the reader once returned a wrong field for these: the coordinates must
     # be write_field_csv's row-major uniform grid
