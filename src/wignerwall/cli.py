@@ -385,6 +385,7 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
 
     rows, failures = [], []
     for t in cfg.times:
+        w = None  # the previous frame's field is freed before this one evolves
         try:
             w = evolve_bounded(plan, t)
             tag = f"t{_fmt_t(t)}"

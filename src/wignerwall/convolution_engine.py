@@ -125,7 +125,8 @@ class BoundedEvolutionPlan:
 
 
 def point_symmetry_defect(w: WignerField) -> float:
-    """Max |W(-x, -p) - W(x, p)| over grid points whose mirrors exist."""
+    """Max |W(-x, -p) - W(x, p)| over grid points whose mirrors exist,
+    compared ``_BLOCK_ROWS`` x rows at a time against their mirrored rows."""
     g = w.grid
     xi = np.round((-g.x_axis() - g.x_min) / g.dx).astype(int)
     pj = np.round((-g.p_axis() - g.p_min) / g.dp).astype(int)
@@ -135,9 +136,13 @@ def point_symmetry_defect(w: WignerField) -> float:
         (np.abs(-g.p_axis() - (g.p_min + pj * g.dp)) < 1e-9 * max(1.0, g.dp))
     if not (ok_x.any() and ok_p.any()):
         return 0.0
-    sub = w.values[np.ix_(ok_x, ok_p)]
-    mirrored = w.values[np.ix_(xi[ok_x], pj[ok_p])]
-    return float(np.abs(sub - mirrored).max())
+    rows, cols = np.flatnonzero(ok_x), np.flatnonzero(ok_p)
+    defect = 0.0
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        r = rows[lo:lo + _BLOCK_ROWS]
+        diff = w.values[np.ix_(r, cols)] - w.values[np.ix_(xi[r], pj[cols])]
+        defect = max(defect, float(np.abs(diff).max()))
+    return defect
 
 
 def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
@@ -162,6 +167,7 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
         out[rows] = _batched_fft_convolve(sheared.values[rows], None, grid.dp,
                                           grid.n_p - 1, (fk[block], L))
     del sheared
+    out.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, out)
 
 

@@ -130,8 +130,10 @@ def shear_evolve(w0: WignerField, s: ShearParams,
 
     A field whose edge mass is at most 1e-6 of its absolute mass is
     shifted spectrally (``_fourier_shift_rows``), any other by the cubic
-    spline (``map_coordinates``), which does not wrap. t = 0 returns a
-    bit-equal copy.
+    spline (``map_coordinates``), which does not wrap. ``abs_mass`` and
+    ``edge_mass`` keep their values on the field, so a plan's unchanging
+    W0 is measured once, not on every frame. t = 0 returns a field on
+    w0's own (immutable) values.
 
     Raises SupportEscaped when the post-shear edge mass exceeds
     1e-4 of the field's absolute mass (with check_support on; scenario
@@ -144,9 +146,9 @@ def shear_evolve(w0: WignerField, s: ShearParams,
 
     total = abs_mass(w0)
     fourier = total == 0.0 or edge_mass(w0) <= _FOURIER_SAFE_RATIO * total
-    # the shifted array dies once the field has copied it
-    result = WignerField(grid, (_fourier_shift_rows if fourier else map_coordinates)(
-        w0.values, shifts))
+    shifted = (_fourier_shift_rows if fourier else map_coordinates)(w0.values, shifts)
+    shifted.flags.writeable = False  # a fresh array: the field keeps it
+    result = WignerField(grid, shifted)
     if check_support:
         post_total = abs_mass(result)
         if post_total > 0.0 and edge_mass(result) > EDGE_GUARD_RATIO * post_total:

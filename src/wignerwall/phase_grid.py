@@ -85,8 +85,12 @@ class PhaseGrid:
 class WignerField:
     """Real-valued Wigner function samples on a PhaseGrid.
 
-    values[i, j] = W(x_i, p_j), units 1/(length*momentum). The array is
-    copied and frozen at construction; fields are immutable.
+    values[i, j] = W(x_i, p_j), units 1/(length*momentum). Fields are
+    immutable. A C-contiguous float64 array that is already read-only and
+    owns its memory is kept as it is, so a producer that freezes its fresh
+    output, and keeps no writeable view of it, hands it over without a
+    copy. Any other array (writeable, a view, another dtype or layout) is
+    copied, and the copy frozen.
     """
 
     grid: PhaseGrid
@@ -99,10 +103,12 @@ class WignerField:
                 f"values shape {v.shape} does not match grid "
                 f"({self.grid.n_x}, {self.grid.n_p})"
             )
-        if not np.all(np.isfinite(v)):
+        # min and max propagate a NaN and reach an inf, with no field-sized mask
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValidationError("field values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
+        if v.flags.writeable or not (v.flags.owndata and v.flags.c_contiguous):
+            v = v.copy()
+            v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 
@@ -156,11 +162,27 @@ def total_mass(w: WignerField) -> float:
     return float(w.values.sum() * w.grid.dx * w.grid.dp)
 
 
+def _once_per_field(f):
+    """Keep ``f(w)`` in the field object's own ``__dict__``, so that it is
+    computed once per field: a field is immutable, and it cannot be a cache
+    key, because fields compare by grid only."""
+    name = f"_{f.__name__}"
+
+    @functools.wraps(f)
+    def once(w: WignerField) -> float:
+        if name not in w.__dict__:
+            w.__dict__[name] = f(w)
+        return w.__dict__[name]
+    return once
+
+
+@_once_per_field
 def abs_mass(w: WignerField) -> float:
     """Integral of |W|; the scale against which edge mass is judged."""
     return float(np.abs(w.values).sum() * w.grid.dx * w.grid.dp)
 
 
+@_once_per_field
 def edge_mass(w: WignerField) -> float:
     """|W| mass in the outermost two rows and columns.
 
@@ -362,7 +384,7 @@ def write_field_binary(w: WignerField, path, metadata: dict | None = None) -> No
     with open(path, "wb") as f:
         f.write(_BIN_HEADER.pack(g.x_min, g.x_max, g.p_min, g.p_max, g.dx, g.dp,
                                  g.n_x, g.n_p))
-        f.write(np.ascontiguousarray(w.values, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(w.values, dtype="<f8").data)  # the buffer, not a copy
         if metadata is not None:
             f.write(json.dumps(metadata, sort_keys=True).encode("utf-8"))
 

@@ -199,5 +199,6 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     if residue >= REALNESS_TOL:
         raise RealnessViolation(f"imaginary residue {residue:g} of the transform exceeds "
                                 f"{REALNESS_TOL:g}; corrupted correlation input?")
+    W.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, W)
 

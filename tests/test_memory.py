@@ -9,13 +9,20 @@ once a 64-mode basis over 20001 quadrature nodes, is now a closed form
 over the packet's modes. A change that brings such a temporary back
 fails here. The disk indicator's sampling is held to its output plus a
 few lattice-sized predicates per thread.
+
+Fields are not copied when their producer hands over a frozen array of
+its own, and the field comparison, the kernel rows and the plan's
+symmetry check no longer form full-size differences or copies, so the
+comparison and the plan's set-up have ceilings too.
 """
 
+import numpy as np
 import pytest
 
-from wignerwall import (cli, evolve_bounded, kernel_from_indicator, project_gaussian_to_box,
-                        wigner_of, write_field_csv)
-from wignerwall.cli import _disk_indicator, _oracle_wave, load_config
+from wignerwall import (PhaseGrid, ShearParams, WignerField, cli, compare_fields,
+                        evolve_bounded, kernel_from_indicator, project_gaussian_to_box,
+                        shear_evolve, wigner_of, write_field_csv)
+from wignerwall.cli import _disk_indicator, _oracle_wave, load_config, oracle_field
 
 from conftest import traced_peak_mib
 
@@ -48,6 +55,58 @@ def test_halfline_oracle_transform_working_set(t):
 def test_bounded_frame_working_set(preset, t, ceiling):
     plan = cli.build_plan(load_config(None, preset))
     assert traced_peak_mib(lambda: evolve_bounded(plan, t)) <= ceiling
+
+
+# 14.2 MiB (half line) and 10.6 MiB (box) when W0's field copied its
+# array, the kernel rows' sinc terms were formed over all live rows at
+# once and the half line's symmetry check differenced two whole-field
+# copies; 10.1 and 9.0 MiB without
+@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 12.0),
+                                             ("box-traversal", 9.75)])
+def test_build_plan_working_set(preset, ceiling):
+    cfg = load_config(None, preset)
+    assert traced_peak_mib(lambda: cli.build_plan(cfg)) <= ceiling
+
+
+@pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])
+def test_compare_fields_working_set(preset, t):
+    cfg = load_config(None, preset)
+    w, ref = evolve_bounded(cli.build_plan(cfg), t), oracle_field(cfg, t)
+    # 4.0 MiB with the whole difference field and its absolute value;
+    # 0.13 MiB for a block of 16 rows
+    assert traced_peak_mib(lambda: compare_fields(w, ref)) <= 1.0
+
+
+def test_field_keeps_a_frozen_array_and_copies_any_other():
+    grid = PhaseGrid(-1.0, 1.0, 257, -2.0, 2.0, 257)
+    fresh = np.random.default_rng(3).standard_normal((257, 257))
+    for given in (fresh, fresh[:, :], fresh.tolist(), np.asfortranarray(fresh)):
+        w = WignerField(grid, given)  # writeable, a view, a list, another layout
+        assert not np.shares_memory(w.values, fresh) and not w.values.flags.writeable
+    view = fresh[:, :]
+    view.flags.writeable = False
+    assert not np.shares_memory(WignerField(grid, view).values, fresh)  # fresh still writes
+    fresh.flags.writeable = False
+    assert traced_peak_mib(lambda: WignerField(grid, fresh)) < 0.1
+    assert WignerField(grid, fresh).values is fresh
+
+
+@pytest.mark.parametrize("produce", ["wigner_of", "shear_evolve", "evolve_bounded"])
+def test_producers_hand_over_their_arrays(produce, monkeypatch):
+    cfg = load_config(None, "halfline-bounce")
+    plan = cli.build_plan(cfg)
+    given, post_init = [], WignerField.__post_init__
+
+    def spy(self):
+        given.append(self.values)
+        post_init(self)
+
+    monkeypatch.setattr(WignerField, "__post_init__", spy)
+    w = {"wigner_of": lambda: wigner_of(_oracle_wave(cfg, 1.0), cfg.grid),
+         "shear_evolve": lambda: shear_evolve(plan.initial, ShearParams(1.0, plan.shear.m)),
+         "evolve_bounded": lambda: evolve_bounded(plan, 1.0)}[produce]()
+    # the field holds the very array its producer made, frozen, not a copy
+    assert w.values is given[-1] and not w.values.flags.writeable
 
 
 def test_field_csv_working_set(tmp_path):

@@ -76,10 +76,11 @@ def test_field_shape_and_immutability(grid):
         w.values[0, 0] = 1.0
     with pytest.raises(ValidationError):
         WignerField(grid, np.zeros((3, 3)))
-    bad = np.zeros((grid.n_x, grid.n_p))
-    bad[0, 0] = np.nan
-    with pytest.raises(ValidationError):
-        WignerField(grid, bad)
+    for value, at in ((np.nan, (0, 0)), (np.inf, (5, 7)), (-np.inf, (-1, -1))):
+        bad = np.zeros((grid.n_x, grid.n_p))
+        bad[at] = value
+        with pytest.raises(ValidationError):
+            WignerField(grid, bad)
 
 
 def test_wave_norm(gaussian_wave):
@@ -170,6 +171,20 @@ def test_edge_mass_bit_identical_to_abs_of_whole_field(shape):
     v = np.abs(w.values)
     total = v[:2, :].sum() + v[-2:, :].sum() + v[2:-2, :2].sum() + v[2:-2, -2:].sum()
     assert edge_mass(w) == float(total * grid.dx * grid.dp)
+
+
+def test_masses_are_kept_per_field_object(grid):
+    # two fields on one grid compare equal, yet each keeps its own masses
+    rng = np.random.default_rng(7)
+    a = WignerField(grid, rng.standard_normal((grid.n_x, grid.n_p)))
+    b = WignerField(grid, 2.0 * a.values)
+    assert a == b
+    assert abs_mass(b) == 2.0 * abs_mass(a) and edge_mass(b) == 2.0 * edge_mass(a)
+    # computed once: a value written behind the field's back is not seen
+    kept = (abs_mass(a), edge_mass(a))
+    a.values.flags.writeable = True
+    a.values[:] *= 3.0
+    assert (abs_mass(a), edge_mass(a)) == kept
 
 
 def test_csv_roundtrip(tmp_path, grid, gaussian_wave):

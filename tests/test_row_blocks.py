@@ -1,17 +1,22 @@
 """Each per-frame stage streams its rows in blocks: the Wigner transform
-(``wigner_of``), the momentum convolution (``evolve_bounded``) and both
-shear paths (``_fourier_shift_rows``, ``map_coordinates``). Every row's
-arithmetic is the same whatever the block size, so each stage is compared
-bit for bit, at block sizes 1, 3 and more than the row count, against
-the one-shot formula over all rows."""
+(``wigner_of``), the momentum convolution (``evolve_bounded``), both
+shear paths (``_fourier_shift_rows``, ``map_coordinates``) and the field
+comparison (``compare_fields``), and so do the plan's kernel rows
+(``_sinc_rows``) and its symmetry check (``point_symmetry_defect``).
+Every row's arithmetic is the same whatever the block size, so each stage
+is compared bit for bit, at block sizes 1, 3 and more than the row count,
+against the one-shot formula over all rows. The comparison's sums add up
+the blocks' sums, so those are compared to within the rounding of
+float64 sums instead."""
 
 import numpy as np
 import pytest
 
-from wignerwall import (RealnessViolation, cli, convolution_engine, evolve_bounded,
-                        free_evolution, wigner_transform)
-from wignerwall.cli import _KINDS, _oracle_wave, load_config
-from wignerwall.convolution_engine import _batched_fft_convolve
+from wignerwall import (PhaseGrid, RealnessViolation, WignerField, boundary_kernels, cli,
+                        convolution_engine, evolve_bounded, free_evolution, oracle,
+                        wigner_transform)
+from wignerwall.cli import _KINDS, _oracle_wave, load_config, oracle_field
+from wignerwall.convolution_engine import _batched_fft_convolve, point_symmetry_defect
 from wignerwall.free_evolution import ShearParams, shear_evolve
 from wignerwall.wigner_transform import correlation_matrix, fourier_over_separation
 
@@ -186,3 +191,84 @@ def test_shear_evolve_blocks_bit_identical(preset, t, monkeypatch):
         monkeypatch.setattr(free_evolution, "_BLOCK_ROWS", rows)
         out = shear_evolve(w0, ShearParams(t, plan.shear.m), check_support=plan.check_support)
         assert same_bits(out.values, ref)
+
+
+def one_shot_sinc_rows(jumps, weights, p):
+    pp = np.asarray(p, dtype=np.float64)[None, :]
+    out = np.zeros((weights.shape[0], pp.size))
+    live = np.flatnonzero(np.any(weights != 0.0, axis=1))
+    b, w = jumps[live], weights[live]
+    acc = sum(w[:, j, None] * np.sin(b[:, j, None] * pp) for j in range(w.shape[1]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[live] = np.where(np.abs(pp) < 1e-300, (w * b).sum(axis=1)[:, None] / np.pi,
+                             acc / (np.pi * pp))
+    return out
+
+
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_sinc_rows_blocks_bit_identical(preset, monkeypatch):
+    # the preset kernels' one jump per row, and rows of three jumps with
+    # zero-padded and all-zero rows among them, on the plan's lattice (p = 0
+    # included) and on the grid window
+    cfg = load_config(None, preset)
+    kernel = _KINDS[cfg.geometry["kind"]].kernel(cfg.grid, cfg.geometry)
+    rng = np.random.default_rng(5)
+    jumps, weights = rng.uniform(0.1, 20.0, (41, 3)), rng.standard_normal((41, 3))
+    weights[::4] = 0.0
+    weights[1::4, 2] = jumps[1::4, 2] = 0.0
+    karg = cfg.grid.dp * np.arange(-(cfg.grid.n_p - 1), cfg.grid.n_p)
+    for b, w in ((kernel.jumps, kernel.weights), (jumps, weights)):
+        for p in (karg, cfg.grid.p_axis()):
+            ref = one_shot_sinc_rows(b, w, p)
+            assert np.any(ref != 0.0) and np.any(np.all(ref == 0.0, axis=1))
+            for rows in BLOCKS:
+                monkeypatch.setattr(boundary_kernels, "_BLOCK_ROWS", rows)
+                assert same_bits(boundary_kernels._sinc_rows(b, w, p), ref)
+
+
+def one_shot_symmetry_defect(w):
+    g = w.grid
+    xi = np.round((-g.x_axis() - g.x_min) / g.dx).astype(int)
+    pj = np.round((-g.p_axis() - g.p_min) / g.dp).astype(int)
+    ok_x = (xi >= 0) & (xi < g.n_x) & \
+        (np.abs(-g.x_axis() - (g.x_min + xi * g.dx)) < 1e-9 * max(1.0, g.dx))
+    ok_p = (pj >= 0) & (pj < g.n_p) & \
+        (np.abs(-g.p_axis() - (g.p_min + pj * g.dp)) < 1e-9 * max(1.0, g.dp))
+    if not (ok_x.any() and ok_p.any()):
+        return 0.0
+    sub = w.values[np.ix_(ok_x, ok_p)]
+    mirrored = w.values[np.ix_(xi[ok_x], pj[ok_p])]
+    return float(np.abs(sub - mirrored).max())
+
+
+@pytest.mark.parametrize("grid", [
+    PhaseGrid(-24.0, 24.0, 513, -16.0, 16.0, 513),  # every mirror exists
+    PhaseGrid(-3.0, 5.0, 33, -2.0, 6.0, 17),  # only |x| <= 3 and |p| <= 2 have mirrors
+    PhaseGrid(-3.0, 5.0, 33, 1.0, 6.0, 11),  # no p mirror: no point is compared
+], ids=["symmetric", "some-mirrors", "no-mirrors"])
+def test_point_symmetry_defect_blocks_identical(grid, monkeypatch):
+    rng = np.random.default_rng(grid.n_x + grid.n_p)
+    w = WignerField(grid, rng.standard_normal((grid.n_x, grid.n_p)))
+    ref = one_shot_symmetry_defect(w)
+    assert (ref > 0.0) == (grid.p_min < 0.0)
+    for rows in BLOCKS:
+        monkeypatch.setattr(convolution_engine, "_BLOCK_ROWS", rows)
+        assert point_symmetry_defect(w) == ref
+
+
+@pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])
+def test_compare_fields_blocks_match_one_shot(preset, t, monkeypatch):
+    cfg = load_config(None, preset)
+    a, b = evolve_bounded(cli.build_plan(cfg), t).values, oracle_field(cfg, t).values
+    diff = a - b
+    scale = cfg.grid.dx * cfg.grid.dp
+    l2 = np.sqrt(np.einsum("ij,ij->", diff, diff)) / np.sqrt(np.einsum("ij,ij->", b, b))
+    for rows in BLOCKS:
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+        cmp = oracle.compare_fields(WignerField(cfg.grid, a), WignerField(cfg.grid, b))
+        assert cmp.max_abs == np.abs(diff).max()
+        # two sums of the same n float64 terms, in any orders, are within
+        # n eps of each other, times the sum of the terms' absolute values
+        assert abs(cmp.l2_rel - l2) <= diff.size * 2.3e-16 * l2
+        assert abs(cmp.mass_diff - abs(diff.sum()) * scale) <= \
+            diff.size * 2.3e-16 * np.abs(diff).sum() * scale
