@@ -34,24 +34,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, RealnessViolation
-from .phase_grid import PhaseGrid, WignerField, write_field_binary, write_field_csv
+from .phase_grid import PhaseGrid, WignerField, row_blocks, write_field_binary, write_field_csv
+from .wigner_transform import REALNESS_TOL
 
 _EVEN_TOL = 1e-12
-_NUMERIC_REALNESS_TOL = 1e-10
-_BLOCK_ROWS = 16  # live rows per _sinc_rows pass: 16 rows of 1025 arguments take 0.13 MiB
 
 
 def _sinc_rows(jumps: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
     """[n_rows, len(p)] rows sum_j w_j sin(b_j p) / (pi p), sum_j w_j b_j / pi
     at p = 0, from [n_rows, J] jumps b_j and weights w_j (zero padded).
     Rows with no nonzero weight are +0.0 and are not evaluated; the others
-    are evaluated ``_BLOCK_ROWS`` at a time, so the temporaries stay
+    are evaluated per ``row_blocks`` block, so the temporaries stay
     block-sized."""
     pp = np.asarray(p, dtype=np.float64)[None, :]
     out = np.zeros((weights.shape[0], pp.size))
     live = np.flatnonzero(np.any(weights != 0.0, axis=1))
-    for lo in range(0, live.size, _BLOCK_ROWS):
-        rows = live[lo:lo + _BLOCK_ROWS]
+    for block in row_blocks(live.size):
+        rows = live[block]
         b, w = jumps[rows], weights[rows]
         acc = sum(w[:, j, None] * np.sin(b[:, j, None] * pp) for j in range(w.shape[1]))
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -284,7 +283,7 @@ def kernel_from_indicator(s: ShapeIndicator,
         residues.append(np.abs(k.imag).max())
         out[idx] = k.real
     residue = float(np.max(residues))
-    if not residue < _NUMERIC_REALNESS_TOL:
+    if not residue < REALNESS_TOL:
         raise RealnessViolation(f"imaginary residue {residue:g} in indicator transform")
     return out
 

@@ -31,12 +31,11 @@ import numpy.fft as sfft
 from .boundary_kernels import BoundaryKernel, halfline_kernel
 from .errors import GridMismatch, LengthMismatch, ValidationError
 from .free_evolution import ShearParams, shear_evolve
-from .phase_grid import WignerField, marginal_x
+from .phase_grid import WignerField, marginal_x, row_blocks
 from .wigner_transform import next_fast_len
 from .wigner_transform import wigner_of  # noqa: F401 -- benchmark/tracer.py wraps it here
 
 _SYMMETRY_TOL = 1e-6
-_BLOCK_ROWS = 16  # x rows per convolution block: 16 padded rows of 1540 take 0.4 MiB
 
 
 def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float) -> np.ndarray:
@@ -126,7 +125,7 @@ class BoundedEvolutionPlan:
 
 def point_symmetry_defect(w: WignerField) -> float:
     """Max |W(-x, -p) - W(x, p)| over grid points whose mirrors exist,
-    compared ``_BLOCK_ROWS`` x rows at a time against their mirrored rows."""
+    compared per ``row_blocks`` block of x rows with their mirrored rows."""
     g = w.grid
     xi = np.round((-g.x_axis() - g.x_min) / g.dx).astype(int)
     pj = np.round((-g.p_axis() - g.p_min) / g.dp).astype(int)
@@ -138,8 +137,8 @@ def point_symmetry_defect(w: WignerField) -> float:
         return 0.0
     rows, cols = np.flatnonzero(ok_x), np.flatnonzero(ok_p)
     defect = 0.0
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        r = rows[lo:lo + _BLOCK_ROWS]
+    for b in row_blocks(len(rows)):
+        r = rows[b]
         diff = w.values[np.ix_(r, cols)] - w.values[np.ix_(xi[r], pj[cols])]
         defect = max(defect, float(np.abs(diff).max()))
     return defect
@@ -149,7 +148,7 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     """Bounded field at time t.
 
     Shear first, then convolve each x row along p with its kernel row.
-    Only the inside rows are convolved, ``_BLOCK_ROWS`` at a time against
+    Only the inside rows are convolved, per ``row_blocks`` block, against
     the matching rows of the plan's kernel spectrum; the rows outside the
     walls, whose kernel row vanishes, are exactly +0.0.
 
@@ -162,10 +161,10 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
                            check_support=plan.check_support)
     out = np.zeros_like(sheared.values)
     inside, (fk, L) = np.flatnonzero(plan._inside), plan._kernel_spectrum
-    for lo in range(0, len(inside), _BLOCK_ROWS):
-        rows, block = inside[lo:lo + _BLOCK_ROWS], slice(lo, lo + _BLOCK_ROWS)
+    for b in row_blocks(len(inside)):
+        rows = inside[b]
         out[rows] = _batched_fft_convolve(sheared.values[rows], None, grid.dp,
-                                          grid.n_p - 1, (fk[block], L))
+                                          grid.n_p - 1, (fk[b], L))
     del sheared
     out.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, out)

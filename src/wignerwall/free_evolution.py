@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportEscaped, ValidationError
-from .phase_grid import WignerField, abs_mass, edge_mass
+from .phase_grid import WignerField, row_blocks
 
 EDGE_GUARD_RATIO = 1e-4
 _FOURIER_SAFE_RATIO = 1e-6
 _POLE = np.sqrt(3.0) - 2.0  # the cubic B-spline prefilter's pole
-_BLOCK_ROWS = 16  # momentum columns per phase block, x rows per spline gather block
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,11 @@ class ShearParams:
 def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Periodic band-limited samples of ``values`` at row ``i - shifts[j]``
     of column ``j``, shifts in rows as ``map_coordinates`` takes them. The
-    phase ramps are applied ``_BLOCK_ROWS`` columns at a time, so no
+    phase ramps are applied per ``row_blocks`` block of columns, so no
     spectrum-sized phase matrix is built."""
     n = values.shape[0]
     R, freq = np.fft.rfft(values, axis=0), np.fft.rfftfreq(n)
-    for lo in range(0, R.shape[1], _BLOCK_ROWS):
-        cols = slice(lo, lo + _BLOCK_ROWS)
+    for cols in row_blocks(R.shape[1]):
         R[:, cols] *= np.exp(-2j * np.pi * np.outer(freq, shifts[cols]))
     return np.fft.irfft(R, n, axis=0)
 
@@ -90,7 +88,7 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
     Each column moves by one shift, so its integer offset and its four
     weights are computed once and every output row is four gathered
-    coefficient rows, gathered ``_BLOCK_ROWS`` output rows at a time so
+    coefficient rows, gathered per ``row_blocks`` block of output rows so
     that the index and tap arrays stay block-sized. The name stays a
     module attribute that ``shear_evolve`` looks up at call time, because
     the benchmark tracer wraps ``free_evolution.map_coordinates`` and
@@ -111,11 +109,11 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
                (1.0 + 3.0 * (t + t2 - t3)) / 6.0, t3 / 6.0)
     base, last = start * n_p + np.arange(n_p), n - 1 - start - (t > 0.0)
     out = np.empty((n, n_p))
-    for lo in range(0, n, _BLOCK_ROWS):
+    for b in row_blocks(n):
         # flat index of tap 0 (coefficient row floor(i - shift) - 1) of each
         # point; points off the grid read clipped indices and are zeroed last
-        i = np.arange(lo, min(lo + _BLOCK_ROWS, n))[:, None]
-        flat, block = i * n_p + base, out[lo:lo + _BLOCK_ROWS]
+        i = np.arange(b.start, b.stop)[:, None]
+        flat, block = i * n_p + base, out[b]
         np.take(coef, flat, mode="clip", out=block)
         block *= weights[0]
         for k in (1, 2, 3):
@@ -130,10 +128,10 @@ def shear_evolve(w0: WignerField, s: ShearParams,
 
     A field whose edge mass is at most 1e-6 of its absolute mass is
     shifted spectrally (``_fourier_shift_rows``), any other by the cubic
-    spline (``map_coordinates``), which does not wrap. ``abs_mass`` and
-    ``edge_mass`` keep their values on the field, so a plan's unchanging
-    W0 is measured once, not on every frame. t = 0 returns a field on
-    w0's own (immutable) values.
+    spline (``map_coordinates``), which does not wrap. The field keeps its
+    ``abs_mass`` and ``edge_mass``, so a plan's unchanging W0 is measured
+    once, not on every frame. t = 0 returns a field on w0's own
+    (immutable) values.
 
     Raises SupportEscaped when the post-shear edge mass exceeds
     1e-4 of the field's absolute mass (with check_support on; scenario
@@ -144,16 +142,16 @@ def shear_evolve(w0: WignerField, s: ShearParams,
         return WignerField(grid, w0.values)
     shifts = grid.p_axis() * (s.t / s.m) / grid.dx  # in rows
 
-    total = abs_mass(w0)
-    fourier = total == 0.0 or edge_mass(w0) <= _FOURIER_SAFE_RATIO * total
+    total = w0.abs_mass
+    fourier = total == 0.0 or w0.edge_mass <= _FOURIER_SAFE_RATIO * total
     shifted = (_fourier_shift_rows if fourier else map_coordinates)(w0.values, shifts)
     shifted.flags.writeable = False  # a fresh array: the field keeps it
     result = WignerField(grid, shifted)
     if check_support:
-        post_total = abs_mass(result)
-        if post_total > 0.0 and edge_mass(result) > EDGE_GUARD_RATIO * post_total:
+        post_total = result.abs_mass
+        if post_total > 0.0 and result.edge_mass > EDGE_GUARD_RATIO * post_total:
             raise SupportEscaped(
-                f"post-shear edge mass {edge_mass(result):.3e} exceeds "
+                f"post-shear edge mass {result.edge_mass:.3e} exceeds "
                 f"{EDGE_GUARD_RATIO:g} of the field mass; the state left the window"
             )
     return result
@@ -167,7 +165,7 @@ def naive_bounded_evolve(w0: WignerField, s: ShearParams) -> WignerField:
     from a state that vanishes for x <= 0.
     """
     grid = w0.grid
-    total = abs_mass(w0)
+    total = w0.abs_mass
     if total > 0.0 and wall_violation_mass(w0) > 1e-8 * total:
         raise ValidationError(
             "naive evolution expects an initial field vanishing for x <= 0"

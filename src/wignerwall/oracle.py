@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, SupportEscaped, TruncationTooSevere, ValidationError
-from .phase_grid import ComplexWave, WignerField, wave_edge_fraction
+from .phase_grid import WAVE_EDGE_TOL, ComplexWave, WignerField, row_blocks, wave_edge_fraction
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def free_gaussian(g: GaussianPacket, t: float,
     """
     x = x_min + dx * np.arange(n)
     wave = ComplexWave(x_min, dx, n, g.amplitude(x, t))
-    if wave_edge_fraction(wave) > 1e-9:
+    if wave_edge_fraction(wave) > WAVE_EDGE_TOL:
         raise SupportEscaped("dispersed packet reaches the axis ends")
     return wave
 
@@ -115,7 +115,7 @@ def images_reflect(g: GaussianPacket, t: float,
     x = x_min + dx * np.arange(n)
     values = (g.amplitude(x, t) - g.amplitude(-x, t)) * (x > 0)
     wave = ComplexWave(x_min, dx, n, values)
-    if wave_edge_fraction(wave) > 1e-9:
+    if wave_edge_fraction(wave) > WAVE_EDGE_TOL:
         raise SupportEscaped("reflected state reaches the axis ends")
     return wave
 
@@ -207,21 +207,18 @@ class FieldComparison:
     mass_diff: float
 
 
-_BLOCK_ROWS = 16  # x rows of the difference field formed at a time
-
-
 def compare_fields(w_a: WignerField, w_b: WignerField) -> FieldComparison:
     """Distance of w_a from the reference w_b: ||a-b||_2/||b||_2, max |a-b|,
     and the mass of the difference |sum(a - b)| dx dp, which unlike
     |mass(a) - mass(b)| does not lose digits to two masses near 1. The
     norms are einsum sums, which wake no BLAS threads. The difference is
-    formed ``_BLOCK_ROWS`` rows at a time, and its sums add up the blocks'."""
+    formed per ``row_blocks`` block of rows, and its sums add up the blocks'."""
     if w_a.grid != w_b.grid:
         raise GridMismatch("cannot compare fields on different grids")
     a, b = w_a.values, w_b.values
     err2 = max_abs = total = 0.0
-    for lo in range(0, len(a), _BLOCK_ROWS):
-        diff = a[lo:lo + _BLOCK_ROWS] - b[lo:lo + _BLOCK_ROWS]
+    for rows in row_blocks(len(a)):
+        diff = a[rows] - b[rows]
         err2 += float(np.einsum("ij,ij->", diff, diff))
         max_abs = max(max_abs, float(np.abs(diff).max()))
         total += float(diff.sum())

@@ -23,6 +23,7 @@ _BIN_HEADER = struct.Struct("<6d2Q")
 _RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
 _NUM = "%.12g"  # every number of every CSV the package writes
 _CELLS = 8192  # cells of a field CSV formatted per NumPy pass
+_BLOCK_ROWS = 16  # rows (or columns) per block of every stage that streams a field
 
 
 @dataclass(frozen=True, eq=True)
@@ -111,6 +112,33 @@ class WignerField:
             v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    # each mass is kept in the field object's own __dict__, once per field:
+    # a field cannot be a cache key, because fields compare by grid only
+    @functools.cached_property
+    def abs_mass(self) -> float:
+        """Integral of |W|; the scale against which edge mass is judged."""
+        return float(np.abs(self.values).sum() * self.grid.dx * self.grid.dp)
+
+    @functools.cached_property
+    def edge_mass(self) -> float:
+        """|W| mass in the outermost two rows and columns.
+
+        Compact support inside the grid means this is a negligible fraction
+        of abs_mass; shear and transform guards compare the two.
+        """
+        v = self.values
+        total = np.abs(v[:_RIM, :]).sum() + np.abs(v[-_RIM:, :]).sum()
+        total += np.abs(v[_RIM:-_RIM, :_RIM]).sum() + np.abs(v[_RIM:-_RIM, -_RIM:]).sum()
+        return float(total * self.grid.dx * self.grid.dp)
+
+
+def row_blocks(n: int):
+    """Slices of ``_BLOCK_ROWS`` consecutive indices that cover range(n),
+    the last one short. The constant is read at each call, so setting it
+    once moves every stage's blocks."""
+    step = _BLOCK_ROWS
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
 
 @dataclass(frozen=True)
 class ComplexWave:
@@ -162,37 +190,7 @@ def total_mass(w: WignerField) -> float:
     return float(w.values.sum() * w.grid.dx * w.grid.dp)
 
 
-def _once_per_field(f):
-    """Keep ``f(w)`` in the field object's own ``__dict__``, so that it is
-    computed once per field: a field is immutable, and it cannot be a cache
-    key, because fields compare by grid only."""
-    name = f"_{f.__name__}"
-
-    @functools.wraps(f)
-    def once(w: WignerField) -> float:
-        if name not in w.__dict__:
-            w.__dict__[name] = f(w)
-        return w.__dict__[name]
-    return once
-
-
-@_once_per_field
-def abs_mass(w: WignerField) -> float:
-    """Integral of |W|; the scale against which edge mass is judged."""
-    return float(np.abs(w.values).sum() * w.grid.dx * w.grid.dp)
-
-
-@_once_per_field
-def edge_mass(w: WignerField) -> float:
-    """|W| mass in the outermost two rows and columns.
-
-    Compact support inside the grid means this is a negligible fraction
-    of abs_mass; shear and transform guards compare the two.
-    """
-    v = w.values
-    total = np.abs(v[:_RIM, :]).sum() + np.abs(v[-_RIM:, :]).sum()
-    total += np.abs(v[_RIM:-_RIM, :_RIM]).sum() + np.abs(v[_RIM:-_RIM, -_RIM:]).sum()
-    return float(total * w.grid.dx * w.grid.dp)
+WAVE_EDGE_TOL = 1e-9  # the largest wave_edge_fraction of a wave whose ends count as decayed
 
 
 def wave_edge_fraction(psi: ComplexWave) -> float:

@@ -26,11 +26,10 @@ import functools
 import numpy as np
 
 from .errors import DomainTooSmall, GridMismatch, NyquistViolation, RealnessViolation
-from .phase_grid import ComplexWave, PhaseGrid, WignerField, wave_edge_fraction
+from .phase_grid import (WAVE_EDGE_TOL, ComplexWave, PhaseGrid, WignerField, row_blocks,
+                         wave_edge_fraction)
 
 REALNESS_TOL = 1e-10
-_EDGE_FRACTION_TOL = 1e-9
-_BLOCK_ROWS = 16  # rows per block: 16 rows of 2047 lags and their chirp-z take 1.9 MiB
 
 
 def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None
@@ -48,7 +47,7 @@ def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None
         raise DomainTooSmall("wave axis does not cover the grid x range")
     if y_halfwidth is None:
         # full reach; zero extension beyond the axis requires a decayed edge
-        if wave_edge_fraction(psi) > _EDGE_FRACTION_TOL:
+        if wave_edge_fraction(psi) > WAVE_EDGE_TOL:
             raise DomainTooSmall(
                 "wave support reaches the axis ends; enlarge the axis or "
                 "pass y_halfwidth for intentionally extended states"
@@ -175,8 +174,8 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     on their axis (image trains, box eigenmodes) require it, and the cap
     must then sit in a region where the correlation is negligible. The
     correlation and its transform run over the wave's nonzero support
-    only (``correlation_matrix``), ``_BLOCK_ROWS`` rows at a time into the
-    real field, so no full correlation matrix or complex field is held.
+    only (``correlation_matrix``), per ``row_blocks`` block of rows, into
+    the real field, so no full correlation matrix or complex field is held.
 
     Raises DomainTooSmall, NyquistViolation, GridMismatch, or
     RealnessViolation (imaginary residue of the transform >= 1e-10).
@@ -190,8 +189,7 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     at, p = np.arange(grid.n_x)[sel], grid.p_axis()
     # rows anchored off the wave's nonzero support are exact zeros
     W, residue = np.zeros((grid.n_x, grid.n_p)), 0.0
-    for lo in range(0, len(lags), _BLOCK_ROWS):
-        b = slice(lo, lo + _BLOCK_ROWS)
+    for b in row_blocks(len(lags)):
         C, K, dest = correlation_matrix(psi, grid, y_halfwidth, (at[b], rows[b], lags[b], K))
         S = fourier_over_separation(C, K, dy, p, backend)
         residue = max(residue, float(np.abs(S.imag).max()))

@@ -116,8 +116,8 @@ mass = 1.0
      "[geometry] a"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[times]\nvalues = 0, nan\n", "[times] values"),
-    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
-     "[run]\nn_modes = 0\n", "[run] n_modes"),
+    ("[geometry]\nkind = box\na = 0\nb = 10\n[packet]\nx0=5\np0=0\nsigma=1\nmass=1\n"
+     "[run]\nn_modes = 0\n", "[run] n_modes must be >= 1"),
     # two times whose files would be one and the same
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[times]\nvalues = 1.0000001, 1.5, 1.0000002\n",
@@ -129,6 +129,19 @@ mass = 1.0
      "mass=1\n", "[geometry] kind = box reads no ['radius']"),
     ("[geometry]\nkind = billiard2d\nradius = 1\na = -1\nb = 1\n[packet]\nx0=0\np0=0\n"
      "sigma=1\nmass=1\n", "[geometry] kind = billiard2d reads no ['a', 'b']"),
+    # so would a section or [run] key that the kind does not read
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[kernel2d]\nx_points = 7\np_half = 9999\n", "kind = halfline reads no [kernel2d]"),
+    ("[geometry]\nkind = box\na = 0\nb = 10\n[packet]\nx0=5\np0=0\nsigma=1\nmass=1\n"
+     "[kernel2d]\nn_p = 9\n", "kind = box reads no [kernel2d]"),
+    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
+     "[run]\noutputs = report\nn_modes = 3\n", "kind = halfline reads no [run] n_modes"),
+    ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\nmass=1\n"
+     "[grid]\nn_x = 7\n", "kind = billiard2d reads no [grid]"),
+    ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\nmass=1\n"
+     "[times]\nvalues = 1, 2\n", "kind = billiard2d reads no [times]"),
+    ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\nmass=1\n"
+     "[run]\noutputs = fields\n", "kind = billiard2d reads no [run]"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -200,12 +213,17 @@ def test_validate_exit_codes(tmp_path, capsys):
     (FAST_HALFLINE.replace("kind = halfline", "kind = box\na = -5.0\nb = 5.0")
      .replace("x0 = 8.0", "x0 = 1.4").replace("p0 = -4.0", "p0 = 0.0")
      .replace("sigma = 1.0", "sigma = 0.6") + "outputs = report\n", 0),
+    # input the kind does not read, which runs used to ignore and exit 0
+    (FAST_HALFLINE + "n_modes = 3\n[kernel2d]\nx_points = 7\np_half = 9999\n", 2),
+    (PRESETS["disk-kernel"] + "[times]\nvalues = 1, 2\n[run]\noutputs = fields\n"
+     "[grid]\nn_x = 7\n", 2),
 ], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan",
         "threads-2", "ok",
         "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
         "disk-slices-outside", "disk-n_p-1", "disk-p_half-240", "disk-p_half-600",
         "disk-p_half-200", "times-share-tag", "momentum-outside-window",
-        "momentum-just-outside", "momentum-just-inside", "box-mass-at-walls"])
+        "momentum-just-outside", "momentum-just-inside", "box-mass-at-walls",
+        "halfline-unread-n_modes-kernel2d", "disk-unread-times-run-grid"])
 def test_validate_agrees_with_simulate(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
@@ -716,8 +734,8 @@ def config_texts(draw):
     """INI text with grids of at most 65 samples per axis. One value in
     ten is malformed, non-finite or out of range; optional keys are set
     half the time; the drawn kind's own [geometry] keys are always set and
-    another kind's now and then; a removed key or an unknown section now
-    and then."""
+    another kind's now and then, as are the sections and [run] keys the
+    kind does not read; a removed key or an unknown section now and then."""
     ints = st.integers
 
     def pick(good):
@@ -727,6 +745,7 @@ def config_texts(draw):
     own = cli._KINDS[kind].keys if kind in cli._KINDS else ()
     if draw(ints(0, 15)) == 7:  # a key of another kind
         own += (draw(st.sampled_from(sorted({"a", "b", "radius"} - set(own)))),)
+    unread = set(cli._KINDS[kind].unread) if kind in cli._KINDS else set()
     geometry = {"kind": st.just(kind), "a": ints(-10, 2), "b": ints(-2, 10),
                 "radius": st.sampled_from(["0.5", "1", "2"])}
     p_half = draw(ints(1, 16))
@@ -751,8 +770,12 @@ def config_texts(draw):
     for section, keys in values.items():
         if section not in required and not draw(st.booleans()):
             continue
+        if (section, "") in unread and draw(ints(0, 15)) != 7:
+            continue
         lines.append(f"[{section}]")
         for key, good in keys.items():
+            if (section, key) in unread and draw(ints(0, 15)) != 7:
+                continue
             if key in required or draw(st.booleans()):
                 lines.append(f"{key} = {pick(good)}")
         for key in _REMOVED_KEYS.get(section, []):

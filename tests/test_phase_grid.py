@@ -19,7 +19,7 @@ from wignerwall import (
     write_field_csv,
 )
 from wignerwall.errors import GridMismatch
-from wignerwall.phase_grid import _g12, abs_mass, edge_mass, wave_edge_fraction, write_csv
+from wignerwall.phase_grid import _g12, wave_edge_fraction, write_csv
 
 from conftest import odd_extended_wave
 
@@ -154,7 +154,7 @@ def test_mass_linearity_and_marginal_consistency(grid, gaussian_wave):
 
 def test_edge_mass_diagnostic(grid, gaussian_wave):
     w = wigner_of(gaussian_wave, grid)
-    assert edge_mass(w) < 1e-6 * abs_mass(w)
+    assert w.edge_mass < 1e-6 * w.abs_mass
     assert wave_edge_fraction(gaussian_wave) < 1e-9
     shifted = GaussianPacket(x0=11.5, p0=0.0, sigma=1.0, m=1.0)
     x = grid.x_axis()
@@ -170,7 +170,7 @@ def test_edge_mass_bit_identical_to_abs_of_whole_field(shape):
     w = WignerField(grid, rng.standard_normal(shape))
     v = np.abs(w.values)
     total = v[:2, :].sum() + v[-2:, :].sum() + v[2:-2, :2].sum() + v[2:-2, -2:].sum()
-    assert edge_mass(w) == float(total * grid.dx * grid.dp)
+    assert w.edge_mass == float(total * grid.dx * grid.dp)
 
 
 def test_masses_are_kept_per_field_object(grid):
@@ -179,12 +179,12 @@ def test_masses_are_kept_per_field_object(grid):
     a = WignerField(grid, rng.standard_normal((grid.n_x, grid.n_p)))
     b = WignerField(grid, 2.0 * a.values)
     assert a == b
-    assert abs_mass(b) == 2.0 * abs_mass(a) and edge_mass(b) == 2.0 * edge_mass(a)
+    assert b.abs_mass == 2.0 * a.abs_mass and b.edge_mass == 2.0 * a.edge_mass
     # computed once: a value written behind the field's back is not seen
-    kept = (abs_mass(a), edge_mass(a))
+    kept = (a.abs_mass, a.edge_mass)
     a.values.flags.writeable = True
     a.values[:] *= 3.0
-    assert (abs_mass(a), edge_mass(a)) == kept
+    assert (a.abs_mass, a.edge_mass) == kept
 
 
 def test_csv_roundtrip(tmp_path, grid, gaussian_wave):

@@ -2,7 +2,9 @@
 (``wigner_of``), the momentum convolution (``evolve_bounded``), both
 shear paths (``_fourier_shift_rows``, ``map_coordinates``) and the field
 comparison (``compare_fields``), and so do the plan's kernel rows
-(``_sinc_rows``) and its symmetry check (``point_symmetry_defect``).
+(``_sinc_rows``) and its symmetry check (``point_symmetry_defect``). All
+of them take their slices from ``phase_grid.row_blocks``, so patching its
+one ``_BLOCK_ROWS`` sets every stage's block size.
 Every row's arithmetic is the same whatever the block size, so each stage
 is compared bit for bit, at block sizes 1, 3 and more than the row count,
 against the one-shot formula over all rows. The comparison's sums add up
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from wignerwall import (PhaseGrid, RealnessViolation, WignerField, boundary_kernels, cli,
-                        convolution_engine, evolve_bounded, free_evolution, oracle,
+                        convolution_engine, evolve_bounded, free_evolution, oracle, phase_grid,
                         wigner_transform)
 from wignerwall.cli import _KINDS, _oracle_wave, load_config, oracle_field
 from wignerwall.convolution_engine import _batched_fft_convolve, point_symmetry_defect
@@ -66,7 +68,7 @@ def test_wigner_of_blocks_bit_identical(wave, monkeypatch):
     n_rows = len(correlation_matrix(psi, grid, ycap)[0])
     assert n_rows > 3 and np.abs(ref).max() > 0.0
     for rows in BLOCKS:
-        monkeypatch.setattr(wigner_transform, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         assert same_bits(wigner_transform.wigner_of(psi, grid, ycap).values, ref)
 
 
@@ -84,11 +86,39 @@ def test_wigner_of_correlates_one_block_at_a_time(monkeypatch):
         return block, k, sel
 
     monkeypatch.setattr(wigner_transform, "correlation_matrix", spy)
-    monkeypatch.setattr(wigner_transform, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", 7)
     wigner_transform.wigner_of(psi, grid)
     assert len(C) % 7 != 0 and len(calls) == len(C) // 7 + 1
     assert all(shape == (7, 2 * K + 1) and k == K for shape, k in calls[:-1])
     assert calls[-1] == ((len(C) % 7, 2 * K + 1), K)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_one_block_size_sets_every_stage(monkeypatch):
+    # phase_grid's one _BLOCK_ROWS sizes every stage's blocks: at 1 row,
+    # wigner_of correlates one support row per call and evolve_bounded
+    # convolves one inside row per call
+    monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", 1)
+    psi, grid, _ = _halfline_oracle(2.0)
+    plan = cli.build_plan(load_config(None, "halfline-bounce"))
+    n_support = len(correlation_matrix(psi, grid)[0])
+    corr = _count_calls(monkeypatch, wigner_transform, "correlation_matrix")
+    conv = _count_calls(monkeypatch, convolution_engine, "_batched_fft_convolve")
+    wigner_transform.wigner_of(psi, grid)
+    evolve_bounded(plan, 2.0)
+    assert len(corr) == n_support > 16
+    assert len(conv) == plan._inside.sum() > 16
 
 
 @pytest.mark.parametrize("bad_block", [0, 5, -1])
@@ -107,7 +137,7 @@ def test_wigner_of_realness_residue_spans_every_block(bad_block, monkeypatch):
         seen.append(1)
         return S
 
-    monkeypatch.setattr(wigner_transform, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", 16)
     monkeypatch.setattr(wigner_transform, "fourier_over_separation", corrupt)
     with pytest.raises(RealnessViolation):
         wigner_transform.wigner_of(psi, grid)
@@ -126,7 +156,7 @@ def test_evolve_bounded_blocks_bit_identical(preset, t, monkeypatch):
                                               grid.n_p - 1, plan._kernel_spectrum)
     assert plan._inside.sum() > 3
     for rows in BLOCKS:
-        monkeypatch.setattr(convolution_engine, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         assert same_bits(evolve_bounded(plan, t).values, ref)
 
 
@@ -174,7 +204,7 @@ def test_shear_paths_blocks_bit_identical(n_x, n_p, monkeypatch):
             free_evolution.map_coordinates: one_shot_cubic_shift(values, shifts)}
     assert np.any(refs[free_evolution.map_coordinates] != 0.0)
     for rows in BLOCKS:
-        monkeypatch.setattr(free_evolution, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         for shift_rows, ref in refs.items():
             assert same_bits(shift_rows(values, shifts), ref)
 
@@ -188,7 +218,7 @@ def test_shear_evolve_blocks_bit_identical(preset, t, monkeypatch):
     one_shot = one_shot_cubic_shift if preset == "box-traversal" else one_shot_fourier_shift
     ref = one_shot(w0.values, shifts)
     for rows in BLOCKS:
-        monkeypatch.setattr(free_evolution, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         out = shear_evolve(w0, ShearParams(t, plan.shear.m), check_support=plan.check_support)
         assert same_bits(out.values, ref)
 
@@ -222,7 +252,7 @@ def test_sinc_rows_blocks_bit_identical(preset, monkeypatch):
             ref = one_shot_sinc_rows(b, w, p)
             assert np.any(ref != 0.0) and np.any(np.all(ref == 0.0, axis=1))
             for rows in BLOCKS:
-                monkeypatch.setattr(boundary_kernels, "_BLOCK_ROWS", rows)
+                monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
                 assert same_bits(boundary_kernels._sinc_rows(b, w, p), ref)
 
 
@@ -252,7 +282,7 @@ def test_point_symmetry_defect_blocks_identical(grid, monkeypatch):
     ref = one_shot_symmetry_defect(w)
     assert (ref > 0.0) == (grid.p_min < 0.0)
     for rows in BLOCKS:
-        monkeypatch.setattr(convolution_engine, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         assert point_symmetry_defect(w) == ref
 
 
@@ -264,7 +294,7 @@ def test_compare_fields_blocks_match_one_shot(preset, t, monkeypatch):
     scale = cfg.grid.dx * cfg.grid.dp
     l2 = np.sqrt(np.einsum("ij,ij->", diff, diff)) / np.sqrt(np.einsum("ij,ij->", b, b))
     for rows in BLOCKS:
-        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         cmp = oracle.compare_fields(WignerField(cfg.grid, a), WignerField(cfg.grid, b))
         assert cmp.max_abs == np.abs(diff).max()
         # two sums of the same n float64 terms, in any orders, are within
