@@ -5,8 +5,10 @@
 #
 # Runs the commands listed in cli_runs.txt next to this script (`simulate`,
 # `kernel` and `validate` on the three presets, and `demo-naive` on
-# halfline-bounce) with the package of each tree, writing OUT_DIR/base and
-# OUT_DIR/head.
+# halfline-bounce), then `simulate --config` on each guard_configs/*.ini
+# next to it (runs in which a guard or the l2_rel verdict fires, so they
+# exit 3 and their messages are compared too), with the package of each
+# tree, writing OUT_DIR/base and OUT_DIR/head. OUT_DIR may be relative.
 # Both trees' src/ are byte-compiled first (`compileall`), so neither
 # side's commands compile the package from source: with
 # PYTHONDONTWRITEBYTECODE=1 a tree without __pycache__ would otherwise
@@ -36,8 +38,10 @@ set -uo pipefail
 
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
-out=$3
-runs=$(cd "$(dirname "$0")" && pwd)/cli_runs.txt
+mkdir -p "$3"
+out=$(cd "$3" && pwd)  # absolute: every command runs from its output root
+scripts=$(cd "$(dirname "$0")" && pwd)
+runs=$scripts/cli_runs.txt
 
 # runs the CLI with the given arguments as a child process, appends
 # "<name>\t<its ru_maxrss>\t<its wall seconds>" to the record file and
@@ -111,6 +115,12 @@ run_tree() {  # $1 = source tree, $2 = output root, $3 = ru_maxrss record
                 --preset "$preset" --out "$name" >"$name.stdout" 2>"$name.stderr"
             echo "$?" >"$name.exit"
         done <"$runs"
+        for config in "$scripts"/guard_configs/*.ini; do
+            name="guard-$(basename "$config" .ini)"
+            PYTHONPATH="$1/src" python -c "$measure" "$3" "$name" simulate \
+                --config "$config" --out "$name" >"$name.stdout" 2>"$name.stderr"
+            echo "$?" >"$name.exit"
+        done
     )
 }
 

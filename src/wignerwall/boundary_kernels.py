@@ -33,9 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, RealnessViolation
+from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, guard
 from .phase_grid import PhaseGrid, WignerField, row_blocks, write_field_binary, write_field_csv
-from .wigner_transform import REALNESS_TOL
 
 _EVEN_TOL = 1e-12
 
@@ -282,9 +281,7 @@ def kernel_from_indicator(s: ShapeIndicator,
             k = np.moveaxis(sums * cell, -1, lead + d)
         residues.append(np.abs(k.imag).max())
         out[idx] = k.real
-    residue = float(np.max(residues))
-    if not residue < REALNESS_TOL:
-        raise RealnessViolation(f"imaginary residue {residue:g} in indicator transform")
+    guard("indicator_realness", float(np.max(residues)))
     return out
 
 

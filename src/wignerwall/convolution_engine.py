@@ -29,13 +29,11 @@ import numpy as np
 import numpy.fft as sfft
 
 from .boundary_kernels import BoundaryKernel, halfline_kernel
-from .errors import GridMismatch, LengthMismatch, ValidationError
+from .errors import GridMismatch, LengthMismatch, ValidationError, guard
 from .free_evolution import ShearParams, shear_evolve
 from .phase_grid import WignerField, marginal_x, row_blocks
 from .wigner_transform import next_fast_len
 from .wigner_transform import wigner_of  # noqa: F401 -- benchmark/tracer.py wraps it here
-
-_SYMMETRY_TOL = 1e-6
 
 
 def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float) -> np.ndarray:
@@ -110,12 +108,7 @@ class BoundedEvolutionPlan:
             raise ValidationError(
                 "kernel separation reach 2|x| exceeds pi/dp; refine the p axis")
         if self.kernel.provenance == "analytic-halfline":
-            defect = point_symmetry_defect(self.initial)
-            if defect > _SYMMETRY_TOL:
-                raise ValidationError(
-                    f"initial field breaks W(-x,-p) = W(x,p) by {defect:.2e}; "
-                    "half-line plans require the odd-extended state"
-                )
+            guard("plan_symmetry", point_symmetry_defect(self.initial))
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
         inside = self.kernel.inside_rows()
         object.__setattr__(self, "_inside", inside)

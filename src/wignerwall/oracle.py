@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, SupportEscaped, TruncationTooSevere, ValidationError
-from .phase_grid import WAVE_EDGE_TOL, ComplexWave, WignerField, row_blocks, wave_edge_fraction
+from .errors import GridMismatch, ValidationError, guard
+from .phase_grid import ComplexWave, WignerField, row_blocks, wave_edge_fraction
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class BoxSpectrum:
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
         n2 = float(np.sum(np.abs(c) ** 2))
-        if abs(n2 - 1.0) >= 1e-9:
-            raise ValidationError(f"coefficient norm^2 = {n2!r}, not 1 within 1e-9")
+        guard("box_norm", abs(n2 - 1.0), n2=n2)
 
     @property
     def length(self) -> float:
@@ -98,8 +97,7 @@ def free_gaussian(g: GaussianPacket, t: float,
     """
     x = x_min + dx * np.arange(n)
     wave = ComplexWave(x_min, dx, n, g.amplitude(x, t))
-    if wave_edge_fraction(wave) > WAVE_EDGE_TOL:
-        raise SupportEscaped("dispersed packet reaches the axis ends")
+    guard("oracle_wave_edge", wave_edge_fraction(wave), state="dispersed packet")
     return wave
 
 
@@ -115,14 +113,13 @@ def images_reflect(g: GaussianPacket, t: float,
     x = x_min + dx * np.arange(n)
     values = (g.amplitude(x, t) - g.amplitude(-x, t)) * (x > 0)
     wave = ComplexWave(x_min, dx, n, values)
-    if wave_edge_fraction(wave) > WAVE_EDGE_TOL:
-        raise SupportEscaped("reflected state reaches the axis ends")
+    guard("oracle_wave_edge", wave_edge_fraction(wave), state="reflected state")
     return wave
 
 
 def require_inside(g: GaussianPacket, a: float, b: float) -> None:
-    """Raise SupportEscaped when more than 1e-8 of the t = 0 packet's
-    |psi|^2 mass lies outside the region (a, b); the half line is
+    """Raise SupportEscaped when the t = 0 packet's |psi|^2 mass outside
+    the region (a, b) fails guard ``packet_region``; the half line is
     (0, inf).
 
     |psi|^2 at t = 0 is the normal density of mean x0 and std sigma, so
@@ -130,22 +127,19 @@ def require_inside(g: GaussianPacket, a: float, b: float) -> None:
     """
     scale = g.sigma * math.sqrt(2.0)
     outside = 0.5 * (math.erfc((g.x0 - a) / scale) + math.erfc((b - g.x0) / scale))
-    if outside > 1e-8:
-        raise SupportEscaped(f"{outside:.2e} of the packet's mass lies outside "
-                             f"the region ({a:g}, {b:g}) at t = 0")
+    guard("packet_region", outside, a=a, b=b)
 
 
 def require_in_window(g: GaussianPacket, p_min: float, p_max: float) -> None:
-    """Raise SupportEscaped when more than 1e-8 of the momentum density
-    1/2 [N(p0, s) + N(-p0, s)], s = 1/(2 sigma), lies outside [p_min, p_max];
-    the half line's odd extension and the box's image train both carry
-    +-p0. The mass outside is the sum of four normal tails, in closed form."""
+    """Raise SupportEscaped when the mass of the momentum density
+    1/2 [N(p0, s) + N(-p0, s)], s = 1/(2 sigma), outside [p_min, p_max]
+    fails guard ``packet_window``; the half line's odd extension and the
+    box's image train both carry +-p0. The mass outside is the sum of four
+    normal tails, in closed form."""
     scale = math.sqrt(2.0) / (2.0 * g.sigma)
     outside = 0.25 * sum(math.erfc((c - p_min) / scale) + math.erfc((p_max - c) / scale)
                          for c in (g.p0, -g.p0))
-    if outside > 1e-8:
-        raise SupportEscaped(f"{outside:.2e} of the packet's momentum density lies "
-                             f"outside the window [{p_min:g}, {p_max:g}]")
+    guard("packet_window", outside, p_min=p_min, p_max=p_max)
 
 
 def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
@@ -159,8 +153,8 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
     Past n_all = ceil((|p0| + 10/sigma) L / pi) every Gaussian factor is
     below e^{-100}, so the first min(n_max, n_all) modes are returned.
 
-    Raises TruncationTooSevere when the modes past n_max hold more than
-    1e-6 of the state in L2 (Parseval's tail).
+    Raises TruncationTooSevere when the L2 norm of the modes past n_max
+    (Parseval's tail) fails guard ``box_truncation``.
     """
     if b <= a or n_max < 1:  # a negative n_max would slice from the end
         raise ValidationError("need b > a and n_max >= 1")
@@ -172,11 +166,7 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
     c = (np.sqrt(2.0 / L) * (8.0 * np.pi * s2) ** 0.25 / 2j
          * (np.exp(1j * phase - s2 * (k + g.p0) ** 2)
             - np.exp(-1j * phase - s2 * (k - g.p0) ** 2)))
-    err = float(np.sqrt(np.sum(np.abs(c[n_max:]) ** 2)))
-    if err > 1e-6:
-        raise TruncationTooSevere(
-            f"n_max = {n_max} reconstruction error {err:g} exceeds 1e-6"
-        )
+    guard("box_truncation", float(np.sqrt(np.sum(np.abs(c[n_max:]) ** 2))), n_max=n_max)
     c = c[:n_max] / np.sqrt(np.sum(np.abs(c[:n_max]) ** 2))
     return BoxSpectrum(a, b, g.m, c)
 

@@ -190,9 +190,6 @@ def total_mass(w: WignerField) -> float:
     return float(w.values.sum() * w.grid.dx * w.grid.dp)
 
 
-WAVE_EDGE_TOL = 1e-9  # the largest wave_edge_fraction of a wave whose ends count as decayed
-
-
 def wave_edge_fraction(psi: ComplexWave) -> float:
     """Fraction of |psi|^2 mass sitting in the outermost two axis samples."""
     d = np.abs(psi.samples) ** 2

@@ -25,11 +25,8 @@ import functools
 
 import numpy as np
 
-from .errors import DomainTooSmall, GridMismatch, NyquistViolation, RealnessViolation
-from .phase_grid import (WAVE_EDGE_TOL, ComplexWave, PhaseGrid, WignerField, row_blocks,
-                         wave_edge_fraction)
-
-REALNESS_TOL = 1e-10
+from .errors import DomainTooSmall, GridMismatch, NyquistViolation, guard
+from .phase_grid import ComplexWave, PhaseGrid, WignerField, row_blocks, wave_edge_fraction
 
 
 def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None
@@ -47,11 +44,7 @@ def _reach(psi: ComplexWave, grid: PhaseGrid, y_halfwidth: float | None
         raise DomainTooSmall("wave axis does not cover the grid x range")
     if y_halfwidth is None:
         # full reach; zero extension beyond the axis requires a decayed edge
-        if wave_edge_fraction(psi) > WAVE_EDGE_TOL:
-            raise DomainTooSmall(
-                "wave support reaches the axis ends; enlarge the axis or "
-                "pass y_halfwidth for intentionally extended states"
-            )
+        guard("transform_wave_edge", wave_edge_fraction(psi))
         cap = psi.n - 1
     else:
         cap = int(np.floor(y_halfwidth / (2.0 * psi.dx)))
@@ -178,7 +171,8 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     the real field, so no full correlation matrix or complex field is held.
 
     Raises DomainTooSmall, NyquistViolation, GridMismatch, or
-    RealnessViolation (imaginary residue of the transform >= 1e-10).
+    RealnessViolation (imaginary residue of the transform, guard
+    ``transform_realness``).
     """
     dy = 2.0 * psi.dx
     pmax = max(abs(grid.p_min), abs(grid.p_max))
@@ -192,11 +186,9 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     for b in row_blocks(len(lags)):
         C, K, dest = correlation_matrix(psi, grid, y_halfwidth, (at[b], rows[b], lags[b], K))
         S = fourier_over_separation(C, K, dy, p, backend)
-        residue = max(residue, float(np.abs(S.imag).max()))
+        residue = float(np.maximum(residue, np.abs(S.imag).max()))  # keeps a NaN
         W[dest] = S.real
-    if residue >= REALNESS_TOL:
-        raise RealnessViolation(f"imaginary residue {residue:g} of the transform exceeds "
-                                f"{REALNESS_TOL:g}; corrupted correlation input?")
+    guard("transform_realness", residue)
     W.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, W)
 

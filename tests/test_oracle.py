@@ -20,7 +20,7 @@ from wignerwall import (
     wigner_of,
 )
 from wignerwall.cli import load_config
-from wignerwall.oracle import require_in_window
+from wignerwall.oracle import require_in_window, require_inside
 
 
 AXIS = dict(x_min=-30.0, dx=0.02, n=3001)
@@ -118,10 +118,25 @@ def test_images_wall_overlap_guard():
     (5.0, -np.inf, 1.0, 1.0), (5.0, 0.0, np.inf, 1.0), (5.0, 0.0, 1.0, np.nan),
 ], ids=["x0-nan", "sigma-nan", "x0-inf", "p0-minus-inf", "sigma-inf", "m-nan"])
 def test_packet_rejects_non_finite_fields(fields):
-    # require_inside compares the erfc tail mass with 1e-8; a NaN field
-    # makes it NaN, and NaN > 1e-8 is false, so no region check would fire
+    # a non-finite field is refused where the packet is built, before any
+    # check reads it
     with pytest.raises(ValidationError):
         GaussianPacket(*fields)
+
+
+def test_require_inside_refuses_nan_region():
+    # a NaN end makes the mass outside NaN; NaN > 1e-8 is false, so the
+    # region check once returned silently
+    with pytest.raises(SupportEscaped) as info:
+        require_inside(GaussianPacket(5.0, 0.0, 1.0, 1.0), np.nan, 1.0)
+    assert str(info.value) == "nan of the packet's mass lies outside the region (nan, 1) at t = 0"
+
+
+def test_box_spectrum_refuses_nan_norm():
+    # abs(nan - 1) >= 1e-9 is false, so the norm check once accepted a NaN
+    with pytest.raises(ValidationError) as info:
+        BoxSpectrum(0.0, 10.0, 1.0, [np.nan, 0.0])
+    assert str(info.value) == "coefficient norm^2 = nan, not 1 within 1e-9"
 
 
 def test_box_single_mode_stationary_density():

@@ -144,6 +144,29 @@ def test_wigner_of_realness_residue_spans_every_block(bad_block, monkeypatch):
     assert len(seen) == n_blocks > 5
 
 
+@pytest.mark.parametrize("bad_block", [0, 5, -1])
+def test_wigner_of_nan_realness_residue_raises(bad_block, monkeypatch):
+    # a NaN imaginary part in any one block raises too, although its real
+    # part is finite; Python's max(residue, nan) would keep the residue
+    psi, grid, _ = _halfline_oracle(2.0)
+    original = wigner_transform.fourier_over_separation
+    n_blocks = -(-len(correlation_matrix(psi, grid)[0]) // 16)
+    seen = []
+
+    def corrupt(*args, **kwargs):
+        S = original(*args, **kwargs)
+        if len(seen) == bad_block % n_blocks:
+            S.imag[:, 3] = np.nan
+        seen.append(1)
+        return S
+
+    monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(wigner_transform, "fourier_over_separation", corrupt)
+    with pytest.raises(RealnessViolation, match="^imaginary residue nan of the transform"):
+        wigner_transform.wigner_of(psi, grid)
+    assert len(seen) == n_blocks > 5
+
+
 @pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])
 def test_evolve_bounded_blocks_bit_identical(preset, t, monkeypatch):
     cfg = load_config(None, preset)
