@@ -3,20 +3,19 @@
 #
 #   .github/scripts/artifact_parity.sh BASE_TREE HEAD_TREE OUT_DIR
 #
-# Runs the commands listed in cli_runs.txt next to this script (`simulate`,
-# `kernel` and `validate` on the three presets, and `demo-naive` on
-# halfline-bounce), then `simulate --config` on each guard_configs/*.ini
-# next to it (runs in which a guard or the l2_rel verdict fires, so they
-# exit 3 and their messages are compared too), with the package of each
-# tree, writing OUT_DIR/base and OUT_DIR/head. OUT_DIR may be relative.
+# Runs every command of run_cli.sh next to this script (the commands in
+# cli_runs.txt and `simulate --config` on each guard config, runs in
+# which a guard or the l2_rel verdict fires, so they exit 3 and their
+# messages are compared too) with the package of each tree, writing
+# OUT_DIR/base and OUT_DIR/head. OUT_DIR may be relative.
 # Both trees' src/ are byte-compiled first (`compileall`), so neither
 # side's commands compile the package from source: with
 # PYTHONDONTWRITEBYTECODE=1 a tree without __pycache__ would otherwise
 # compile on every command, and that compile's allocations raise its peak
 # resident set in the table below.
-# Every command runs from its output root with relative paths, and its
-# stdout, stderr and exit code are kept next to its artifacts. Exits non-zero when
-# `diff -r` finds any difference between the two trees of outputs.
+# Each command's stdout, stderr and exit code are kept next to its
+# artifacts. Exits non-zero when `diff -r` finds any difference between
+# the two trees of outputs.
 #
 # For every field that differs, the largest change relative to the base
 # field's peak, max|a - b| / max|a|, is printed after the diff: from the
@@ -39,21 +38,8 @@ set -uo pipefail
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 mkdir -p "$3"
-out=$(cd "$3" && pwd)  # absolute: every command runs from its output root
+out=$(cd "$3" && pwd)
 scripts=$(cd "$(dirname "$0")" && pwd)
-runs=$scripts/cli_runs.txt
-
-# runs the CLI with the given arguments as a child process, appends
-# "<name>\t<its ru_maxrss>\t<its wall seconds>" to the record file and
-# exits with its code
-measure='import resource, subprocess, sys, time
-record, name, args = sys.argv[1], sys.argv[2], sys.argv[3:]
-start = time.perf_counter()
-code = subprocess.call([sys.executable, "-m", "wignerwall.cli", *args])
-wall = time.perf_counter() - start
-with open(record, "a") as f:
-    f.write(f"{name}\t{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\t{wall:.3f}\n")
-sys.exit(code)'
 
 # prints max|a - b| / max|a| for each field that differs between the two
 # output roots: each .bin file, a 64-byte <6d2Q header (six float64 grid
@@ -105,30 +91,11 @@ for path in Path(sys.argv[1], "src").rglob("*.py"):
                  if i not in docstrings and line.strip() and not line.strip().startswith("#"))
 print(count)'
 
-run_tree() {  # $1 = source tree, $2 = output root, $3 = ru_maxrss record
-    mkdir -p "$2"
-    (
-        cd "$2" || exit 1
-        while read -r command preset; do
-            name="$command-$preset"
-            PYTHONPATH="$1/src" python -c "$measure" "$3" "$name" "$command" \
-                --preset "$preset" --out "$name" >"$name.stdout" 2>"$name.stderr"
-            echo "$?" >"$name.exit"
-        done <"$runs"
-        for config in "$scripts"/guard_configs/*.ini; do
-            name="guard-$(basename "$config" .ini)"
-            PYTHONPATH="$1/src" python -c "$measure" "$3" "$name" simulate \
-                --config "$config" --out "$name" >"$name.stdout" 2>"$name.stderr"
-            echo "$?" >"$name.exit"
-        done
-    )
-}
-
 python -m compileall -q "$base/src" "$head/src"
 rm -rf "$out/base" "$out/head" "$out/rss"
 mkdir -p "$out/rss"
-run_tree "$base" "$out/base" "$out/rss/base.tsv"
-run_tree "$head" "$out/head" "$out/rss/head.tsv"
+"$scripts/run_cli.sh" "$base" "$out/base" "$out/rss/base.tsv"
+"$scripts/run_cli.sh" "$head" "$out/head" "$out/rss/head.tsv"
 diff -r "$out/base" "$out/head" && echo "artifact parity: identical"
 status=$?
 python -c "$bounds" "$out/base" "$out/head"

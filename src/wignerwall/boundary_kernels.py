@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import wigner_transform
 from .errors import AsymmetricIndicator, BadInterval, BadSampling, EmptyInterior, guard
 from .phase_grid import PhaseGrid, WignerField, row_blocks, write_field_binary, write_field_csv
 
@@ -44,8 +45,10 @@ def _sinc_rows(jumps: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndar
     at p = 0, from [n_rows, J] jumps b_j and weights w_j (zero padded).
     Rows with no nonzero weight are +0.0 and are not evaluated; the others
     are evaluated per ``row_blocks`` block, so the temporaries stay
-    block-sized."""
+    block-sized. BadSampling for a non-finite momentum argument."""
     pp = np.asarray(p, dtype=np.float64)[None, :]
+    if not np.all(np.isfinite(pp)):
+        raise BadSampling("momentum arguments must be finite")
     out = np.zeros((weights.shape[0], pp.size))
     live = np.flatnonzero(np.any(weights != 0.0, axis=1))
     for block in row_blocks(live.size):
@@ -242,11 +245,10 @@ def kernel_from_indicator(s: ShapeIndicator,
 
     Returns K with shape (*n_x_axes, *n_p_axes), real and even in p.
     One cell-averaged 1-D transform per dimension (the transform tensor
-    factorizes even when g itself does not). The sums are the direct
-    exponential sums of ``fourier_over_separation``'s "direct" backend,
-    with each axis's phase matrix formed once: Bluestein's algorithm
-    leaves an imaginary residue near the realness tolerance on long y
-    axes.
+    factorizes even when g itself does not): each y axis is summed by
+    ``wigner_transform.fourier_over_separation``'s "direct" backend, then
+    weighted by the cell factor sinc(p dy / 2). Bluestein's algorithm
+    leaves an imaginary residue near the realness limit on long y axes.
 
     The x points are transformed one at a time into the real output, so
     the working set is one point's complex slice, not a complex copy of
@@ -254,34 +256,32 @@ def kernel_from_indicator(s: ShapeIndicator,
     stacks, so the bits do not change. A 1-D indicator is transformed
     whole: there a point's slice is a single row, which numpy multiplies
     through a matrix-vector routine with other bits.
+
+    Raises BadSampling for a non-finite momentum, and RealnessViolation
+    when the imaginary residue fails guard ``realness``.
     """
     if len(p_axes) != s.dimension:
         raise AsymmetricIndicator("need one momentum axis per dimension")
     nx = s.dimension
-    axes = []
-    for ax, p in zip(s.y_axes, p_axes):
-        dy = _y_step(ax)
-        p = np.asarray(p, dtype=np.float64)
-        # each sample stands for its dy-cell, whose transform
-        # (dy/2pi) sinc(p dy/2) is the sinc row of one jump at dy/2;
-        # the separation sum's scale already carries the dy/2pi
-        cell = (2.0 * np.pi / dy) * _sinc_rows(np.array([[0.5 * dy]]), np.ones((1, 1)), p)[0]
-        K = ax.size // 2
-        phases = np.exp(1j * np.outer(dy * np.arange(-K, K + 1), p))
-        axes.append((dy / (2.0 * np.pi), phases, cell))
-    shape_x = s.g.shape[:nx]
-    out = np.empty(shape_x + tuple(cell.size for _, _, cell in axes))
-    residues = []
-    for idx in np.ndindex(*shape_x) if nx > 1 else [(slice(None),)]:
+    dys = [_y_step(ax) for ax in s.y_axes]
+    # each sample stands for its dy-cell, whose transform (dy/2pi)
+    # sinc(p dy/2) is the sinc row of one jump at dy/2; the separation
+    # sum's scale already carries the dy/2pi
+    cells = [(2.0 * np.pi / dy) * _sinc_rows(np.array([[0.5 * dy]]), np.ones((1, 1)), p)[0]
+             for dy, p in zip(dys, p_axes)]
+    out = np.empty(s.g.shape[:nx] + tuple(cell.size for cell in cells))
+    residue = 0.0
+    for idx in np.ndindex(*s.g.shape[:nx]) if nx > 1 else [(slice(None),)]:
         k = np.asarray(s.g[idx], dtype=np.complex128)
         lead = k.ndim - nx
-        for d, (scale, phases, cell) in enumerate(axes):
+        for d, (ax, dy, p, cell) in enumerate(zip(s.y_axes, dys, p_axes, cells)):
             # y axis d sits at position lead + d (earlier ones already replaced by p)
-            sums = scale * (np.moveaxis(k, lead + d, -1) @ phases)
+            sums = wigner_transform.fourier_over_separation(
+                np.moveaxis(k, lead + d, -1), ax.size // 2, dy, p, "direct")
             k = np.moveaxis(sums * cell, -1, lead + d)
-        residues.append(np.abs(k.imag).max())
+        residue = float(np.maximum(residue, np.abs(k.imag).max()))  # keeps a NaN
         out[idx] = k.real
-    guard("indicator_realness", float(np.max(residues)))
+    guard("realness", residue, max(out.max(), -out.min()), transform="kernel_from_indicator")
     return out
 
 

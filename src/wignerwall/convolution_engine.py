@@ -88,7 +88,8 @@ class BoundedEvolutionPlan:
     The grid must resolve the kernel: its rows oscillate in p at the
     separation reach 2|x|, so 2 max|x| < pi/dp. Half-line plans also
     verify the point-reflection symmetry W0(-x, -p) = W0(x, p) of the
-    initial field, the discrete footprint of the odd-state requirement.
+    initial field to 1e-6 of its peak |W| (guard ``plan_symmetry``), the
+    discrete footprint of the odd-state requirement.
     """
 
     kernel: BoundaryKernel
@@ -108,7 +109,8 @@ class BoundedEvolutionPlan:
             raise ValidationError(
                 "kernel separation reach 2|x| exceeds pi/dp; refine the p axis")
         if self.kernel.provenance == "analytic-halfline":
-            guard("plan_symmetry", point_symmetry_defect(self.initial))
+            w0 = self.initial.values
+            guard("plan_symmetry", point_symmetry_defect(self.initial), max(w0.max(), -w0.min()))
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
         inside = self.kernel.inside_rows()
         object.__setattr__(self, "_inside", inside)

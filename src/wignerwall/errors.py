@@ -74,16 +74,14 @@ class TruncationTooSevere(NumericalGuardError):
 
 # name: (threshold, whether a reading equal to it fires, the class raised
 # (None: the message is returned), message template); a template's names
-# are reading, threshold and the keyword fields of the guard call
+# are reading, threshold, scale and the keyword fields of the guard call
 GUARDS = {
     "shear_edge_mass": (1e-4, False, SupportEscaped, "post-shear edge mass {reading:.3e} "
                         "exceeds {threshold:g} of the field mass; the state left the window"),
     "plan_symmetry": (1e-6, False, ValidationError, "initial field breaks W(-x,-p) = W(x,p) "
                       "by {reading:.2e}; half-line plans require the odd-extended state"),
-    "transform_realness": (1e-10, True, RealnessViolation, "imaginary residue {reading:g} of "
-                           "the transform exceeds {threshold:g}; corrupted correlation input?"),
-    "indicator_realness": (1e-10, True, RealnessViolation,
-                           "imaginary residue {reading:g} in indicator transform"),
+    "realness": (1e-10, False, RealnessViolation, "imaginary residue {reading:g} of "
+                 "{transform}'s transform exceeds {threshold:g} of its peak |Re|, {scale:g}"),
     "transform_wave_edge": (1e-9, False, DomainTooSmall, "wave support reaches the axis ends; "
         "enlarge the axis or pass y_halfwidth for intentionally extended states"),
     "oracle_wave_edge": (1e-9, False, SupportEscaped, "{state} reaches the axis ends"),
@@ -117,7 +115,7 @@ def guard(name: str, reading: float, scale: float = 1.0, **fields) -> str | None
         record.append((name, reading, limit))
     if reading < limit or (reading == limit and not equal_fires):
         return None
-    message = message.format(reading=reading, threshold=threshold, **fields)
+    message = message.format(reading=reading, threshold=threshold, scale=scale, **fields)
     if error is None:
         return message
     raise error(message)

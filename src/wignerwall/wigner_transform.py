@@ -171,8 +171,8 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
     the real field, so no full correlation matrix or complex field is held.
 
     Raises DomainTooSmall, NyquistViolation, GridMismatch, or
-    RealnessViolation (imaginary residue of the transform, guard
-    ``transform_realness``).
+    RealnessViolation (imaginary residue of the transform against its
+    peak |Re|, guard ``realness``).
     """
     dy = 2.0 * psi.dx
     pmax = max(abs(grid.p_min), abs(grid.p_max))
@@ -188,7 +188,7 @@ def wigner_of(psi: ComplexWave, grid: PhaseGrid,
         S = fourier_over_separation(C, K, dy, p, backend)
         residue = float(np.maximum(residue, np.abs(S.imag).max()))  # keeps a NaN
         W[dest] = S.real
-    guard("transform_realness", residue)
+    guard("realness", residue, max(W.max(), -W.min()), transform="wigner_of")
     W.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, W)
 

@@ -23,6 +23,7 @@ from wignerwall import (
     kernel_field_1d,
     kernel_from_indicator,
     numeric_kernel,
+    wigner_transform,
 )
 from wignerwall.boundary_kernels import _sinc_rows, write_kernel_binary, write_kernel_csv
 from wignerwall.phase_grid import read_field_binary, read_field_csv
@@ -245,6 +246,47 @@ def test_non_finite_slice_rejected():
     with pytest.raises(RealnessViolation):
         kernel_from_indicator(ShapeIndicator(2, (np.zeros(2), np.zeros(1)), (y, y), g2),
                               [np.linspace(-1, 1, 3)] * 2)
+
+
+_Y5 = np.linspace(-1.0, 1.0, 5)
+# each path to a kernel row with momentum arguments p
+MOMENTUM_CALLS = {
+    "rows_at": lambda p: halfline_kernel(KGRID).rows_at(p),
+    "numeric_kernel": lambda p: numeric_kernel((np.abs(_Y) < 1.0).astype(float), _DY, p),
+    "kernel_from_indicator-1d": lambda p: kernel_from_indicator(_SUBSAMPLED, [p]),
+    "kernel_from_indicator-2d": lambda p: kernel_from_indicator(
+        ShapeIndicator(2, (np.zeros(1),) * 2, (_Y5, _Y5), np.ones((1, 1, 5, 5))),
+        [np.linspace(-1.0, 1.0, 3), p]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", sorted(MOMENTUM_CALLS))
+def test_non_finite_momentum_rejected(call, bad):
+    # every kernel row, window values and the indicator's cell factor
+    # included, is evaluated by one helper, which refuses a non-finite
+    # momentum argument as bad input (exit 2), not as a guard (exit 3)
+    p = np.linspace(-4.0, 4.0, 33)
+    MOMENTUM_CALLS[call](p)
+    p[5] = bad
+    with pytest.raises(BadSampling, match="^momentum arguments must be finite$"):
+        MOMENTUM_CALLS[call](p)
+
+
+def test_kernel_from_indicator_sums_through_the_separation_transform(disk_preset, monkeypatch):
+    # each y axis is summed by wigner_transform.fourier_over_separation,
+    # looked up when called: doubling it doubles each of the two axes' sums
+    ind, p_ax = disk_preset
+    K = kernel_from_indicator(ind, [p_ax, p_ax])
+    original = wigner_transform.fourier_over_separation
+    calls = []
+
+    def doubled(C, K, dy, p, backend="czt"):
+        calls.append(backend)
+        return 2.0 * original(C, K, dy, p, backend)
+    monkeypatch.setattr(wigner_transform, "fourier_over_separation", doubled)
+    assert np.array_equal(kernel_from_indicator(ind, [p_ax, p_ax]), 4.0 * K)
+    assert calls == ["direct"] * (2 * 9)  # once per axis and x point
 
 
 def test_kernel_field_1d_checks_evenness():

@@ -3,6 +3,7 @@ import pytest
 import scipy.fft as sfft
 
 from wignerwall import (
+    ComplexWave,
     GaussianPacket,
     GridMismatch,
     LengthMismatch,
@@ -11,6 +12,7 @@ from wignerwall import (
     ValidationError,
     WignerField,
     billiard_indicator,
+    cli,
     compare_fields,
     convolve_p,
     evolve_bounded,
@@ -30,9 +32,12 @@ from wignerwall.convolution_engine import (
     _batched_fft_convolve,
     point_symmetry_defect,
 )
+from wignerwall.cli import load_config
+from wignerwall.errors import RECORD
 from wignerwall.oracle import images_reflect
 
 from conftest import odd_extended_wave
+from test_guards import fires
 
 # even-count grid with p = 0 at index n_p // 2; the momentum window spans
 # +-16 so the kernel rows keep their mass budget at the bounce
@@ -281,3 +286,29 @@ def test_kernel_tail_bound_scale():
     g, plan = bounce_plan()
     bound = kernel_tail_bound(plan.kernel, plan.initial)
     assert 0.0 <= bound < 0.05
+
+
+def test_halfline_plan_scales_with_its_wave():
+    # the guards read their limits against the field's peak, so a wave
+    # scaled by 2**12 runs like the preset's: W0 and every frame are the
+    # unit run's times 2**24 in every bit (a power of two scales each
+    # float operation exactly); an absolute limit refused the W0
+    # transform, then the plan's symmetry defect, 9.7e-6 against 1e-6
+    cfg = load_config(None, "halfline-bounce")
+    psi, _ = cli._halfline_extension(cfg)
+    readings = []
+    token = RECORD.set(readings)
+    try:
+        runs = []
+        for factor in (1.0, 2.0**12):
+            wave = ComplexWave(psi.x_min, psi.dx, psi.n, factor * psi.samples)
+            plan = BoundedEvolutionPlan(halfline_kernel(cfg.grid), ShearParams(0.0, cfg.packet.m),
+                                        wigner_of(wave, cfg.grid))
+            runs.append([plan.initial] + [evolve_bounded(plan, t) for t in cfg.times])
+    finally:
+        RECORD.reset(token)
+    for unit, scaled in zip(*runs):
+        assert np.array_equal(scaled.values, 2.0**24 * unit.values)
+    names = [name for name, *_ in readings]
+    assert names.count("realness") == 2 and names.count("plan_symmetry") == 2
+    assert not any(fires(*entry) for entry in readings)

@@ -26,8 +26,7 @@ from test_cli import FAST_HALFLINE
 PINNED = {
     "shear_edge_mass": (1e-4, False, SupportEscaped),
     "plan_symmetry": (1e-6, False, ValidationError),
-    "transform_realness": (1e-10, True, RealnessViolation),
-    "indicator_realness": (1e-10, True, RealnessViolation),
+    "realness": (1e-10, False, RealnessViolation),
     "transform_wave_edge": (1e-9, False, DomainTooSmall),
     "oracle_wave_edge": (1e-9, False, SupportEscaped),
     "packet_region": (1e-8, False, SupportEscaped),
@@ -39,7 +38,8 @@ PINNED = {
 }
 
 # the keyword fields each message template reads
-FIELDS = {"oracle_wave_edge": {"state": "reflected state"},
+FIELDS = {"realness": {"transform": "wigner_of"},
+          "oracle_wave_edge": {"state": "reflected state"},
           "packet_region": {"a": 0.0, "b": 10.0},
           "packet_window": {"p_min": -4.0, "p_max": 4.0},
           "box_truncation": {"n_max": 8},
@@ -97,16 +97,17 @@ CASES = {
                                             gauss_field(0.0 if ok else 0.5)),
         ValidationError, "initial field breaks W(-x,-p) = W(x,p) by 1.77e-01; half-line plans "
                          "require the odd-extended state"),
-    "transform_realness": (
-        "transform_realness",
+    "realness-wigner_of": (
+        "realness",
         transform,
-        RealnessViolation, "imaginary residue 1e-06 of the transform exceeds 1e-10; "
-                           "corrupted correlation input?"),
-    "indicator_realness": (
-        "indicator_realness",
+        RealnessViolation, "imaginary residue 1e-06 of wigner_of's transform exceeds 1e-10 of "
+                           "its peak |Re|, 0.31831"),
+    "realness-kernel_from_indicator": (
+        "realness",
         lambda ok, mp: kernel_from_indicator(indicator(0.0 if ok else 1e-6),
                                              [np.linspace(-3.0, 3.0, 7)]),
-        RealnessViolation, "imaginary residue 3.87654e-08 in indicator transform"),
+        RealnessViolation, "imaginary residue 3.87654e-08 of kernel_from_indicator's transform "
+                           "exceeds 1e-10 of its peak |Re|, 0.198944"),
     "transform_wave_edge": (
         "transform_wave_edge",
         lambda ok, mp: wigner_of(gauss_wave(0.0 if ok else 11.0), GRID),
@@ -203,6 +204,19 @@ def test_guard_compares_with_the_limit(name):
     assert not check(3.0 * threshold, scale=4.0) and check(3.0 * threshold, scale=2.0)
 
 
+@pytest.mark.parametrize("factor", [1e3, 1e4])
+def test_realness_limit_follows_the_peak(factor, record):
+    # the residue of a scaled wave's transform scales with its peak, and
+    # so does the limit; an absolute 1e-10 refused these at 8.7e-10 and
+    # 9.1e-8
+    wave = gauss_wave(0.0)
+    unit = wigner_of(wave, GRID)
+    w = wigner_of(ComplexWave(wave.x_min, wave.dx, wave.n, factor * wave.samples), GRID)
+    assert np.abs(w.values - factor**2 * unit.values).max() <= 1e-15 * factor**2 / np.pi
+    name, reading, limit = record[-1]
+    assert name == "realness" and limit == 1e-10 * w.values.max() and 1e-10 < reading < limit
+
+
 def test_verdict_returns_its_message():
     assert guard("l2_rel", 9.9e-3) is None
     assert guard("l2_rel", 0.5) == "l2_rel = 5.000e-01 against the oracle is not below 1e-2"
@@ -258,8 +272,7 @@ def test_no_open_record_records_nothing(monkeypatch):
 
 
 # the half-line oracle's guards, then the verdict
-ORACLE = ["packet_region", "oracle_wave_edge", "transform_wave_edge", "transform_realness",
-          "l2_rel"]
+ORACLE = ["packet_region", "oracle_wave_edge", "transform_wave_edge", "realness", "l2_rel"]
 
 
 @pytest.mark.parametrize("times, code", [("0, 1.5", 0), ("0, 12, 1.5", 3)])
@@ -275,7 +288,7 @@ def test_run_records_set_up_and_each_frame(tmp_path, monkeypatch, times, code):
     assert RECORD.get() is None
     setup = lists.pop("setup")
     assert [name for name, *_ in setup] == ["packet_window", "packet_region",
-                                            "transform_wave_edge", "transform_realness",
+                                            "transform_wave_edge", "realness",
                                             "plan_symmetry"]
     assert sorted(lists) == sorted(cfg.times)
     for t, frame in lists.items():

@@ -162,7 +162,7 @@ def test_wigner_of_nan_realness_residue_raises(bad_block, monkeypatch):
 
     monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", 16)
     monkeypatch.setattr(wigner_transform, "fourier_over_separation", corrupt)
-    with pytest.raises(RealnessViolation, match="^imaginary residue nan of the transform"):
+    with pytest.raises(RealnessViolation, match="^imaginary residue nan of wigner_of.s transform"):
         wigner_transform.wigner_of(psi, grid)
     assert len(seen) == n_blocks > 5
 
