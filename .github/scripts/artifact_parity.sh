@@ -29,10 +29,12 @@
 # and wall seconds are recorded in OUT_DIR/rss, outside the diffed trees,
 # and printed as one table at the end, with the head - base change of the
 # peak in MiB. The table is for reading only (one
-# run's seconds are noisy): it never fails the run. So are the last two
-# lines: the total count of lines in the .py files under each tree's src/
-# and its change, then the count of code lines, those that are not blank,
-# not `#` comments and not module, class or function docstrings.
+# run's seconds are noisy): it never fails the run. So is the tail: the
+# total count of lines in the .py files under each tree's src/ and its
+# change, then the count of code lines, those that are not blank, not `#`
+# comments and not module, class or function docstrings, per module (a
+# module that only one tree has reads 0 in the other), so that a review
+# sees where lines moved, and in total.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -74,22 +76,35 @@ for a_path in sorted(fields):
     bound = np.abs(a - b).max() / np.abs(a).max() if a.shape == b.shape else np.nan
     print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e}")'
 
-# prints the count of code lines in the .py files under the tree's src/:
-# lines that are not blank, not `#` comments and not docstrings, which ast
-# finds as the first statement of a module, class or function body
+# prints the count of code lines in the .py files under each of two
+# trees' src/, per module and in total: lines that are not blank, not `#`
+# comments and not docstrings, which ast finds as the first statement of
+# a module, class or function body
 code_lines='import ast, sys
 from pathlib import Path
-count = 0
-for path in Path(sys.argv[1], "src").rglob("*.py"):
-    text = path.read_text()
-    docstrings = set()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and ast.get_docstring(node, clean=False) is not None:
-            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-    count += sum(1 for i, line in enumerate(text.splitlines(), 1)
-                 if i not in docstrings and line.strip() and not line.strip().startswith("#"))
-print(count)'
+
+def counts(tree):
+    out = {}
+    for path in Path(tree, "src").rglob("*.py"):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        out[str(path.relative_to(Path(tree, "src")))] = sum(
+            1 for i, line in enumerate(text.splitlines(), 1)
+            if i not in docstrings and line.strip() and not line.strip().startswith("#"))
+    return out
+
+base, head = counts(sys.argv[1]), counts(sys.argv[2])
+print("%-40s %6s %6s %10s" % ("src/ code lines per module", "base", "head", "head-base"))
+for module in sorted(base.keys() | head.keys()):
+    b, h = base.get(module, 0), head.get(module, 0)
+    print("%-40s %6d %6d %+10d" % (module, b, h, h - b))
+b, h = sum(base.values()), sum(head.values())
+print("src/ code lines: base %d, head %d (%+d)" % (b, h, h - b))'
 
 python -m compileall -q "$base/src" "$head/src"
 rm -rf "$out/base" "$out/head" "$out/rss"
@@ -111,8 +126,5 @@ base_lines=$(src_lines "$base")
 head_lines=$(src_lines "$head")
 printf 'src/ lines: base %d, head %d (%+d)\n' "$base_lines" "$head_lines" \
     "$((head_lines - base_lines))"
-base_code=$(python -c "$code_lines" "$base")
-head_code=$(python -c "$code_lines" "$head")
-printf 'src/ code lines: base %d, head %d (%+d)\n' "$base_code" "$head_code" \
-    "$((head_code - base_code))"
+python -c "$code_lines" "$base" "$head"
 exit $status

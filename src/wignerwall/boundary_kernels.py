@@ -40,17 +40,24 @@ from .phase_grid import PhaseGrid, WignerField, row_blocks, write_field_binary, 
 _EVEN_TOL = 1e-12
 
 
+def _live(weights: np.ndarray) -> np.ndarray:
+    """Rows of [n_rows, J] jump weights with a nonzero weight: the rows
+    ``_sinc_rows`` evaluates, and a kernel's inside rows."""
+    return np.any(weights != 0.0, axis=1)
+
+
 def _sinc_rows(jumps: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
     """[n_rows, len(p)] rows sum_j w_j sin(b_j p) / (pi p), sum_j w_j b_j / pi
     at p = 0, from [n_rows, J] jumps b_j and weights w_j (zero padded).
-    Rows with no nonzero weight are +0.0 and are not evaluated; the others
-    are evaluated per ``row_blocks`` block, so the temporaries stay
-    block-sized. BadSampling for a non-finite momentum argument."""
+    Rows with no nonzero weight (not ``_live``) are +0.0 and are not
+    evaluated; the others are evaluated per ``row_blocks`` block, so the
+    temporaries stay block-sized. BadSampling for a non-finite momentum
+    argument."""
     pp = np.asarray(p, dtype=np.float64)[None, :]
     if not np.all(np.isfinite(pp)):
         raise BadSampling("momentum arguments must be finite")
     out = np.zeros((weights.shape[0], pp.size))
-    live = np.flatnonzero(np.any(weights != 0.0, axis=1))
+    live = np.flatnonzero(_live(weights))
     for block in row_blocks(live.size):
         rows = live[block]
         b, w = jumps[rows], weights[rows]
@@ -64,9 +71,11 @@ def _sinc_rows(jumps: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndar
 @dataclass(frozen=True)
 class BoundaryKernel:
     """Kernel K(x, p) on a PhaseGrid, row i stored as the [n_x, J] jumps and
-    weights of ``_sinc_rows``. ``values`` holds the grid-window samples;
-    ``rows_at`` evaluates rows at arbitrary momentum arguments, which the
-    evolution engine needs beyond the grid window.
+    weights of ``_sinc_rows``. ``inside`` marks the x rows with a nonzero
+    weight, those strictly inside the allowed region; every other row is
+    zero. ``rows_at`` evaluates the inside rows at arbitrary momentum
+    arguments, which the evolution engine needs beyond the grid window;
+    ``values``, the grid-window samples of every row, is formed when read.
     """
 
     grid: PhaseGrid
@@ -74,25 +83,29 @@ class BoundaryKernel:
     weights: np.ndarray = field(compare=False, repr=False)
     provenance: str
     geometry: dict = field(compare=False)
-    values: np.ndarray = field(init=False, compare=False, repr=False)
+    inside: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         jumps = np.array(self.jumps, dtype=np.float64)
         weights = np.array(self.weights, dtype=np.float64)
         if weights.ndim != 2 or jumps.shape != weights.shape or len(weights) != self.grid.n_x:
             raise BadInterval("kernel jumps and weights need one zero-padded row per grid x")
-        values = _sinc_rows(jumps, weights, self.grid.p_axis())
-        for name, a in (("jumps", jumps), ("weights", weights), ("values", values)):
+        for name, a in (("jumps", jumps), ("weights", weights), ("inside", _live(weights))):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    def rows_at(self, p_arguments: np.ndarray) -> np.ndarray:
-        """Kernel rows sampled at the given momentum arguments."""
-        return _sinc_rows(self.jumps, self.weights, p_arguments)
+    @property
+    def values(self) -> np.ndarray:
+        """[n_x, n_p] samples on the grid window, rows outside +0.0; a
+        fresh frozen array per read, which no kernel holds."""
+        values = _sinc_rows(self.jumps, self.weights, self.grid.p_axis())
+        values.flags.writeable = False
+        return values
 
-    def inside_rows(self) -> np.ndarray:
-        """Boolean mask of x rows strictly inside the allowed region."""
-        return np.any(self.values != 0.0, axis=1)
+    def rows_at(self, p_arguments: np.ndarray) -> np.ndarray:
+        """The inside rows, in x order, sampled at the given momentum
+        arguments: [inside.sum(), len(p_arguments)]."""
+        return _sinc_rows(self.jumps[self.inside], self.weights[self.inside], p_arguments)
 
     def tail_mass(self) -> np.ndarray:
         """1 - integral of each row over the grid momentum window.
@@ -243,7 +256,8 @@ def kernel_from_indicator(s: ShapeIndicator,
                           p_axes: Sequence[np.ndarray]) -> np.ndarray:
     """Per-x Fourier transform of g over all y axes.
 
-    Returns K with shape (*n_x_axes, *n_p_axes), real and even in p.
+    Returns K with shape (*n_x_axes, *n_p_axes), real and even in p; an
+    empty momentum axis gives an empty kernel, as ``numeric_kernel`` does.
     One cell-averaged 1-D transform per dimension (the transform tensor
     factorizes even when g itself does not): each y axis is summed by
     ``wigner_transform.fourier_over_separation``'s "direct" backend, then
@@ -279,9 +293,11 @@ def kernel_from_indicator(s: ShapeIndicator,
             sums = wigner_transform.fourier_over_separation(
                 np.moveaxis(k, lead + d, -1), ax.size // 2, dy, p, "direct")
             k = np.moveaxis(sums * cell, -1, lead + d)
-        residue = float(np.maximum(residue, np.abs(k.imag).max()))  # keeps a NaN
+        # keeps a NaN; an empty momentum axis reads 0
+        residue = float(np.maximum(residue, np.abs(k.imag).max(initial=0.0)))
         out[idx] = k.real
-    guard("realness", residue, max(out.max(), -out.min()), transform="kernel_from_indicator")
+    guard("realness", residue, max(out.max(initial=0.0), -out.min(initial=0.0)),
+          transform="kernel_from_indicator")
     return out
 
 

@@ -12,8 +12,8 @@ twice the half-window. The engine therefore evaluates kernel rows on that
 momentum difference lattice from the kernel's jumps (``rows_at``) instead
 of reusing the grid-window samples; with window-limited rows the slow sinc
 tails are cut early enough to spoil oracle-level agreement near walls.
-The plan keeps only the spectrum of the inside rows' kernel rows, so each
-frame transforms those field rows alone.
+Only the kernel's inside rows are evaluated, and the plan keeps only their
+spectrum, so each frame transforms those field rows alone.
 
 Transforms run on ``numpy.fft``, whose real and complex transforms give
 the same bits as ``scipy.fft``'s, at the same padded lengths.
@@ -83,7 +83,7 @@ class BoundedEvolutionPlan:
     mass; ``evolve_bounded`` takes the time. ``check_support`` is
     forwarded to the shear (interval scenarios disable the support guard
     since the image train legitimately fills the window). The plan keeps
-    the kernel's inside-row mask and the spectrum of those kernel rows.
+    the spectrum of the kernel's inside rows.
 
     The grid must resolve the kernel: its rows oscillate in p at the
     separation reach 2|x|, so 2 max|x| < pi/dp. Half-line plans also
@@ -96,7 +96,6 @@ class BoundedEvolutionPlan:
     shear: ShearParams
     initial: WignerField
     check_support: bool = True
-    _inside: np.ndarray = field(init=False, repr=False, compare=False)
     _kernel_spectrum: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,10 +111,8 @@ class BoundedEvolutionPlan:
             w0 = self.initial.values
             guard("plan_symmetry", point_symmetry_defect(self.initial), max(w0.max(), -w0.min()))
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
-        inside = self.kernel.inside_rows()
-        object.__setattr__(self, "_inside", inside)
         object.__setattr__(self, "_kernel_spectrum",
-                           _row_spectrum(self.kernel.rows_at(karg)[inside], grid.n_p))
+                           _row_spectrum(self.kernel.rows_at(karg), grid.n_p))
 
 
 def point_symmetry_defect(w: WignerField) -> float:
@@ -155,7 +152,7 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
                            check_support=plan.check_support)
     out = np.zeros_like(sheared.values)
-    inside, (fk, L) = np.flatnonzero(plan._inside), plan._kernel_spectrum
+    inside, (fk, L) = np.flatnonzero(plan.kernel.inside), plan._kernel_spectrum
     for b in row_blocks(len(inside)):
         rows = inside[b]
         out[rows] = _batched_fft_convolve(sheared.values[rows], None, grid.dp,
@@ -176,23 +173,22 @@ def far_field_check(w0: WignerField, x_probe: float) -> float:
     grid = w0.grid
     i = grid.index_near_x(x_probe)
     karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
-    row_k = halfline_kernel(grid).rows_at(karg)[i]
+    kernel = halfline_kernel(grid)
+    row_k = kernel.rows_at(karg)[np.count_nonzero(kernel.inside[:i])] if kernel.inside[i] \
+        else np.zeros(karg.size)
     conv = _batched_fft_convolve(w0.values[i:i + 1], row_k[None, :], grid.dp,
                                  grid.n_p - 1)[0]
-    free = w0.values[i] if grid.x_at(i) > 0 else np.zeros(grid.n_p)
+    free = w0.values[i] if kernel.inside[i] else np.zeros(grid.n_p)
     return float(np.abs(conv - free).max())
 
 
 def kernel_tail_bound(kernel: BoundaryKernel, w0: WignerField) -> float:
     """State-weighted bound on the kernel tail truncation error.
 
-    Sum over rows of |1 - int K dp| times the state's position density,
-    the per-run diagnostic surfaced in scenario reports.
+    Sum over the kernel's inside rows of |1 - int K dp| times the state's
+    position density, the per-run diagnostic surfaced in scenario reports.
     """
     if kernel.grid != w0.grid:
         raise GridMismatch("kernel and field grids differ")
-    inside = kernel.inside_rows()
-    tails = np.abs(kernel.tail_mass())
-    dens = np.abs(marginal_x(w0))
-    return float(np.sum(tails[inside] * dens[inside]) * w0.grid.dx)
+    return float(np.sum(np.abs(kernel.tail_mass() * marginal_x(w0))[kernel.inside]) * w0.grid.dx)
 

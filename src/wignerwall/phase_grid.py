@@ -22,7 +22,6 @@ from .errors import GridMismatch, ValidationError
 _BIN_HEADER = struct.Struct("<6d2Q")
 _RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
 _NUM = "%.12g"  # every number of every CSV the package writes
-_CELLS = 8192  # cells of a field CSV formatted per NumPy pass
 _BLOCK_ROWS = 16  # rows (or columns) per block of every stage that streams a field
 
 
@@ -203,12 +202,13 @@ def wave_edge_fraction(psi: ComplexWave) -> float:
 # serialization: CSV (diffable) and flat binary (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-def _write_lines(path, header, lines, metadata: dict | None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+def _write_lines(path, header, chunks, metadata: dict | None) -> None:
+    """The optional metadata line and the header, then ``chunks`` (bytes)."""
+    with open(path, "wb") as f:
         if metadata is not None:
-            f.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        f.write(",".join(header) + "\n")
-        f.writelines(lines)
+            f.write(("# " + json.dumps(metadata, sort_keys=True) + "\n").encode())
+        f.write((",".join(header) + "\n").encode())
+        f.writelines(chunks)
 
 
 def write_csv(path, header, rows, metadata: dict | None = None) -> None:
@@ -216,7 +216,7 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
     ``metadata``, the ``header`` names joined by commas, then each of
     ``rows`` (consumed lazily) as comma-joined values, 12 significant digits."""
     line = ",".join([_NUM] * len(header)) + "\n"
-    _write_lines(path, header, (line % tuple(row) for row in rows), metadata)
+    _write_lines(path, header, ((line % tuple(row)).encode() for row in rows), metadata)
 
 
 @functools.cache
@@ -294,31 +294,31 @@ def _g12(v: np.ndarray) -> np.ndarray:
 
 def write_field_csv(w: WignerField, path, metadata: dict | None = None) -> None:
     """``x,p,value`` rows in ``write_csv``'s format, row-major in x then p;
-    ``metadata`` is the leading JSON line (kernel provenance). In blocks of
-    about ``_CELLS`` cells, rows of all +0.0 (every bit clear) are joins of
-    the ``,p,0`` cells; other values are formatted by ``_g12``, joined to
-    the ``x`` and ``,p,`` texts and written with the NUL bytes removed."""
+    ``metadata`` is the leading JSON line (kernel provenance). Per
+    ``row_blocks`` block of x rows, rows of all +0.0 (every bit clear) are
+    joins of the ``,p,0`` cells; other values are formatted by ``_g12``,
+    joined to the ``x`` and ``,p,`` texts and written with the NUL bytes
+    removed."""
     g = w.grid
-    xs = [_NUM % x for x in g.x_axis().tolist()]
-    ps = [f",{_NUM % p}," for p in g.p_axis().tolist()]
-    zeros = [p + "0\n" for p in ps]
+    xs = [(_NUM % x).encode() for x in g.x_axis().tolist()]
+    ps = [f",{_NUM % p},".encode() for p in g.p_axis().tolist()]
+    zeros = [p + b"0\n" for p in ps]
     x_text, p_text = (np.array(t, "S").view(np.uint8).reshape(len(t), -1) for t in (xs, ps))
-    nonzero = w.values.view(np.uint64).any(axis=1)
-    step = max(1, _CELLS // g.n_p)
-    cells = np.empty((step, g.n_p, x_text.shape[1] + p_text.shape[1] + 32), np.uint8)
+    blocks = list(row_blocks(g.n_x))  # the first block is the longest
+    cells = np.empty((blocks[0].stop, g.n_p, x_text.shape[1] + p_text.shape[1] + 32), np.uint8)
     cells[:, :, x_text.shape[1]:-32] = p_text
 
-    def lines():
-        for i in range(0, g.n_x, step):
-            j = min(i + step, g.n_x)
-            if not nonzero[i:j].any():
-                yield from (x + x.join(zeros) for x in xs[i:j])
+    def chunks():
+        for b in blocks:
+            if not w.values[b].view(np.uint64).any():
+                yield from (x + x.join(zeros) for x in xs[b])
                 continue
-            cells[:j - i, :, :x_text.shape[1]] = x_text[i:j, None]
-            cells[:j - i, :, -32:] = _g12(w.values[i:j].ravel()).reshape(j - i, g.n_p, 32)
-            yield cells[:j - i].tobytes().translate(None, b"\0").decode()
+            n = b.stop - b.start
+            cells[:n, :, :x_text.shape[1]] = x_text[b, None]
+            cells[:n, :, -32:] = _g12(w.values[b].ravel()).reshape(n, g.n_p, 32)
+            yield cells[:n].tobytes().translate(None, b"\0")
 
-    _write_lines(path, ("x", "p", "value"), lines(), metadata)
+    _write_lines(path, ("x", "p", "value"), chunks(), metadata)
 
 
 def read_field_csv(path) -> tuple[WignerField, dict | None]:

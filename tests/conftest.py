@@ -38,6 +38,14 @@ def odd_extended_wave(packet: GaussianPacket, grid: PhaseGrid,
     return ComplexWave(grid.x_min, grid.dx, grid.n_x, values)
 
 
+def lattice_rows(kernel, p) -> np.ndarray:
+    """Every x row of ``kernel`` at the momenta ``p``, indexed by grid x
+    row: its inside rows from ``rows_at``, +0.0 elsewhere."""
+    out = np.zeros((kernel.grid.n_x, np.size(p)))
+    out[kernel.inside] = kernel.rows_at(p)
+    return out
+
+
 def scipy_modules_after(code: str) -> list[str]:
     """Sorted names of the scipy modules loaded after ``code`` runs in a
     fresh interpreter with this package on its path."""

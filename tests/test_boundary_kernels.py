@@ -18,6 +18,7 @@ from wignerwall import (
     ShapeIndicator,
     ValidationError,
     billiard_indicator,
+    boundary_kernels,
     halfline_kernel,
     interval_kernel,
     kernel_field_1d,
@@ -26,7 +27,11 @@ from wignerwall import (
     wigner_transform,
 )
 from wignerwall.boundary_kernels import _sinc_rows, write_kernel_binary, write_kernel_csv
+from wignerwall.errors import RECORD
 from wignerwall.phase_grid import read_field_binary, read_field_csv
+
+from conftest import lattice_rows
+from test_defects import kernel_row_sign
 
 KGRID = PhaseGrid(-4.0, 24.0, 141, -16.0, 16.0, 513)
 
@@ -55,7 +60,7 @@ def test_halfline_scaling_identity():
     lam = 2.5
     p = np.linspace(-6.0, 6.0, 41)
     x = KGRID.x_axis()
-    rows = k.rows_at(p)
+    rows = lattice_rows(k, p)
     xi = KGRID.index_near_x(4.0)
     lam_x = x[xi] * lam
     with np.errstate(invalid="ignore"):
@@ -75,7 +80,7 @@ def test_halfline_row_mass_well_inside():
         assert abs(k.tail_mass()[i]) < 1e-3
     # quadrature of the analytic profile over a wide momentum window
     pq = np.arange(-100.0, 100.0001, 0.01)
-    rows = k.rows_at(pq)
+    rows = lattice_rows(k, pq)
     for x_probe in (5.0, 10.0, 20.0):
         i = g.index_near_x(x_probe)
         assert abs(rows[i].sum() * 0.01 - 1.0) < 1e-3
@@ -176,9 +181,10 @@ def test_analytic_rows_bit_identical_to_sinc_profile(grid, make, halfwidth):
     k = make(grid)
     hw = halfwidth(grid.x_axis())
     karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
-    for got, p in ((k.values, grid.p_axis()), (k.rows_at(karg), karg)):
-        assert np.array_equal(got.view(np.uint64), _sinc_profile(hw, p).view(np.uint64))
-    assert np.all(k.rows_at(karg)[hw == 0.0].view(np.uint64) == 0)  # +0.0 outside
+    assert np.array_equal(k.inside, hw != 0.0)  # rows_at leaves the rest out
+    for got, want in ((k.values, _sinc_profile(hw, grid.p_axis())),  # +0.0 outside
+                      (k.rows_at(karg), _sinc_profile(hw[k.inside], karg))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _direct_rows(g, dy, p):
@@ -217,9 +223,73 @@ def test_kernel_field_1d_rows_match_direct_sum():
     k = kernel_field_1d(ind, _LINE_GRID)
     p = np.arange(-60.0, 60.01, 0.08)
     ref = _direct_rows(ind.g, 0.1, p)
-    assert np.abs(k.rows_at(p) - ref).max() <= 1e-11 * np.abs(ref).max()
+    assert 0 < k.inside.sum() < len(ref) and not np.any(ref[~k.inside])
+    assert np.abs(k.rows_at(p) - ref[k.inside]).max() <= 1e-11 * np.abs(ref).max()
     assert np.abs(k.values - _direct_rows(ind.g, 0.1, _LINE_GRID.p_axis())).max() \
         <= 1e-11 * np.abs(ref).max()
+
+
+def _sign_flipped(make):
+    """The defect matrix's kernel of one inside row's jump weight flipped."""
+    def flipped(monkeypatch):
+        kernel_row_sign(monkeypatch)
+        return make(boundary_kernels)
+    return flipped
+
+
+KERNELS = {
+    "halfline": lambda mp: halfline_kernel(KGRID),
+    "interval": lambda mp: interval_kernel(PhaseGrid(-2.0, 12.0, 141, -16.0, 16.0, 513),
+                                           1.0, 5.0),
+    "interval-walls-on-nodes": lambda mp: interval_kernel(
+        PhaseGrid(-10.0, 10.0, 101, -8.0, 8.0, 129), -6.0, 6.0),
+    "kernel_field_1d": lambda mp: kernel_field_1d(_SUBSAMPLED, _LINE_GRID),
+    "halfline-sign-flipped": _sign_flipped(lambda bk: bk.halfline_kernel(KGRID)),
+    "interval-sign-flipped": _sign_flipped(lambda bk: bk.interval_kernel(KGRID, 2.0, 9.0)),
+}
+
+
+@pytest.mark.parametrize("make", sorted(KERNELS))
+def test_inside_rows_are_the_nonzero_rows(make, monkeypatch):
+    # inside holds the rows with a nonzero grid-window sample, and rows_at
+    # gives, at those rows, the bits of every row evaluated on the
+    # difference lattice
+    k = KERNELS[make](monkeypatch)
+    assert np.array_equal(k.inside, np.any(k.values != 0.0, axis=1))
+    assert 0 < k.inside.sum() < k.grid.n_x and not k.inside.flags.writeable
+    karg = k.grid.dp * np.arange(-(k.grid.n_p - 1), k.grid.n_p)
+    every_row = _sinc_rows(k.jumps, k.weights, karg)
+    assert np.array_equal(k.rows_at(karg).view(np.uint64), every_row[k.inside].view(np.uint64))
+
+
+def test_values_formed_when_read():
+    # no kernel holds its grid-window samples: each read forms them anew,
+    # frozen, with the same bits
+    k = halfline_kernel(KGRID)
+    assert "values" not in vars(k)
+    first, second = k.values, k.values
+    assert first is not second and not first.flags.writeable
+    assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+
+
+def test_empty_momentum_axis_gives_empty_kernel():
+    # every path returns empty rows for an empty momentum axis; the n-D
+    # transform's realness guard reads 0 against a peak of 0 and passes
+    empty = np.array([])
+    assert numeric_kernel((np.abs(_Y) < 1.0).astype(float), _DY, empty).shape == (0,)
+    k = halfline_kernel(KGRID)
+    assert k.rows_at(empty).shape == (k.inside.sum(), 0)
+    square = ShapeIndicator(2, (np.zeros(1),) * 2, (_Y5, _Y5), np.ones((1, 1, 5, 5)))
+    for s, p_axes, shape in ((_SUBSAMPLED, [empty], (9, 0)),
+                             (square, [empty, np.linspace(-1.0, 1.0, 3)], (1, 1, 0, 3))):
+        token = RECORD.set([])
+        try:
+            K = kernel_from_indicator(s, p_axes)
+            readings = RECORD.get()
+        finally:
+            RECORD.reset(token)
+        assert K.shape == shape
+        assert readings == [("realness", 0.0, 0.0)]
 
 
 @pytest.mark.parametrize("dy", [-0.01, 0.0, np.nan, np.inf])

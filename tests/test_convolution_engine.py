@@ -36,7 +36,7 @@ from wignerwall.cli import load_config
 from wignerwall.errors import RECORD
 from wignerwall.oracle import images_reflect
 
-from conftest import odd_extended_wave
+from conftest import lattice_rows, odd_extended_wave
 from test_guards import fires
 
 # even-count grid with p = 0 at index n_p // 2; the momentum window spans
@@ -46,9 +46,9 @@ GRID = PhaseGrid(-24.0, 24.0, 512, -16.0, 16.0 - DP, 512)
 
 
 def kernel_rows(plan):
-    """The plan kernel's rows on the momentum difference lattice."""
+    """Every x row of the plan's kernel on the momentum difference lattice."""
     grid = plan.initial.grid
-    return plan.kernel.rows_at(grid.dp * np.arange(-(grid.n_p - 1), grid.n_p))
+    return lattice_rows(plan.kernel, grid.dp * np.arange(-(grid.n_p - 1), grid.n_p))
 
 
 def bounce_plan(x0=10.0, p0=-5.0, sigma=1.0):
@@ -111,7 +111,7 @@ def test_backends_agree():
     rows = kernel_rows(plan)
     wd = np.stack([convolve_p(sheared.values[i], rows[i], GRID.dp)
                    for i in range(GRID.n_x)])
-    wd[~plan.kernel.inside_rows(), :] = 0.0
+    wd[~plan.kernel.inside, :] = 0.0
     assert np.abs(wf.values - wd).max() < 1e-9
 
 
@@ -147,7 +147,7 @@ def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
     plan = {"halfline": lambda: bounce_plan()[1], "box": box_plan,
             "two-interval": two_interval_plan}[geometry]()
     grid = plan.initial.grid
-    inside = plan.kernel.inside_rows()
+    inside = plan.kernel.inside
     assert 0 < inside.sum() < grid.n_x
     refs = []
     for t in (0.0, 1.3):
@@ -157,9 +157,9 @@ def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
                                     grid.n_p - 1)
         ref[~inside, :] = 0.0
         refs.append(ref)
-    # the plan keeps its inside-row mask: no frame compares the kernel again
-    monkeypatch.setattr(BoundaryKernel, "inside_rows",
-                        lambda k: pytest.fail("inside_rows called per frame"))
+    # the plan keeps its inside rows' spectrum: no frame evaluates kernel rows
+    monkeypatch.setattr(BoundaryKernel, "rows_at",
+                        lambda k, p: pytest.fail("rows_at called per frame"))
     for t, ref in zip((0.0, 1.3), refs):
         out = evolve_bounded(plan, t).values
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))

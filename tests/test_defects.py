@@ -72,7 +72,7 @@ def kernel_row_sign(monkeypatch):
 
         def flipped(*args, original=original):
             k = original(*args)
-            inside = np.flatnonzero(k.inside_rows())
+            inside = np.flatnonzero(k.inside)
             weights = k.weights.copy()
             weights[inside[len(inside) // 2]] *= -1.0
             return BoundaryKernel(k.grid, k.jumps, weights, k.provenance, k.geometry)
@@ -80,11 +80,18 @@ def kernel_row_sign(monkeypatch):
 
 
 def inside_mask_offset(monkeypatch):
-    """A method-layer defect: the inside-row mask moved up by one row, so
-    the first inside row above each lower wall is not convolved (+0.0) and
-    the first row beyond the upper end, whose kernel row is zero, is."""
-    original = BoundaryKernel.inside_rows
-    monkeypatch.setattr(BoundaryKernel, "inside_rows", lambda self: np.roll(original(self), 1))
+    """A method-layer defect: the kernel's inside-row mask moved up by one
+    row, so the first inside row above each lower wall is not convolved
+    (+0.0) and the first row beyond the upper end, whose kernel row is
+    zero, is."""
+    for name in ("halfline_kernel", "interval_kernel"):
+        original = getattr(boundary_kernels, name)
+
+        def offset(*args, original=original):
+            k = original(*args)
+            object.__setattr__(k, "inside", np.roll(k.inside, 1))
+            return k
+        monkeypatch.setattr(boundary_kernels, name, offset)
 
 
 def images_added(monkeypatch):

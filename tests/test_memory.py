@@ -23,6 +23,7 @@ from wignerwall import (PhaseGrid, ShearParams, WignerField, cli, compare_fields
                         evolve_bounded, kernel_from_indicator, project_gaussian_to_box,
                         shear_evolve, wigner_of, write_field_csv)
 from wignerwall.cli import _disk_indicator, _oracle_wave, load_config, oracle_field
+from wignerwall.convolution_engine import BoundedEvolutionPlan
 
 from conftest import traced_peak_mib
 
@@ -60,12 +61,26 @@ def test_bounded_frame_working_set(preset, t, ceiling):
 # 14.2 MiB (half line) and 10.6 MiB (box) when W0's field copied its
 # array, the kernel rows' sinc terms were formed over all live rows at
 # once and the half line's symmetry check differenced two whole-field
-# copies; 10.1 and 9.0 MiB without
-@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 12.0),
-                                             ("box-traversal", 9.75)])
+# copies; 10.1 and 9.0 MiB when the kernel held its grid-window samples
+# and the plan evaluated every x row on the difference lattice, then
+# copied out the inside ones; 7.1 and 4.0 MiB with the inside rows alone
+@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 8.5),
+                                             ("box-traversal", 6.0)])
 def test_build_plan_working_set(preset, ceiling):
     cfg = load_config(None, preset)
     assert traced_peak_mib(lambda: cli.build_plan(cfg)) <= ceiling
+
+
+# the plan's own construction, its kernel and W0 given: 6.0 MiB (half
+# line) and 4.9 MiB (box) with every x row's kernel row on the 2 n_p - 1
+# point difference lattice and its inside copy; 5.0 and 1.95 MiB with the
+# inside rows alone (256 and 99 of 513 and 521), whose spectrum it keeps
+@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 5.5),
+                                             ("box-traversal", 3.0)])
+def test_plan_construction_working_set(preset, ceiling):
+    plan = cli.build_plan(load_config(None, preset))
+    assert traced_peak_mib(lambda: BoundedEvolutionPlan(
+        plan.kernel, plan.shear, plan.initial, plan.check_support)) <= ceiling
 
 
 @pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])

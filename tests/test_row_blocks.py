@@ -1,7 +1,8 @@
 """Each per-frame stage streams its rows in blocks: the Wigner transform
 (``wigner_of``), the momentum convolution (``evolve_bounded``), both
-shear paths (``_fourier_shift_rows``, ``map_coordinates``) and the field
-comparison (``compare_fields``), and so do the plan's kernel rows
+shear paths (``_fourier_shift_rows``, ``map_coordinates``), the field
+comparison (``compare_fields``) and the field CSV (``write_field_csv``,
+compared byte for byte), and so do the plan's kernel rows
 (``_sinc_rows``) and its symmetry check (``point_symmetry_defect``). All
 of them take their slices from ``phase_grid.row_blocks``, so patching its
 one ``_BLOCK_ROWS`` sets every stage's block size.
@@ -105,20 +106,24 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_one_block_size_sets_every_stage(monkeypatch):
+def test_one_block_size_sets_every_stage(monkeypatch, tmp_path):
     # phase_grid's one _BLOCK_ROWS sizes every stage's blocks: at 1 row,
-    # wigner_of correlates one support row per call and evolve_bounded
-    # convolves one inside row per call
+    # wigner_of correlates one support row per call, evolve_bounded
+    # convolves one inside row per call and write_field_csv formats one
+    # row with a nonzero bit per call
     monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", 1)
     psi, grid, _ = _halfline_oracle(2.0)
     plan = cli.build_plan(load_config(None, "halfline-bounce"))
     n_support = len(correlation_matrix(psi, grid)[0])
     corr = _count_calls(monkeypatch, wigner_transform, "correlation_matrix")
     conv = _count_calls(monkeypatch, convolution_engine, "_batched_fft_convolve")
+    text = _count_calls(monkeypatch, phase_grid, "_g12")
     wigner_transform.wigner_of(psi, grid)
-    evolve_bounded(plan, 2.0)
+    w = evolve_bounded(plan, 2.0)
+    phase_grid.write_field_csv(w, tmp_path / "field.csv")
     assert len(corr) == n_support > 16
-    assert len(conv) == plan._inside.sum() > 16
+    assert len(conv) == plan.kernel.inside.sum() > 16
+    assert len(text) == np.any(w.values != 0.0, axis=1).sum() > 16
 
 
 @pytest.mark.parametrize("bad_block", [0, 5, -1])
@@ -174,10 +179,11 @@ def test_evolve_bounded_blocks_bit_identical(preset, t, monkeypatch):
     grid = plan.initial.grid
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
                            check_support=plan.check_support)
+    inside = plan.kernel.inside
     ref = np.zeros((grid.n_x, grid.n_p))
-    ref[plan._inside] = _batched_fft_convolve(sheared.values[plan._inside], None, grid.dp,
-                                              grid.n_p - 1, plan._kernel_spectrum)
-    assert plan._inside.sum() > 3
+    ref[inside] = _batched_fft_convolve(sheared.values[inside], None, grid.dp, grid.n_p - 1,
+                                        plan._kernel_spectrum)
+    assert inside.sum() > 3
     for rows in BLOCKS:
         monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
         assert same_bits(evolve_bounded(plan, t).values, ref)
@@ -325,3 +331,25 @@ def test_compare_fields_blocks_match_one_shot(preset, t, monkeypatch):
         assert abs(cmp.l2_rel - l2) <= diff.size * 2.3e-16 * l2
         assert abs(cmp.mass_diff - abs(diff.sum()) * scale) <= \
             diff.size * 2.3e-16 * np.abs(diff).sum() * scale
+
+
+def test_field_csv_blocks_bit_identical(tmp_path, monkeypatch):
+    # a half-line frame, whose rows outside the wall are +0.0, with a row
+    # of -0.0, scattered -0.0 cells and values that '%' formats itself;
+    # 513 rows leave a short last block at 16 and 3 rows
+    cfg = load_config(None, "halfline-bounce")
+    v = evolve_bounded(cli.build_plan(cfg), 2.0).values.copy()
+    v[300] = -0.0
+    v[301, ::7] = -0.0
+    v[302, :3] = 1e-300, -2.5e295, 0.12345678901249999
+    w = WignerField(cfg.grid, v)
+    assert np.any(np.all(v == 0.0, axis=1) & ~np.signbit(v).any(axis=1))
+    meta = {"provenance": "test"}
+    rows = ((x, p, v[i, j]) for i, x in enumerate(cfg.grid.x_axis().tolist())
+            for j, p in enumerate(cfg.grid.p_axis().tolist()))
+    phase_grid.write_csv(tmp_path / "ref.csv", ("x", "p", "value"), rows, meta)
+    ref = (tmp_path / "ref.csv").read_bytes()
+    for rows in BLOCKS + [16]:
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
+        phase_grid.write_field_csv(w, tmp_path / "field.csv", meta)
+        assert (tmp_path / "field.csv").read_bytes() == ref
