@@ -25,11 +25,13 @@
 # change in the last digit shows as about 1e-13 of the peak. Like the
 # table below, it is for reading only.
 #
-# Each command's peak resident set (the child's ru_maxrss, KiB on Linux)
-# and wall seconds are recorded in OUT_DIR/rss, outside the diffed trees,
-# and printed as one table at the end, with the head - base change of the
-# peak in MiB. The table is for reading only (one
-# run's seconds are noisy): it never fails the run. So is the tail: the
+# Each command's peak resident set (the child's ru_maxrss, KiB on Linux),
+# wall seconds and CPU seconds (user + system, all threads) are recorded
+# in OUT_DIR/rss, outside the diffed trees, and printed as one table at
+# the end, with the head - base change of the peak in MiB; CPU seconds far
+# above wall seconds show a thread that spins. The table is for reading
+# only (one run's seconds are noisy): it never fails the run. So is the
+# tail: the
 # total count of lines in the .py files under each tree's src/ and its
 # change, then the count of code lines, those that are not blank, not `#`
 # comments and not module, class or function docstrings, per module (a
@@ -114,12 +116,12 @@ mkdir -p "$out/rss"
 diff -r "$out/base" "$out/head" && echo "artifact parity: identical"
 status=$?
 python -c "$bounds" "$out/base" "$out/head"
-echo "peak RSS (child ru_maxrss) and wall seconds per command:"
-awk -F'\t' 'NR == FNR { b[$1] = $2; s[$1] = $3; next }
-    FNR == 1 { printf "%-32s %10s %10s %10s %8s %8s\n", "command", "base MiB", "head MiB",
-                      "head-base", "base s", "head s" }
-    { printf "%-32s %10.1f %10.1f %+10.2f %8.2f %8.2f\n", $1, b[$1] / 1024, $2 / 1024,
-             ($2 - b[$1]) / 1024, s[$1], $3 }' \
+echo "peak RSS (child ru_maxrss), wall seconds and CPU seconds per command:"
+awk -F'\t' 'NR == FNR { b[$1] = $2; s[$1] = $3; c[$1] = $4; next }
+    FNR == 1 { printf "%-32s %10s %10s %10s %8s %8s %8s %8s\n", "command", "base MiB",
+                      "head MiB", "head-base", "base s", "head s", "base cpu", "head cpu" }
+    { printf "%-32s %10.1f %10.1f %+10.2f %8.2f %8.2f %8.2f %8.2f\n", $1, b[$1] / 1024,
+             $2 / 1024, ($2 - b[$1]) / 1024, s[$1], $3, c[$1], $4 }' \
     "$out/rss/base.tsv" "$out/rss/head.tsv"
 src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l; }
 base_lines=$(src_lines "$base")

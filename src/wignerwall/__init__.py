@@ -1,4 +1,18 @@
-"""Wigner-function dynamics with impenetrable walls via momentum convolution."""
+"""Wigner-function dynamics with impenetrable walls via momentum convolution.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 when none of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` is
+set, before its modules import NumPy: NumPy's OpenBLAS starts its worker
+threads at import, they spin, and the package's few BLAS calls (the
+spline's start, the disk kernel's direct sums) gain nothing from a second
+thread. Set any of the three to choose another count. If NumPy is already
+imported, its thread count is fixed and the default has no effect.
+"""
+
+import os as _os
+
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .boundary_kernels import (
     BoundaryKernel,

@@ -348,12 +348,10 @@ def kernel_field_1d(s: ShapeIndicator, grid: PhaseGrid) -> BoundaryKernel:
                           geometry={"dimension": 1})
 
 
-def write_kernel_csv(k: BoundaryKernel, path) -> None:
-    """Field CSV with a metadata line carrying provenance and geometry."""
+def write_kernel_files(k: BoundaryKernel, csv_path, bin_path) -> None:
+    """Field CSV and field binary of the grid-window ``values``, formed
+    once for both, each with metadata carrying provenance and geometry."""
     meta = {"provenance": k.provenance, "geometry": k.geometry}
-    write_field_csv(WignerField(k.grid, k.values), path, metadata=meta)
-
-
-def write_kernel_binary(k: BoundaryKernel, path) -> None:
-    meta = {"provenance": k.provenance, "geometry": k.geometry}
-    write_field_binary(WignerField(k.grid, k.values), path, metadata=meta)
+    w = WignerField(k.grid, k.values)
+    write_field_csv(w, csv_path, metadata=meta)
+    write_field_binary(w, bin_path, metadata=meta)

@@ -19,12 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, boundary_kernels
-from .boundary_kernels import (
-    billiard_indicator,
-    kernel_from_indicator,
-    write_kernel_binary,
-    write_kernel_csv,
-)
+from .boundary_kernels import billiard_indicator, kernel_from_indicator, write_kernel_files
 from .convolution_engine import BoundedEvolutionPlan, evolve_bounded, kernel_tail_bound
 from .errors import RECORD, ConfigError, NumericalGuardError, ValidationError, guard
 from .free_evolution import ShearParams, naive_bounded_evolve, wall_violation_mass
@@ -387,10 +382,11 @@ def run(cfg: ScenarioConfig, out_dir: str) -> int:
 
         plan = build_plan(cfg)
         if "kernel" in cfg.outputs:
-            write_kernel_csv(plan.kernel, os.path.join(out_dir, "kernel.csv"))
-            write_kernel_binary(plan.kernel, os.path.join(out_dir, "kernel.bin"))
+            write_kernel_files(plan.kernel, os.path.join(out_dir, "kernel.csv"),
+                               os.path.join(out_dir, "kernel.bin"))
             print(f"wrote kernel files to {out_dir}")
-        tail = kernel_tail_bound(plan.kernel, plan.initial)
+        # read by the frames' lines and rows only: a run without times skips it
+        tail = kernel_tail_bound(plan.kernel, plan.initial) if cfg.times else None
 
         rows, failures = [], []
         for t in cfg.times:

@@ -15,8 +15,11 @@ tails are cut early enough to spoil oracle-level agreement near walls.
 Only the kernel's inside rows are evaluated, and the plan keeps only their
 spectrum, so each frame transforms those field rows alone.
 
-Transforms run on ``numpy.fft``, whose real and complex transforms give
-the same bits as ``scipy.fft``'s, at the same padded lengths.
+Each row is convolved on a circle of the next fast length of 2 n_p - 1,
+the shortest on which the n_p kept outputs do not alias (the full linear
+length is 3 n_p - 2). Transforms run on ``numpy.fft``, whose real and
+complex transforms give the same bits as ``scipy.fft``'s, at the same
+padded lengths.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 # ``convolution_engine.sfft`` to count the points each transform processes
 import numpy.fft as sfft
 
-from .boundary_kernels import BoundaryKernel, halfline_kernel
+from .boundary_kernels import BoundaryKernel, _sinc_rows, halfline_kernel
 from .errors import GridMismatch, LengthMismatch, ValidationError, guard
 from .free_evolution import ShearParams, shear_evolve
 from .phase_grid import WignerField, marginal_x, row_blocks
@@ -54,10 +57,12 @@ def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float) -> np.ndarray:
     return dp * full[n - 1:2 * n - 1]
 
 
-def _row_spectrum(rows_k: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The rfft of kernel rows at the padded length L of their convolution
-    with n-sample rows, the next fast length of full linear length; and L."""
-    L = next_fast_len(n + rows_k.shape[1] - 1)
+def _row_spectrum(rows_k: np.ndarray, n: int, z0: int) -> tuple[np.ndarray, int]:
+    """The rfft of m-sample kernel rows at the padded length L of their
+    convolution with n-sample rows, and L: the next fast length on whose
+    circle the kept outputs z0 ... z0 + n - 1 do not alias,
+    L >= max(z0 + n, n + m - 1 - z0)."""
+    L = next_fast_len(max(z0 + n, n + rows_k.shape[1] - 1 - z0))
     return sfft.rfft(rows_k, L, axis=1), L
 
 
@@ -65,10 +70,10 @@ def _batched_fft_convolve(rows_w: np.ndarray, rows_k: np.ndarray | None, dp: flo
                           z0: int, spectrum: tuple[np.ndarray, int] | None = None
                           ) -> np.ndarray:
     """FFT path of the row convolutions; identical contract to convolve_p
-    applied row-wise. ``spectrum`` is ``_row_spectrum(rows_k, n)`` when the
-    caller keeps it; ``rows_k`` is then not read."""
+    applied row-wise. ``spectrum`` is ``_row_spectrum(rows_k, n, z0)`` when
+    the caller keeps it; ``rows_k`` is then not read."""
     n = rows_w.shape[1]
-    fk, L = _row_spectrum(rows_k, n) if spectrum is None else spectrum
+    fk, L = _row_spectrum(rows_k, n, z0) if spectrum is None else spectrum
     full = sfft.irfft(sfft.rfft(rows_w, L, axis=1) * fk, L, axis=1)
     return dp * full[:, z0:z0 + n]
 
@@ -112,7 +117,7 @@ class BoundedEvolutionPlan:
             guard("plan_symmetry", point_symmetry_defect(self.initial), max(w0.max(), -w0.min()))
         karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
         object.__setattr__(self, "_kernel_spectrum",
-                           _row_spectrum(self.kernel.rows_at(karg), grid.n_p))
+                           _row_spectrum(self.kernel.rows_at(karg), grid.n_p, grid.n_p - 1))
 
 
 def point_symmetry_defect(w: WignerField) -> float:
@@ -169,15 +174,14 @@ def far_field_check(w0: WignerField, x_probe: float) -> float:
     tends to the identity, so for a state far inside the region the
     bounded row approaches theta(x) W0; the return value is the max
     absolute difference at the grid row nearest to ``x_probe`` (t = 0).
+    Only that row of the kernel is evaluated; off the region it is zero.
     """
     grid = w0.grid
     i = grid.index_near_x(x_probe)
     karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
     kernel = halfline_kernel(grid)
-    row_k = kernel.rows_at(karg)[np.count_nonzero(kernel.inside[:i])] if kernel.inside[i] \
-        else np.zeros(karg.size)
-    conv = _batched_fft_convolve(w0.values[i:i + 1], row_k[None, :], grid.dp,
-                                 grid.n_p - 1)[0]
+    row_k = _sinc_rows(kernel.jumps[i:i + 1], kernel.weights[i:i + 1], karg)
+    conv = _batched_fft_convolve(w0.values[i:i + 1], row_k, grid.dp, grid.n_p - 1)[0]
     free = w0.values[i] if kernel.inside[i] else np.zeros(grid.n_p)
     return float(np.abs(conv - free).max())
 

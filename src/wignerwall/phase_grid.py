@@ -22,7 +22,7 @@ from .errors import GridMismatch, ValidationError
 _BIN_HEADER = struct.Struct("<6d2Q")
 _RIM = 2  # outermost rows/columns (or axis samples) counted as the edge
 _NUM = "%.12g"  # every number of every CSV the package writes
-_BLOCK_ROWS = 16  # rows (or columns) per block of every stage that streams a field
+_BLOCK_ROWS = 8  # rows (or columns) per block of every stage that streams a field
 
 
 @dataclass(frozen=True, eq=True)

@@ -26,7 +26,7 @@ from wignerwall import (
     numeric_kernel,
     wigner_transform,
 )
-from wignerwall.boundary_kernels import _sinc_rows, write_kernel_binary, write_kernel_csv
+from wignerwall.boundary_kernels import _sinc_rows, write_kernel_files
 from wignerwall.errors import RECORD
 from wignerwall.phase_grid import read_field_binary, read_field_csv
 
@@ -723,8 +723,7 @@ def test_kernel_io_roundtrip(tmp_path):
     k = halfline_kernel(grid)
     csv = tmp_path / "k.csv"
     binp = tmp_path / "k.bin"
-    write_kernel_csv(k, csv)
-    write_kernel_binary(k, binp)
+    write_kernel_files(k, csv, binp)
     w_csv, meta_csv = read_field_csv(csv)
     w_bin, meta_bin = read_field_binary(binp)
     assert meta_csv["provenance"] == "analytic-halfline"

@@ -3,6 +3,8 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +277,25 @@ def test_simulate_deterministic(monkeypatch, tmp_path):
     assert names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="Linux thread list")
+@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+                                          ({"OMP_NUM_THREADS": "2"}, 2)],
+                         ids=["unset", "openblas-2", "omp-2"])
+def test_import_starts_no_idle_blas_thread(env, threads):
+    # NumPy's OpenBLAS starts its worker threads at import; importing the
+    # package first leaves it the main thread alone unless a count was set
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS starts no more threads than there are usable cores")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", "import os, wignerwall\n"
+                          "print(len(os.listdir('/proc/self/task')))"],
+                         env={**unset, **env, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) == threads
 
 
 @pytest.mark.parametrize("preset", [None, "disk-kernel", "box-traversal"])
@@ -675,6 +696,27 @@ def test_box_spectrum_projected_once_through_module(monkeypatch, tmp_path):
     # a spectrum is read-only
     with pytest.raises(ValueError):
         calls[0].coefficients[0] = 0.0
+
+
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_kernel_command_forms_grid_window_once(monkeypatch, tmp_path, preset):
+    # kernel.csv and kernel.bin share one evaluation of the grid-window
+    # values (2 MiB at 513^2), and a run without times, whose lines and
+    # rows would carry it, takes no tail bound, which reads them too
+    grid, windows, original = load_config(None, preset).grid, [], boundary_kernels._sinc_rows
+
+    def spy(jumps, weights, p):
+        windows.append(np.array_equal(p, grid.p_axis()))
+        return original(jumps, weights, p)
+
+    monkeypatch.setattr(boundary_kernels, "_sinc_rows", spy)
+    out = tmp_path / "out"
+    assert main(["kernel", "--preset", preset, "--out", str(out)]) == 0
+    assert windows.count(True) == 1
+    values = build_plan(load_config(None, preset)).kernel.values
+    assert np.array_equal(read_field_binary(out / "kernel.bin")[0].values, values)
+    csv = read_field_csv(out / "kernel.csv")[0].values  # 12 significant digits
+    assert np.abs(csv - values).max() <= 1e-11 * np.abs(values).max()
 
 
 def test_disk_runs_when_cpu_count_unknown(monkeypatch, tmp_path):

@@ -167,16 +167,30 @@ def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 129, 513])
 def test_batched_convolution_bit_identical_to_scipy_fft(n):
-    # numpy.fft's rfft/irfft at the same padded length give scipy.fft's bits
+    # numpy.fft's rfft/irfft at the same padded length give scipy.fft's bits;
+    # the engine pads to the alias-free 2 n - 1, not the linear 3 n - 2
     rng = np.random.default_rng(n)
     rows_w = rng.standard_normal((9, n))
     rows_k = rng.standard_normal((9, 2 * n - 1))
-    L = sfft.next_fast_len(3 * n - 2)
+    L = sfft.next_fast_len(2 * n - 1)
     full = sfft.irfft(sfft.rfft(rows_w, L, axis=1) * sfft.rfft(rows_k, L, axis=1),
                       L, axis=1)
     ref = 0.125 * full[:, n - 1:2 * n - 1]
     out = _batched_fft_convolve(rows_w, rows_k, 0.125, n - 1)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [20, 50, 128, 129, 513])
+def test_batched_convolution_does_not_alias(n):
+    # the circle is next_fast_len(2 n - 1): 2 n - 1 itself at n = 50 (99 is
+    # 11-smooth), longer at the others (39 = 3 * 13, 255, 257, 1025); on a
+    # shorter circle the full convolution's last outputs wrap onto kept ones
+    rng = np.random.default_rng(n)
+    rows_w = rng.standard_normal((5, n))
+    rows_k = rng.standard_normal((5, 2 * n - 1))
+    ref = np.stack([convolve_p(w, k, 0.125) for w, k in zip(rows_w, rows_k)])
+    out = _batched_fft_convolve(rows_w, rows_k, 0.125, n - 1)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_linearity_in_initial_field():
@@ -272,6 +286,19 @@ def test_far_field_decreases_with_distance():
     floor = 1e-12
     assert devs[1] < devs[0]
     assert devs[2] <= devs[1] + floor
+
+
+@pytest.mark.parametrize("probe", [10.0, 0.0, -3.0])  # inside, on the wall, outside
+def test_far_field_check_bit_identical_to_whole_kernel_row(probe):
+    # the probe's row evaluated alone gives the bits of that row taken from
+    # the whole kernel on the difference lattice (+0.0 off the region)
+    plan = cli.build_plan(load_config(None, "halfline-bounce"))
+    w0, grid = plan.initial, plan.initial.grid
+    i = grid.index_near_x(probe)
+    row_k = lattice_rows(plan.kernel, grid.dp * np.arange(-(grid.n_p - 1), grid.n_p))[i]
+    conv = _batched_fft_convolve(w0.values[i:i + 1], row_k[None, :], grid.dp, grid.n_p - 1)[0]
+    free = w0.values[i] if plan.kernel.inside[i] else np.zeros(grid.n_p)
+    assert far_field_check(w0, probe) == float(np.abs(conv - free).max())
 
 
 def test_mass_and_marginal_sanity():

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from wignerwall import (PhaseGrid, ShearParams, WignerField, cli, compare_fields,
-                        evolve_bounded, kernel_from_indicator, project_gaussian_to_box,
-                        shear_evolve, wigner_of, write_field_csv)
+                        evolve_bounded, far_field_check, kernel_from_indicator,
+                        project_gaussian_to_box, shear_evolve, wigner_of, write_field_csv)
 from wignerwall.cli import _disk_indicator, _oracle_wave, load_config, oracle_field
 from wignerwall.convolution_engine import BoundedEvolutionPlan
 
@@ -44,15 +44,18 @@ def test_halfline_oracle_transform_working_set(t):
     assert psi.n == 8 * (cfg.grid.n_x - 1) + 1
     # 32.2 MiB with one chirp-z transform of all 256 correlation rows,
     # 11.2 MiB with the whole correlation matrix and a complex field;
-    # 4.7 MiB in blocks of 16 rows
-    assert traced_peak_mib(lambda: wigner_of(psi, cfg.grid)) <= 8.0
+    # 4.0-4.1 MiB in blocks of 16 rows, 3.1-3.2 MiB in blocks of 8
+    assert traced_peak_mib(lambda: wigner_of(psi, cfg.grid)) <= 3.5
 
 
 # 11.0 MiB (half line, spectral shear) and 8.8 MiB (box, cubic shear) with
 # every inside row convolved at once and the shear's phase matrix or gather
-# arrays over the whole field; 4.5 MiB for either in blocks of 16 rows
-@pytest.mark.parametrize("preset, t, ceiling", [("halfline-bounce", 2.0, 8.0),
-                                                ("box-traversal", 1.25, 6.0)])
+# arrays over the whole field; 4.46 and 4.53 MiB in blocks of 16 rows
+# padded to the linear length 3 n_p - 2, 4.18 and 4.28 MiB in blocks of 8
+# padded to the alias-free 2 n_p - 1
+@pytest.mark.parametrize("preset, t, ceiling", [("halfline-bounce", 2.0, 4.3),
+                                                ("box-traversal", 1.25, 4.4)],
+                         ids=["halfline-bounce-2.0", "box-traversal-1.25"])
 def test_bounded_frame_working_set(preset, t, ceiling):
     plan = cli.build_plan(load_config(None, preset))
     assert traced_peak_mib(lambda: evolve_bounded(plan, t)) <= ceiling
@@ -63,9 +66,12 @@ def test_bounded_frame_working_set(preset, t, ceiling):
 # once and the half line's symmetry check differenced two whole-field
 # copies; 10.1 and 9.0 MiB when the kernel held its grid-window samples
 # and the plan evaluated every x row on the difference lattice, then
-# copied out the inside ones; 7.1 and 4.0 MiB with the inside rows alone
-@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 8.5),
-                                             ("box-traversal", 6.0)])
+# copied out the inside ones; 7.1 and 4.0 MiB with the inside rows alone;
+# 6.1 and 3.65 MiB with their spectrum at the alias-free length, and the
+# rows and W0's transform in blocks of 8
+@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 6.5),
+                                             ("box-traversal", 3.85)],
+                         ids=["halfline-bounce", "box-traversal"])
 def test_build_plan_working_set(preset, ceiling):
     cfg = load_config(None, preset)
     assert traced_peak_mib(lambda: cli.build_plan(cfg)) <= ceiling
@@ -74,9 +80,12 @@ def test_build_plan_working_set(preset, ceiling):
 # the plan's own construction, its kernel and W0 given: 6.0 MiB (half
 # line) and 4.9 MiB (box) with every x row's kernel row on the 2 n_p - 1
 # point difference lattice and its inside copy; 5.0 and 1.95 MiB with the
-# inside rows alone (256 and 99 of 513 and 521), whose spectrum it keeps
-@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 5.5),
-                                             ("box-traversal", 3.0)])
+# inside rows alone (256 and 99 of 513 and 521), whose spectrum it keeps;
+# 4.0 and 1.56 MiB with that spectrum at next_fast_len(2 n_p - 1) = 1029
+# points, not next_fast_len(3 n_p - 2) = 1540 (n_p = 513 in both)
+@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 4.5),
+                                             ("box-traversal", 1.75)],
+                         ids=["halfline-bounce", "box-traversal"])
 def test_plan_construction_working_set(preset, ceiling):
     plan = cli.build_plan(load_config(None, preset))
     assert traced_peak_mib(lambda: BoundedEvolutionPlan(
@@ -88,7 +97,7 @@ def test_compare_fields_working_set(preset, t):
     cfg = load_config(None, preset)
     w, ref = evolve_bounded(cli.build_plan(cfg), t), oracle_field(cfg, t)
     # 4.0 MiB with the whole difference field and its absolute value;
-    # 0.13 MiB for a block of 16 rows
+    # 0.13 MiB for a block of 16 rows, 0.064 MiB for a block of 8
     assert traced_peak_mib(lambda: compare_fields(w, ref)) <= 1.0
 
 
@@ -127,9 +136,16 @@ def test_producers_hand_over_their_arrays(produce, monkeypatch):
 def test_field_csv_working_set(tmp_path):
     w = evolve_bounded(cli.build_plan(load_config(None, "halfline-bounce")), 2.0)
     write_field_csv(w, tmp_path / "warm.csv")  # the formatter's tables, built once
-    # 0.14 MiB with one '%' per row, 2.0 MiB with NumPy text arrays of
-    # 8192 cells or less and 36 MiB with those of the whole field at once
-    assert traced_peak_mib(lambda: write_field_csv(w, tmp_path / "field.csv")) <= 3.0
+    # 36 MiB with NumPy text arrays of the whole field at once, 2.0 MiB
+    # with blocks of 16 rows and 1.06 MiB with blocks of 8
+    assert traced_peak_mib(lambda: write_field_csv(w, tmp_path / "field.csv")) <= 1.5
+
+
+def test_far_field_check_working_set():
+    plan = cli.build_plan(load_config(None, "halfline-bounce"))
+    # 2.5 MiB when every inside row of the kernel (256 x 1025) was
+    # evaluated for one probe row; 0.05 MiB for the probe's row alone
+    assert traced_peak_mib(lambda: far_field_check(plan.initial, 10.0)) <= 0.25
 
 
 def test_disk_kernel_transform_working_set(disk_preset):

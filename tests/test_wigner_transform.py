@@ -274,7 +274,7 @@ def test_czt_bit_identical_to_scipy_signal(shape, m):
 
 def test_czt_path_bit_identical_to_scipy_signal():
     # fourier_over_separation's "czt" backend, post-multiplies included, at
-    # the half-line oracle's sizes: one 16-row block of 2047 lags (K = 1023)
+    # the half-line oracle's sizes: 16 rows (two 8-row blocks) of 2047 lags (K = 1023)
     # on the 8x axis (dy = 2 * 48 / 512 / 8) against 513 momenta in [-16, 16]
     rng = np.random.default_rng(11)
     K, dy, p = 1023, 2 * 0.09375 / 8, np.linspace(-16.0, 16.0, 513)
