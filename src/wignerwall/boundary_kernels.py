@@ -26,7 +26,6 @@ parts, is the jumps b_j = (j + 1/2) dy with w_j = g_j - g_{j+1}.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
@@ -106,14 +105,6 @@ class BoundaryKernel:
         """The inside rows, in x order, sampled at the given momentum
         arguments: [inside.sum(), len(p_arguments)]."""
         return _sinc_rows(self.jumps[self.inside], self.weights[self.inside], p_arguments)
-
-    def tail_mass(self) -> np.ndarray:
-        """1 - integral of each row over the grid momentum window.
-
-        For rows well inside both the region and the window this is the
-        sinc-tail truncation diagnostic; rows outside the region report 1.
-        """
-        return 1.0 - self.values.sum(axis=1) * self.grid.dp
 
 
 def halfline_kernel(grid: PhaseGrid) -> BoundaryKernel:
@@ -197,16 +188,16 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     broadcasts too). The y_1 < 0 half is the y_1 > 0 half reversed in
     every y axis, so g is even in y bit for bit. On the y axes made
     exactly odd, where the lattice is taken, that is the sampled sum bit
-    for bit when the subcell centres are exact negatives of each other
-    (s = 1-4, 8, 16 and 32 among s <= 64).
+    for bit: the subcell centres (2 j + 1 - s) / (2 s) are exact
+    negatives of each other for every s.
     ``subsamples`` s > 1 averages the boolean over an s^n subcell lattice
     per y-cell, giving a real-valued anti-aliased indicator (needed by
     isotropy checks at tight tolerance); at the default 1, g is still
     float64 (hits / s^n), holding only the values 0.0 and 1.0.
 
-    Each x point is one task, on min(os.cpu_count() or 1, points)
-    threads; it counts its subcell hits in a small unsigned integer
-    array, so g depends on neither the order nor the thread count.
+    The x points are sampled one after another in the calling thread;
+    each counts its subcell hits in a small unsigned integer array, so g
+    is exact.
 
     Raises EmptyInterior when no x grid point lies inside, and BadSampling
     unless ``subsamples`` is an integer >= 1.
@@ -228,27 +219,20 @@ def billiard_indicator(B: Callable[..., np.ndarray],
     # shaped to vary along axis d only
     odd = [0.5 * (ax - ax[::-1]) for ax in y_axes]
     odd[0] = odd[0][odd[0].size // 2:]
-    centres = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+    centres = (2 * np.arange(subsamples) + 1 - subsamples) / (2 * subsamples)
     halves = [[(0.5 * (ax + d * dy)).reshape([-1 if j == k else 1 for j in range(n)])
                for k, (ax, d, dy) in enumerate(zip(odd, shift, dys))]
               for shift in product(centres, repeat=n)]
     dtype = np.min_scalar_type(len(halves))
 
-    def count(idx: tuple[int, ...]) -> np.ndarray:
+    hits = np.empty(tuple(ax.size for ax in x_axes + y_axes), dtype=dtype)
+    for idx in np.ndindex(*hits.shape[:n]):
         x = [ax[i] for ax, i in zip(x_axes, idx)]
         acc = np.zeros(tuple(ax.size for ax in odd), dtype=dtype)
         for half in halves:
             acc += ((B(*[xd - hd for xd, hd in zip(x, half)]) < 1.0)
                     & (B(*[xd + hd for xd, hd in zip(x, half)]) < 1.0))
-        return np.concatenate([np.flip(acc[1:]), acc])
-
-    hits = np.empty(tuple(ax.size for ax in x_axes + y_axes), dtype=dtype)
-    points = list(np.ndindex(*hits.shape[:n]))
-    # imported here: concurrent.futures.thread is not loaded with the CLI
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(points))) as pool:
-        for idx, acc in zip(points, pool.map(count, points)):
-            hits[idx] = acc
+        hits[idx] = np.concatenate([np.flip(acc[1:]), acc])
     return ShapeIndicator(n, x_axes, y_axes, hits / subsamples ** n)
 
 

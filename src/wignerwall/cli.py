@@ -437,7 +437,7 @@ def _disk_indicator(cfg: ScenarioConfig):
     The x and momentum axes are made exactly odd, as the indicator's y
     axes are, so that ``run_billiard_kernel`` can mirror the x >= 0
     slices onto the others. ``billiard_indicator`` samples the y_1 >= 0
-    half of each point's lattice, one point per thread.
+    half of each point's lattice, one point after another.
 
     The sampled indicator's transform is 2 pi/dy periodic, so the slice
     grid's corner sqrt(2) p_half must lie below pi/dy."""

@@ -189,10 +189,13 @@ def far_field_check(w0: WignerField, x_probe: float) -> float:
 def kernel_tail_bound(kernel: BoundaryKernel, w0: WignerField) -> float:
     """State-weighted bound on the kernel tail truncation error.
 
-    Sum over the kernel's inside rows of |1 - int K dp| times the state's
-    position density, the per-run diagnostic surfaced in scenario reports.
+    Sum over the kernel's inside rows of |1 - int K dp| over the grid
+    momentum window times the state's position density, the per-run
+    diagnostic surfaced in scenario reports. Only the inside rows are
+    evaluated; every other row is zero and does not enter the sum.
     """
     if kernel.grid != w0.grid:
         raise GridMismatch("kernel and field grids differ")
-    return float(np.sum(np.abs(kernel.tail_mass() * marginal_x(w0))[kernel.inside]) * w0.grid.dx)
+    tail = 1.0 - kernel.rows_at(w0.grid.p_axis()).sum(axis=1) * w0.grid.dp
+    return float(np.sum(np.abs(tail * marginal_x(w0)[kernel.inside])) * w0.grid.dx)
 

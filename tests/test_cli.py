@@ -1,10 +1,10 @@
-import concurrent.futures
 import contextlib
 import io
 import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -189,7 +189,7 @@ def test_validate_exit_codes(tmp_path, capsys):
     (PRESETS["halfline-bounce"].replace("n_x = 513", "n_x = 129"), 3),
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5"), 3),  # packet on the wall
     (FAST_HALFLINE + "y_halfwidth = nan\n", 2),  # a removed key
-    (FAST_HALFLINE + "threads = 2\n", 2),  # removed: the pool is sized per CPU
+    (FAST_HALFLINE + "threads = 2\n", 2),  # removed: the package runs on one thread
     (FAST_HALFLINE, 0),
     # set-up checks the packet is inside the region, with or without the oracle
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5") + "outputs = fields\n", 3),
@@ -256,27 +256,30 @@ def test_simulate_writes_artifacts(tmp_path):
     assert l2 < 1e-3
 
 
-def test_simulate_deterministic(monkeypatch, tmp_path):
-    # the disk indicator's pool has one thread per core; two disk runs, on
-    # one core and on two, write byte-identical files
-    pools = []
-    original = concurrent.futures.ThreadPoolExecutor
-
-    class Recording(original):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    outs = [tmp_path / f"cores{n}" for n in (1, 2)]
-    for n, out in zip((1, 2), outs):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda n=n: n)
+def test_simulate_deterministic(tmp_path):
+    # two disk runs write byte-identical files
+    outs = [tmp_path / f"run{n}" for n in (1, 2)]
+    for out in outs:
         assert main(["simulate", "--preset", "disk-kernel", "--out", str(out)]) == 0
-    assert pools == [1, 2]
     names = sorted(f.name for f in outs[0].iterdir())
     assert names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_disk_simulate_starts_no_thread(monkeypatch, tmp_path):
+    # the package runs on one thread: the disk indicator samples its x
+    # points in the calling thread
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert main(["simulate", "--preset", "disk-kernel", "--out", str(tmp_path / "out")]) == 0
+    assert started == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="Linux thread list")
@@ -717,15 +720,6 @@ def test_kernel_command_forms_grid_window_once(monkeypatch, tmp_path, preset):
     assert np.array_equal(read_field_binary(out / "kernel.bin")[0].values, values)
     csv = read_field_csv(out / "kernel.csv")[0].values  # 12 significant digits
     assert np.abs(csv - values).max() <= 1e-11 * np.abs(values).max()
-
-
-def test_disk_runs_when_cpu_count_unknown(monkeypatch, tmp_path):
-    # os.cpu_count() may return None; the pool then has one thread
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert main(["validate", "--preset", "disk-kernel"]) == 0
-    cfg_path = tmp_path / "disk.ini"
-    cfg_path.write_text(PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 1\nn_p = 8\n")
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "disk")]) == 0
 
 
 @pytest.mark.parametrize("fault", ["scaled-oracle", "nan-l2"])

@@ -315,6 +315,19 @@ def test_kernel_tail_bound_scale():
     assert 0.0 <= bound < 0.05
 
 
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_kernel_tail_bound_reads_inside_rows_bit_for_bit(preset):
+    # the bound evaluates the inside rows only; it is the sum over the
+    # inside rows of the grid-window samples of every row, bit for bit
+    # (0x1.6222e80df094ep-10 on the half line, 0x1.d156b9f14365dp-9 in
+    # the box)
+    plan = cli.build_plan(load_config(None, preset))
+    k, w0 = plan.kernel, plan.initial
+    tail = 1.0 - k.values.sum(axis=1) * w0.grid.dp
+    whole = float(np.sum(np.abs(tail * marginal_x(w0))[k.inside]) * w0.grid.dx)
+    assert kernel_tail_bound(k, w0).hex() == whole.hex()
+
+
 def test_halfline_plan_scales_with_its_wave():
     # the guards read their limits against the field's peak, so a wave
     # scaled by 2**12 runs like the preset's: W0 and every frame are the

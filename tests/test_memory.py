@@ -8,7 +8,7 @@ arrays of a whole field CSV) and now works in blocks; the box projection,
 once a 64-mode basis over 20001 quadrature nodes, is now a closed form
 over the packet's modes. A change that brings such a temporary back
 fails here. The disk indicator's sampling is held to its output plus a
-few lattice-sized predicates per thread.
+few lattice-sized predicates of the one x point it samples at a time.
 
 Fields are not copied when their producer hands over a frozen array of
 its own, and the field comparison, the kernel rows and the plan's
@@ -21,7 +21,8 @@ import pytest
 
 from wignerwall import (PhaseGrid, ShearParams, WignerField, cli, compare_fields,
                         evolve_bounded, far_field_check, kernel_from_indicator,
-                        project_gaussian_to_box, shear_evolve, wigner_of, write_field_csv)
+                        kernel_tail_bound, project_gaussian_to_box, shear_evolve, wigner_of,
+                        write_field_csv)
 from wignerwall.cli import _disk_indicator, _oracle_wave, load_config, oracle_field
 from wignerwall.convolution_engine import BoundedEvolutionPlan
 
@@ -148,17 +149,25 @@ def test_far_field_check_working_set():
     assert traced_peak_mib(lambda: far_field_check(plan.initial, 10.0)) <= 0.25
 
 
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_kernel_tail_bound_working_set(preset):
+    plan = cli.build_plan(load_config(None, preset))
+    # 2.15 MiB (half line) and 2.18 MiB (box) when the grid-window samples
+    # of every kernel row were formed; 1.15 and 0.53 MiB for the inside
+    # rows alone
+    assert traced_peak_mib(lambda: kernel_tail_bound(plan.kernel, plan.initial)) <= 1.5
+
+
 def test_disk_kernel_transform_working_set(disk_preset):
     ind, p_ax = disk_preset
     # 34.7 MiB with a complex copy of the whole (3, 3, 441, 441) indicator
     assert traced_peak_mib(lambda: kernel_from_indicator(ind, [p_ax, p_ax])) <= 12.0
 
 
-def test_disk_indicator_sampling_working_set(monkeypatch):
+def test_disk_indicator_sampling_working_set():
     cfg = load_config(None, "disk-kernel")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # the pool's size
-    # the indicator of the 2 x 2 points with x >= 0 is 5.9 MiB (7.3 MiB
-    # peak); all 3 x 3 points' output alone would be 13.4 MiB, and
-    # holding every subcell shift's predicate of a point adds 12 MiB
-    # per thread
+    # the indicator of the 2 x 2 points with x >= 0 is 5.9 MiB (7.2 MiB
+    # peak, 7.5 MiB on a pool of two threads); all 3 x 3 points' output
+    # alone would be 13.4 MiB, and holding every subcell shift's
+    # predicate of a point adds 12 MiB
     assert traced_peak_mib(lambda: _disk_indicator(cfg)) <= 12.0
