@@ -26,6 +26,7 @@ from .free_evolution import ShearParams, naive_bounded_evolve, wall_violation_ma
 from .oracle import (
     GaussianPacket,
     box_evolve,
+    box_mode_count,
     compare_fields,
     images_reflect,
     project_gaussian_to_box,
@@ -137,8 +138,7 @@ _CONFIG = {
              "p_min": _Key(float, "-16.0"), "p_max": _Key(float, "16.0"),
              "n_p": _Key(int, "513", 2)},
     "times": {"values": _Key(_floats, "0, 1, 2, 3, 4")},
-    "run": {"outputs": _Key(_outputs, "fields,marginals,report"),
-            "n_modes": _Key(int, "64", 1)},
+    "run": {"outputs": _Key(_outputs, "fields,marginals,report")},
     "kernel2d": {"x_points": _Key(int, "3", 1), "x_half": _Key(float, "0.4"),
                  "n_p": _Key(int, "65", 1), "p_half": _Key(float, "2.0", 0.0)},
 }
@@ -151,8 +151,12 @@ class ScenarioConfig:
     grid: PhaseGrid
     times: list[float]
     outputs: set[str]
-    n_modes: int
     kernel2d: dict
+
+    @property
+    def n_modes(self) -> int:
+        """The box oracle's mode count: every mode the packet carries."""
+        return box_mode_count(self.packet, self.geometry["a"], self.geometry["b"])
 
 
 def _halfline_extension(cfg: ScenarioConfig) -> tuple[ComplexWave, None]:
@@ -206,7 +210,7 @@ class _Kind(NamedTuple):
 
 # lambdas look library functions up when called, so wrappers set on module attributes run
 _KINDS = {
-    "halfline": _Kind((), (("kernel2d", ""), ("run", "n_modes")), _halfline_extension,
+    "halfline": _Kind((), (("kernel2d", ""),), _halfline_extension,
                       lambda grid, geo: boundary_kernels.halfline_kernel(grid),
                       lambda cfg, t, *axis: images_reflect(cfg.packet, t, *axis)),
     "box": _Kind(("a", "b"), (("kernel2d", ""),), _box_extension,

@@ -142,6 +142,12 @@ def require_in_window(g: GaussianPacket, p_min: float, p_max: float) -> None:
     guard("packet_window", outside, p_min=p_min, p_max=p_max)
 
 
+def box_mode_count(g: GaussianPacket, a: float, b: float) -> int:
+    """n_all = ceil((|p0| + 10/sigma) L / pi): past mode n_all every
+    Gaussian factor of the packet's box spectrum is below e^{-100}."""
+    return math.ceil((abs(g.p0) + 10.0 / g.sigma) * (b - a) / math.pi)
+
+
 def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
                             n_max: int) -> BoxSpectrum:
     """Sine-mode coefficients of the packet's odd image train in [a, b].
@@ -150,8 +156,8 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
     packet's Fourier transform at k_n = n pi / L, in closed form:
     c_n = sqrt(2/L) (e^{-i k_n a} phi^(k_n) - e^{i k_n a} phi^(-k_n)) / 2i
     with phi^(k) = (8 pi sigma^2)^{1/4} e^{i k x0 - sigma^2 (k + p0)^2}.
-    Past n_all = ceil((|p0| + 10/sigma) L / pi) every Gaussian factor is
-    below e^{-100}, so the first min(n_max, n_all) modes are returned.
+    The first min(n_max, n_all) modes are returned, n_all from
+    ``box_mode_count``.
 
     Raises TruncationTooSevere when the L2 norm of the modes past n_max
     (Parseval's tail) fails guard ``box_truncation``.
@@ -160,8 +166,7 @@ def project_gaussian_to_box(g: GaussianPacket, a: float, b: float,
         raise ValidationError("need b > a and n_max >= 1")
     require_inside(g, a, b)
     L = b - a
-    n_all = math.ceil((abs(g.p0) + 10.0 / g.sigma) * L / math.pi)
-    k = np.pi / L * np.arange(1, n_all + 1)
+    k = np.pi / L * np.arange(1, box_mode_count(g, a, b) + 1)
     s2, phase = g.sigma**2, k * (g.x0 - a)
     c = (np.sqrt(2.0 / L) * (8.0 * np.pi * s2) ** 0.25 / 2j
          * (np.exp(1j * phase - s2 * (k + g.p0) ** 2)
@@ -176,17 +181,19 @@ def box_evolve(s: BoxSpectrum, t: float,
     """psi(x, t) = sum_n c_n u_n(x) e^{-i E_n t}, zero outside [a, b].
 
     Endpoints land exactly on zero because every mode vanishes there.
+    The modes are added one at a time, in the order of NumPy's sum over
+    the mode axis, so no n_max-by-x sine matrix is formed.
     """
     x = x_min + dx * np.arange(n)
     L = s.length
     inside = (x > s.a) & (x < s.b)
-    modes = np.arange(1, s.n_max + 1)
     values = np.zeros(n, dtype=np.complex128)
     phases = s.coefficients * np.exp(-1j * s.energies() * t)
-    values[inside] = np.sqrt(2.0 / L) * np.sum(
-        phases[:, None] * np.sin(np.outer(modes, np.pi * (x[inside] - s.a) / L)),
-        axis=0,
-    )
+    arg = np.pi * (x[inside] - s.a) / L
+    acc = phases[0] * np.sin(arg)
+    for k in range(1, s.n_max):
+        acc += phases[k] * np.sin((k + 1) * arg)
+    values[inside] = np.sqrt(2.0 / L) * acc
     return ComplexWave(x_min, dx, n, values)
 
 

@@ -118,8 +118,9 @@ mass = 1.0
      "[geometry] a"),
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[times]\nvalues = 0, nan\n", "[times] values"),
+    # removed: the box oracle keeps every mode its packet carries
     ("[geometry]\nkind = box\na = 0\nb = 10\n[packet]\nx0=5\np0=0\nsigma=1\nmass=1\n"
-     "[run]\nn_modes = 0\n", "[run] n_modes must be >= 1"),
+     "[run]\nn_modes = 0\n", "unknown keys in [run]: ['n_modes']"),
     # two times whose files would be one and the same
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[times]\nvalues = 1.0000001, 1.5, 1.0000002\n",
@@ -131,13 +132,11 @@ mass = 1.0
      "mass=1\n", "[geometry] kind = box reads no ['radius']"),
     ("[geometry]\nkind = billiard2d\nradius = 1\na = -1\nb = 1\n[packet]\nx0=0\np0=0\n"
      "sigma=1\nmass=1\n", "[geometry] kind = billiard2d reads no ['a', 'b']"),
-    # so would a section or [run] key that the kind does not read
+    # so would a section that the kind does not read
     ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
      "[kernel2d]\nx_points = 7\np_half = 9999\n", "kind = halfline reads no [kernel2d]"),
     ("[geometry]\nkind = box\na = 0\nb = 10\n[packet]\nx0=5\np0=0\nsigma=1\nmass=1\n"
      "[kernel2d]\nn_p = 9\n", "kind = box reads no [kernel2d]"),
-    ("[geometry]\nkind = halfline\n[packet]\nx0=9\np0=0\nsigma=1\nmass=1\n"
-     "[run]\noutputs = report\nn_modes = 3\n", "kind = halfline reads no [run] n_modes"),
     ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\nmass=1\n"
      "[grid]\nn_x = 7\n", "kind = billiard2d reads no [grid]"),
     ("[geometry]\nkind = billiard2d\nradius = 1\n[packet]\nx0=0\np0=0\nsigma=1\nmass=1\n"
@@ -194,8 +193,6 @@ def test_validate_exit_codes(tmp_path, capsys):
     # set-up checks the packet is inside the region, with or without the oracle
     (FAST_HALFLINE.replace("x0 = 8.0", "x0 = 0.5") + "outputs = fields\n", 3),
     (PRESETS["box-traversal"].replace("x0 = 5.0", "x0 = 40.0"), 3),
-    # the n_modes truncation is the oracle's own check, which every run makes
-    (PRESETS["box-traversal"] + "\n[run]\nn_modes = 8\noutputs = marginals\n", 3),
     # every disk slice lies outside the disk: the indicator's own check
     (PRESETS["disk-kernel"] + "[kernel2d]\nx_points = 2\nx_half = 5.0\n", 2),
     # one momentum sample cannot make a slice grid
@@ -211,7 +208,7 @@ def test_validate_exit_codes(tmp_path, capsys):
     (NARROW_PACKET.replace("sigma = 0.15", "sigma = 0.716"), 3),
     (NARROW_PACKET.replace("sigma = 0.15", "sigma = 0.7165"), 0),
     # 1e-9 of the packet's mass lies outside the box: its image train is
-    # smooth at the walls, so 64 modes carry it (l2_rel 1.4e-4 and 5.1e-4)
+    # smooth at the walls, so its 54 modes carry it (l2_rel 1.4e-4 and 5.1e-4)
     (FAST_HALFLINE.replace("kind = halfline", "kind = box\na = -5.0\nb = 5.0")
      .replace("x0 = 8.0", "x0 = 1.4").replace("p0 = -4.0", "p0 = 0.0")
      .replace("sigma = 1.0", "sigma = 0.6") + "outputs = report\n", 0),
@@ -221,7 +218,7 @@ def test_validate_exit_codes(tmp_path, capsys):
      "[grid]\nn_x = 7\n", 2),
 ], ids=["box-n_p-129", "halfline-n_x-129", "packet-on-wall", "y_halfwidth-nan",
         "threads-2", "ok",
-        "packet-on-wall-no-report", "box-packet-outside", "box-n_modes-8-no-report",
+        "packet-on-wall-no-report", "box-packet-outside",
         "disk-slices-outside", "disk-n_p-1", "disk-p_half-240", "disk-p_half-600",
         "disk-p_half-200", "times-share-tag", "momentum-outside-window",
         "momentum-just-outside", "momentum-just-inside", "box-mass-at-walls",
@@ -233,9 +230,8 @@ def test_validate_agrees_with_simulate(tmp_path, capsys, text, code):
     capsys.readouterr()
     assert main(["simulate", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == code
-    # a set-up failure ends the run before any frame; the n_modes
-    # truncation is the oracle's check, which simulate makes on each frame
-    if code and "n_modes = 8" not in text:
+    # a set-up failure ends the run before any frame
+    if code:
         assert not re.search("^t=", capsys.readouterr().out, re.M)
 
 
@@ -585,11 +581,7 @@ def test_unchecked_frame_exits_3_without_report(tmp_path, capsys, text, error, w
     # before the frame is written
     (FAST_HALFLINE.replace("values = 0, 1.5", "values = 0, 12, 1.5")
      + "outputs = marginals,report\n", ["12"], ["12"], "post-shear edge mass "),
-    # 8 modes cannot hold the packet: the oracle's truncation guard fires
-    # on every frame, after its marginals are written
-    (PRESETS["box-traversal"] + "\n[run]\nn_modes = 8\noutputs = marginals,report\n",
-     ["0", "0.625", "1.25", "1.875", "2.5"], [], "n_max = 8 "),
-], ids=["halfline-t12-leaves-grid", "box-n_modes-8"])
+], ids=["halfline-t12-leaves-grid"])
 def test_guard_in_a_frame_fails_only_that_frame(tmp_path, capsys, text, failed, unwritten,
                                                 error):
     # a guard that fires in a frame gives it its message as its stdout line
@@ -615,6 +607,28 @@ def test_guard_in_a_frame_fails_only_that_frame(tmp_path, capsys, text, failed, 
                           for a in "xp"])
 
 
+WIDE_BOX = (PRESETS["box-traversal"].replace("a = 0.0", "a = -20.0")
+            .replace("b = 10.0", "b = 20.0").replace("x0 = 5.0", "x0 = 0.0")
+            .replace("values = 0, 0.625, 1.25, 1.875, 2.5", "values = 0, 0.625, 1.25, 1.875")
+            + "[run]\noutputs = report\n")
+
+
+def test_wide_box_fails_on_its_field_not_its_oracle(tmp_path, capsys):
+    # the box (-20, 20) on the preset grid: the oracle keeps all 264 of the
+    # packet's modes, so no frame fails on the oracle's truncation. The field
+    # is right until the image train's rung at y = 2L = 80, past pi/dp ~ 67,
+    # aliases on the p axis (ROADMAP item 1): l2_rel 2.9e-11, 1.1e-4, then
+    # 0.29 at t = 1.25, before the packet reaches a wall
+    assert parse_config(WIDE_BOX).n_modes == 264
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(WIDE_BOX)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical guard: t=1.25: l2_rel = ")
+    rows = np.loadtxt(out / "report.csv", delimiter=",", skiprows=1)
+    assert (rows[:2, 1] < 2e-4).all() and (rows[2:, 1] >= 1e-2).all()
+
+
 def test_guard_failure_exits_3(tmp_path):
     # packet reaches the grid edge within the requested times
     text = FAST_HALFLINE.replace("values = 0, 1.5", "values = 0, 12.0")
@@ -622,6 +636,18 @@ def test_guard_failure_exits_3(tmp_path):
     cfg_path.write_text(text)
     assert main(["simulate", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+def test_readme_sample_config_validates(tmp_path, capsys):
+    # README's one ini block, copied into a file as it stands
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = re.findall(r"^```ini\n(.*?)^```$", f.read(), re.M | re.S)
+    assert len(blocks) == 1
+    cfg_path = tmp_path / "scenario.ini"
+    cfg_path.write_text(blocks[0])
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_config_keys_exit_2(tmp_path):
@@ -762,7 +788,8 @@ def test_failing_report_exits_3_after_writing_every_artifact(monkeypatch, tmp_pa
 
 _BAD = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e400", "-1", "0"])
 _REMOVED_KEYS = {"geometry": ["wall"], "run": ["threads", "oracle_oversample", "y_halfwidth",
-                                               "backend"], "kernel2d": ["subsamples", "n_y"]}
+                                               "backend", "n_modes"],
+                 "kernel2d": ["subsamples", "n_y"]}
 
 
 @st.composite
@@ -770,8 +797,8 @@ def config_texts(draw):
     """INI text with grids of at most 65 samples per axis. One value in
     ten is malformed, non-finite or out of range; optional keys are set
     half the time; the drawn kind's own [geometry] keys are always set and
-    another kind's now and then, as are the sections and [run] keys the
-    kind does not read; a removed key or an unknown section now and then."""
+    another kind's now and then, as are the sections the kind does not
+    read; a removed key or an unknown section now and then."""
     ints = st.integers
 
     def pick(good):
@@ -796,8 +823,7 @@ def config_texts(draw):
         "times": {"values": st.lists(ints(-4, 8).map(lambda k: f"{k / 2:g}"),
                                      min_size=1, max_size=3).map(", ".join)},
         "run": {"outputs": st.sampled_from(["fields", "report", "marginals,report",
-                                            "kernel", "fields,bogus"]),
-                "n_modes": ints(-1, 64)},
+                                            "kernel", "fields,bogus"])},
         "kernel2d": {"x_points": ints(0, 3), "x_half": st.sampled_from(["0.1", "0.4", "3"]),
                      "n_p": ints(-1, 65), "p_half": st.sampled_from(["0.5", "2", "300"])},
     }

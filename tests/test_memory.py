@@ -6,9 +6,11 @@ of the whole disk indicator, the padded convolution of every inside row,
 the spline gather's index and tap arrays over the whole field, the text
 arrays of a whole field CSV) and now works in blocks; the box projection,
 once a 64-mode basis over 20001 quadrature nodes, is now a closed form
-over the packet's modes. A change that brings such a temporary back
-fails here. The disk indicator's sampling is held to its output plus a
-few lattice-sized predicates of the one x point it samples at a time.
+over the packet's modes, and the box evolution, once a sine matrix over
+every mode and inside point, adds one mode at a time. A change that
+brings such a temporary back fails here. The disk indicator's sampling
+is held to its output plus a few lattice-sized predicates of the one x
+point it samples at a time.
 
 Fields are not copied when their producer hands over a frozen array of
 its own, and the field comparison, the kernel rows and the plan's
@@ -19,8 +21,8 @@ comparison and the plan's set-up have ceilings too.
 import numpy as np
 import pytest
 
-from wignerwall import (PhaseGrid, ShearParams, WignerField, cli, compare_fields,
-                        evolve_bounded, far_field_check, kernel_from_indicator,
+from wignerwall import (PhaseGrid, ShearParams, WignerField, box_evolve, cli,
+                        compare_fields, evolve_bounded, far_field_check, kernel_from_indicator,
                         kernel_tail_bound, project_gaussian_to_box, shear_evolve, wigner_of,
                         write_field_csv)
 from wignerwall.cli import _disk_indicator, _oracle_wave, load_config, oracle_field
@@ -32,10 +34,21 @@ from conftest import traced_peak_mib
 def test_box_projection_working_set():
     cfg = load_config(None, "box-traversal")
     g, a, b = cfg.packet, cfg.geometry["a"], cfg.geometry["b"]
-    assert cfg.n_modes == 64
+    assert cfg.n_modes == 66
     # 69.1 MiB with every mode's basis row over 20001 quadrature nodes at
     # once; the closed form's 66 modes take 0.007 MiB
     assert traced_peak_mib(lambda: project_gaussian_to_box(g, a, b, cfg.n_modes)) <= 0.25
+
+
+def test_box_evolve_working_set():
+    cfg = load_config(None, "box-traversal")
+    spectrum = project_gaussian_to_box(cfg.packet, cfg.geometry["a"], cfg.geometry["b"],
+                                       cfg.n_modes)
+    grid, k = cfg.grid, 8  # the oracle's axis
+    axis = (grid.x_min, grid.dx / k, (grid.n_x - 1) * k + 1)
+    # 1.55 MiB with the 66-mode sine matrix over the 799 inside points at
+    # once; 0.18 MiB adding one mode at a time
+    assert traced_peak_mib(lambda: box_evolve(spectrum, 1.25, *axis)) <= 0.5
 
 
 @pytest.mark.parametrize("t", [0.0, 2.0, 4.0])
