@@ -31,12 +31,12 @@
 # the end, with the head - base change of the peak in MiB; CPU seconds far
 # above wall seconds show a thread that spins. The table is for reading
 # only (one run's seconds are noisy): it never fails the run. So is the
-# tail: the
-# total count of lines in the .py files under each tree's src/ and its
-# change, then the count of code lines, those that are not blank, not `#`
-# comments and not module, class or function docstrings, per module (a
-# module that only one tree has reads 0 in the other), so that a review
-# sees where lines moved, and in total.
+# tail: the total count of lines in the .py files under each tree's src/
+# and its change, then the count of code lines, those that are not blank,
+# not `#` comments and not module, class or function docstrings, per
+# module (a module that only one tree has reads 0 in the other), so that
+# a review sees where lines moved, and in total, then each tree's count of
+# settable config values, the keys of `cli._CONFIG` over all sections.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -129,4 +129,10 @@ head_lines=$(src_lines "$head")
 printf 'src/ lines: base %d, head %d (%+d)\n' "$base_lines" "$head_lines" \
     "$((head_lines - base_lines))"
 python -c "$code_lines" "$base" "$head"
+config_keys() {
+    PYTHONPATH="$1/src" python -c 'from wignerwall import cli
+print(sum(map(len, cli._CONFIG.values())))'
+}
+printf 'settable config values: base %d, head %d\n' "$(config_keys "$base")" \
+    "$(config_keys "$head")"
 exit $status

@@ -196,13 +196,13 @@ def _box_extension(cfg: ScenarioConfig) -> tuple[ComplexWave, float]:
 
 
 class _Kind(NamedTuple):
-    """A [geometry] kind: the keys it reads besides ``kind``, the (section,
-    key) pairs it does not read (key "": the whole section); with dynamics,
-    its t = 0 extension (packet-in-region check, then the wave and its y cap
-    or None), its kernel, and its oracle wave at t on an (x_min, dx, n) axis."""
+    """A [geometry] kind: the keys it reads besides ``kind``, the sections
+    it does not read; with dynamics, its t = 0 extension (packet-in-region
+    check, then the wave and its y cap or None), its kernel, and its
+    oracle wave at t on an (x_min, dx, n) axis."""
 
     keys: tuple[str, ...]
-    unread: tuple[tuple[str, str], ...]
+    unread: tuple[str, ...]
     extend: Callable[[ScenarioConfig], tuple[ComplexWave, float | None]] | None = None
     kernel: Callable[[PhaseGrid, dict], object] | None = None
     wave: Callable[..., ComplexWave] | None = None
@@ -210,15 +210,15 @@ class _Kind(NamedTuple):
 
 # lambdas look library functions up when called, so wrappers set on module attributes run
 _KINDS = {
-    "halfline": _Kind((), (("kernel2d", ""),), _halfline_extension,
+    "halfline": _Kind((), ("kernel2d",), _halfline_extension,
                       lambda grid, geo: boundary_kernels.halfline_kernel(grid),
                       lambda cfg, t, *axis: images_reflect(cfg.packet, t, *axis)),
-    "box": _Kind(("a", "b"), (("kernel2d", ""),), _box_extension,
+    "box": _Kind(("a", "b"), ("kernel2d",), _box_extension,
                  lambda grid, geo: boundary_kernels.interval_kernel(grid, geo["a"], geo["b"]),
                  lambda cfg, t, *axis: box_evolve(project_gaussian_to_box(
                      cfg.packet, cfg.geometry["a"], cfg.geometry["b"], cfg.n_modes), t, *axis)),
     # the disk reads no [packet] either, but it stays required: the benchmark's disk INI sets one
-    "billiard2d": _Kind(("radius",), (("grid", ""), ("times", ""), ("run", ""))),
+    "billiard2d": _Kind(("radius",), ("grid", "times", "run")),
 }
 
 
@@ -299,9 +299,9 @@ def parse_config(text: str) -> ScenarioConfig:
     unread = set(cp.options("geometry")) - {"kind", *_KINDS[kind].keys}
     if unread:
         raise ConfigError(f"[geometry] kind = {kind} reads no {sorted(unread)}")
-    for section, key in _KINDS[kind].unread:
-        if cp.has_option(section, key) if key else cp.has_section(section):
-            raise ConfigError(f"[geometry] kind = {kind} reads no [{section}] {key}".rstrip())
+    for section in _KINDS[kind].unread:
+        if cp.has_section(section):
+            raise ConfigError(f"[geometry] kind = {kind} reads no [{section}]")
     geometry = {"kind": kind, **{key: _get(cp, "geometry", key) for key in _KINDS[kind].keys}}
     if "a" in geometry and geometry["a"] >= geometry["b"]:
         raise ConfigError("box needs a < b")
@@ -337,8 +337,10 @@ def build_plan(cfg: ScenarioConfig) -> BoundedEvolutionPlan:
     must start inside the region (``require_inside``) and its momentum
     density inside the grid's window (``require_in_window``). A capped
     extension (the box's image train) fills the window, so the shear
-    support guard is off; wrapped content lands outside the box rows,
-    which the kernel masks."""
+    support guard is off. Such a W0 is not edge-decayed, so the shear
+    takes the cubic spline, which does not wrap: what shears past the
+    grid's x ends is dropped, and each row is zero-filled |p| t / m deep
+    from the end it leaves. The kernel keeps only the box rows."""
     grid, g = cfg.grid, cfg.packet
     require_in_window(g, grid.p_min, grid.p_max)
     kind = _KINDS[cfg.geometry["kind"]]

@@ -832,12 +832,10 @@ def config_texts(draw):
     for section, keys in values.items():
         if section not in required and not draw(st.booleans()):
             continue
-        if (section, "") in unread and draw(ints(0, 15)) != 7:
+        if section in unread and draw(ints(0, 15)) != 7:
             continue
         lines.append(f"[{section}]")
         for key, good in keys.items():
-            if (section, key) in unread and draw(ints(0, 15)) != 7:
-                continue
             if key in required or draw(st.booleans()):
                 lines.append(f"{key} = {pick(good)}")
         for key in _REMOVED_KEYS.get(section, []):

@@ -38,6 +38,7 @@ from wignerwall.oracle import images_reflect
 
 from conftest import lattice_rows, odd_extended_wave
 from test_guards import fires
+from test_row_blocks import one_shot_symmetry_defect
 
 # even-count grid with p = 0 at index n_p // 2; the momentum window spans
 # +-16 so the kernel rows keep their mass budget at the bounce
@@ -225,6 +226,52 @@ def test_plan_rejects_asymmetric_initial():
     assert point_symmetry_defect(w_single) > 1e-3
     with pytest.raises(ValidationError):
         BoundedEvolutionPlan(halfline_kernel(GRID), ShearParams(0.0, 1.0), w_single)
+
+
+@pytest.mark.parametrize("grid, mirrored", [
+    (PhaseGrid(-24.0, 24.0, 513, -16.0, 16.0, 513), True),  # halfline-bounce
+    (PhaseGrid(-26.0, 26.0, 521, -12.0, 12.0, 513), True),  # box-traversal
+    (GRID, True),  # even counts: p's mirrored nodes are 0 ... 256 of 512
+    (PhaseGrid(-10.0, 24.0, 35, -4.0, 4.0, 17), True),  # x = -10 mirrors onto node 20
+    (PhaseGrid(-10.0, 24.0, 18, -4.0, 4.0, 16), True),  # the same x range at step 2
+    (PhaseGrid(-10.25, 23.75, 35, -4.0, 4.0, 17), False),  # c = 20.5: no x node has a mirror
+    (PhaseGrid(-4.0, 4.0, 17, -2.0, 6.0, 17), True),  # p's mirrored range at the bottom
+    (PhaseGrid(-4.0, 4.0, 17, -6.0, 2.0, 17), True),  # and at the top, nodes 8 ... 16
+    (PhaseGrid(-4.0, 0.0, 5, -1.0, 1.0, 3), True),  # c = 2 n - 2: x = 0 alone
+    (PhaseGrid(-4.5, -0.5, 5, -1.0, 1.0, 3), False),  # c = 2 n - 1: no x node has a mirror
+    (PhaseGrid(0.5, 4.5, 5, -1.0, 1.0, 3), False),  # c = -1: no x node has a mirror
+    (PhaseGrid(-1.0, 1.0, 2, -1.0, 1.0, 2), True),
+    (PhaseGrid(0.0, 1.0, 2, -1.0, 1.0, 2), True),  # x = 0 mirrors onto itself
+    (PhaseGrid(-1.0, 3.0, 2, -1.0, 1.0, 2), False),  # c = 0.5
+], ids=["halfline-bounce", "box-traversal", "even", "asym-x-odd", "asym-x-even",
+        "half-step-x", "asym-p-low", "asym-p-high", "x-ends-at-0", "x-ends-below-0",
+        "x-above-0", "n2", "n2-origin", "n2-half-step"])
+def test_point_symmetry_defect_matches_per_node_mirrors(grid, mirrored):
+    # the reversed view reads the per-node formula's float bit for bit
+    rng = np.random.default_rng(grid.n_x * grid.n_p)
+    w = WignerField(grid, rng.standard_normal((grid.n_x, grid.n_p)))
+    ref = one_shot_symmetry_defect(w)
+    assert (ref > 0.0) == mirrored
+    assert point_symmetry_defect(w) == ref
+
+
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_point_symmetry_defect_of_preset_w0(preset):
+    w0 = cli.build_plan(load_config(None, preset)).initial
+    assert point_symmetry_defect(w0) == one_shot_symmetry_defect(w0)
+
+
+def test_plan_symmetry_on_asymmetric_mirrored_grid():
+    # x = -10 mirrors onto x = 10, a node; the odd state lies well inside
+    # [-10, 10], so its W0 passes, and rolled by one x row it is refused
+    grid = PhaseGrid(-10.0, 24.0, 273, -8.0, 8.0, 257)
+    g = GaussianPacket(x0=4.0, p0=-2.0, sigma=0.5, m=1.0)
+    w0 = wigner_of(odd_extended_wave(g, grid), grid)
+    kernel, s = halfline_kernel(grid), ShearParams(0.0, 1.0)
+    BoundedEvolutionPlan(kernel, s, w0)
+    rolled = WignerField(grid, np.roll(w0.values, 1, axis=0))
+    with pytest.raises(ValidationError, match="breaks W"):
+        BoundedEvolutionPlan(kernel, s, rolled)
 
 
 def test_plan_rejects_grid_mismatch():

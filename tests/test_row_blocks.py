@@ -286,6 +286,8 @@ def test_sinc_rows_blocks_bit_identical(preset, monkeypatch):
 
 
 def one_shot_symmetry_defect(w):
+    # the per-node mirror formula: each node's mirror index rounded and
+    # checked on its own, all compared in one gather
     g = w.grid
     xi = np.round((-g.x_axis() - g.x_min) / g.dx).astype(int)
     pj = np.round((-g.p_axis() - g.p_min) / g.dp).astype(int)
