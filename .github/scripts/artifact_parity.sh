@@ -22,8 +22,13 @@
 # .bin file, or from the field CSV (`x,p,value` rows after an optional
 # `#` metadata line) where there is no .bin twin, as for the disk kernel's
 # slices. A CSV bound reads the printed 12 significant digits, so a
-# change in the last digit shows as about 1e-13 of the peak. Like the
-# table below, it is for reading only.
+# change in the last digit of a cell near the peak shows as 1e-12 to
+# 1e-11 of the peak (3.1e-12 where the peak is 1/pi). For every
+# other numeric CSV that differs (the marginals, report.csv), the largest
+# change relative to its column's peak, max|a - b| / max|a| over the base
+# file's rows, is printed with that column's name; NaN cells (a failed
+# frame's report row) are skipped. Like the table below, these bounds are
+# for reading only.
 #
 # Each command's peak resident set (the child's ru_maxrss, KiB on Linux),
 # wall seconds and CPU seconds (user + system, all threads) are recorded
@@ -48,7 +53,8 @@ scripts=$(cd "$(dirname "$0")" && pwd)
 # prints max|a - b| / max|a| for each field that differs between the two
 # output roots: each .bin file, a 64-byte <6d2Q header (six float64 grid
 # fields, then n_x and n_p), n_x * n_p float64 values and optional
-# metadata, and each field CSV with no .bin twin
+# metadata, and each field CSV with no .bin twin; then, for each other
+# numeric CSV that differs, the largest of those ratios over its columns
 bounds='import struct, sys
 from pathlib import Path
 import numpy as np
@@ -76,7 +82,29 @@ for a_path in sorted(fields):
         continue
     a, b = values(a_path), values(b_path)
     bound = np.abs(a - b).max() / np.abs(a).max() if a.shape == b.shape else np.nan
-    print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e}")'
+    print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e}")
+
+def table(path):
+    lines = path.read_text().splitlines()
+    lines = lines[1:] if lines[:1] and lines[0].startswith("#") else lines
+    return lines[0].split(","), np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+
+for a_path in sorted(path for path in base.rglob("*.csv") if not is_field_csv(path)):
+    b_path = head / a_path.relative_to(base)
+    if not b_path.exists() or a_path.read_bytes() == b_path.read_bytes():
+        continue
+    try:
+        (names, a), (_, b) = table(a_path), table(b_path)
+    except ValueError:  # not a numeric table
+        continue
+    if a.shape != b.shape or not a.size:
+        bound, name = np.nan, "?"
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.fmax.reduce(np.abs(a - b), axis=0) / np.fmax.reduce(np.abs(a), axis=0)
+        k = int(np.nanargmax(ratios)) if not np.isnan(ratios).all() else 0
+        bound, name = ratios[k], names[k]
+    print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e} (column {name})")'
 
 # prints the count of code lines in the .py files under each of two
 # trees' src/, per module and in total: lines that are not blank, not `#`

@@ -17,8 +17,12 @@ spectrum, so each frame transforms those field rows alone.
 
 Each row is convolved on a circle of the next fast length of 2 n_p - 1,
 the shortest on which the n_p kept outputs do not alias (the full linear
-length is 3 n_p - 2). Transforms run on ``numpy.fft``, whose real and
-complex transforms give the same bits as ``scipy.fft``'s, at the same
+length is 3 n_p - 2). Every kernel row is even in the momentum
+difference, so centred on that circle (p = 0 at index 0, negative lags
+wrapped to the end) its spectrum is real: the plan keeps those real
+amplitudes, half the bytes of the complex spectrum, and guards the
+imaginary residue it drops. Transforms run on ``numpy.fft``, whose real
+and complex transforms give the same bits as ``scipy.fft``'s, at the same
 padded lengths.
 """
 
@@ -57,25 +61,26 @@ def convolve_p(row_w: np.ndarray, row_k: np.ndarray, dp: float) -> np.ndarray:
     return dp * full[n - 1:2 * n - 1]
 
 
-def _row_spectrum(rows_k: np.ndarray, n: int, z0: int) -> tuple[np.ndarray, int]:
-    """The rfft of m-sample kernel rows at the padded length L of their
-    convolution with n-sample rows, and L: the next fast length on whose
-    circle the kept outputs z0 ... z0 + n - 1 do not alias,
-    L >= max(z0 + n, n + m - 1 - z0)."""
-    L = next_fast_len(max(z0 + n, n + rows_k.shape[1] - 1 - z0))
-    return sfft.rfft(rows_k, L, axis=1), L
-
-
 def _batched_fft_convolve(rows_w: np.ndarray, rows_k: np.ndarray | None, dp: float,
                           z0: int, spectrum: tuple[np.ndarray, int] | None = None
                           ) -> np.ndarray:
     """FFT path of the row convolutions; identical contract to convolve_p
-    applied row-wise. ``spectrum`` is ``_row_spectrum(rows_k, n, z0)`` when
-    the caller keeps it; ``rows_k`` is then not read."""
+    applied row-wise. The m-sample kernel rows ``rows_k`` are padded to L,
+    the next fast length on whose circle the kept outputs z0 ... z0 + n - 1
+    do not alias, L >= max(z0 + n, n + m - 1 - z0). ``spectrum``, a kernel
+    spectrum and its L that the caller keeps (the plan's real amplitudes,
+    at z0 = 0), stands in for their rfft; ``rows_k`` is then not read. The
+    rows' rfft is multiplied by it in place."""
     n = rows_w.shape[1]
-    fk, L = _row_spectrum(rows_k, n, z0) if spectrum is None else spectrum
-    full = sfft.irfft(sfft.rfft(rows_w, L, axis=1) * fk, L, axis=1)
-    return dp * full[:, z0:z0 + n]
+    if spectrum is None:
+        L = next_fast_len(max(z0 + n, n + rows_k.shape[1] - 1 - z0))
+        fk = sfft.rfft(rows_k, L, axis=1)
+    else:
+        fk, L = spectrum
+    f = sfft.rfft(rows_w, L, axis=1)
+    full = sfft.irfft(np.multiply(f, fk, out=f), L, axis=1)
+    full *= dp
+    return full[:, z0:z0 + n]
 
 
 @dataclass(frozen=True)
@@ -88,20 +93,26 @@ class BoundedEvolutionPlan:
     mass; ``evolve_bounded`` takes the time. ``check_support`` is
     forwarded to the shear (interval scenarios disable the support guard
     since the image train legitimately fills the window). The plan keeps
-    the spectrum of the kernel's inside rows.
+    the spectrum of the kernel's inside rows, formed per ``row_blocks``
+    block on the circle of length L = next_fast_len(2 n_p - 1) with p = 0
+    at index 0, as real amplitudes: the rows are even, so the imaginary
+    residue it drops is guarded against the amplitudes' peak (guard
+    ``realness``).
 
     The grid must resolve the kernel: its rows oscillate in p at the
     separation reach 2|x|, so 2 max|x| < pi/dp. Half-line plans also
     verify the point-reflection symmetry W0(-x, -p) = W0(x, p) of the
     initial field to 1e-6 of its peak |W| (guard ``plan_symmetry``), the
-    discrete footprint of the odd-state requirement.
+    discrete footprint of the odd-state requirement; a grid on which that
+    check could compare no point is refused first (GridMismatch, from
+    ``point_symmetry_defect``).
     """
 
     kernel: BoundaryKernel
     shear: ShearParams
     initial: WignerField
     check_support: bool = True
-    _kernel_spectrum: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
+    _kernel_amplitudes: tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel.grid != self.initial.grid:
@@ -115,9 +126,19 @@ class BoundedEvolutionPlan:
         if self.kernel.provenance == "analytic-halfline":
             w0 = self.initial.values
             guard("plan_symmetry", point_symmetry_defect(self.initial), max(w0.max(), -w0.min()))
-        karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
-        object.__setattr__(self, "_kernel_spectrum",
-                           _row_spectrum(self.kernel.rows_at(karg), grid.n_p, grid.n_p - 1))
+        n = grid.n_p
+        rows = self.kernel.rows_at(grid.dp * np.arange(-(n - 1), n))
+        L = next_fast_len(2 * n - 1)
+        amp, residue = np.empty((len(rows), L // 2 + 1)), 0.0
+        for b in row_blocks(len(rows)):
+            circle = np.zeros((len(rows[b]), L))
+            circle[:, :n], circle[:, L - n + 1:] = rows[b, n - 1:], rows[b, :n - 1]
+            f = sfft.rfft(circle, axis=1)
+            residue = float(np.maximum(residue, np.abs(f.imag).max()))  # keeps a NaN
+            amp[b] = f.real
+        guard("realness", residue, max(amp.max(initial=0.0), -amp.min(initial=0.0)),
+              transform="BoundedEvolutionPlan")
+        object.__setattr__(self, "_kernel_amplitudes", (amp, L))
 
 
 def point_symmetry_defect(w: WignerField) -> float:
@@ -129,14 +150,18 @@ def point_symmetry_defect(w: WignerField) -> float:
     that range reversed: the field's slice over both ranges is compared
     with its ``[::-1, ::-1]`` view. An axis whose mirrors miss the nodes
     by step |c - round(c)| >= 1e-9 max(1, step), or whose range is empty,
-    has no mirrored node, and the defect is 0.0.
+    has no mirrored node, so no point could be compared: GridMismatch,
+    naming that axis.
     """
     g, spans = w.grid, []
-    for lo, step, n in ((g.x_min, g.dx, g.n_x), (g.p_min, g.dp, g.n_p)):
+    for name, lo, step, n in (("x", g.x_min, g.dx, g.n_x), ("p", g.p_min, g.dp, g.n_p)):
         c = -2.0 * lo / step
         k = int(round(c))
         if step * abs(c - k) >= 1e-9 * max(1.0, step) or not 0 <= k <= 2 * n - 2:
-            return 0.0
+            raise GridMismatch(
+                f"no {name} node mirrors onto a node ({name}_min = {lo:.10g}, "
+                f"d{name} = {step:.10g}), so W(-x, -p) = W(x, p) compares no point; "
+                f"-2 {name}_min / d{name} must be an integer in [0, 2 n_{name} - 2]")
         spans.append(slice(max(0, k - n + 1), min(n, k + 1)))
     sub = w.values[tuple(spans)]
     return max(float(np.abs(sub[b] - sub[::-1, ::-1][b]).max()) for b in row_blocks(len(sub)))
@@ -147,8 +172,9 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
 
     Shear first, then convolve each x row along p with its kernel row.
     Only the inside rows are convolved, per ``row_blocks`` block, against
-    the matching rows of the plan's kernel spectrum; the rows outside the
-    walls, whose kernel row vanishes, are exactly +0.0.
+    the matching rows of the plan's kernel amplitudes, keeping outputs
+    0 ... n_p - 1 of their circle; the rows outside the walls, whose kernel
+    row vanishes, are exactly +0.0.
 
     A box plan holds only up to a horizon, which ``interval_kernel``
     states.
@@ -157,11 +183,10 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
                            check_support=plan.check_support)
     out = np.zeros_like(sheared.values)
-    inside, (fk, L) = np.flatnonzero(plan.kernel.inside), plan._kernel_spectrum
+    inside, (amp, L) = np.flatnonzero(plan.kernel.inside), plan._kernel_amplitudes
     for b in row_blocks(len(inside)):
         rows = inside[b]
-        out[rows] = _batched_fft_convolve(sheared.values[rows], None, grid.dp,
-                                          grid.n_p - 1, (fk[b], L))
+        out[rows] = _batched_fft_convolve(sheared.values[rows], None, grid.dp, 0, (amp[b], L))
     del sheared
     out.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, out)

@@ -102,10 +102,18 @@ def _czt(x: np.ndarray, m: int, w: complex, a: complex) -> np.ndarray:
     ``scipy.signal.czt`` without importing SciPy at all.
 
     All rows of ``x`` are transformed at once: the caller sizes the working
-    set, and ``wigner_of`` passes one block of rows at a time."""
+    set, and ``wigner_of`` passes one block of rows at a time. ``x * pre``
+    is formed in one zero-padded buffer of the padded length, and the fft,
+    the chirp-spectrum product and the ifft run in it in place; the product
+    keeps SciPy's operand order, ``Fwk2 * y``, whose bits ``y *= Fwk2``
+    does not give where the multiply fuses."""
     n = x.shape[-1]
     wk2, Fwk2, pre, nfft = _chirp(n, m, w, a)
-    y = np.fft.ifft(Fwk2 * np.fft.fft(x * pre, nfft))
+    y = np.zeros(x.shape[:-1] + (nfft,), dtype=np.complex128)
+    np.multiply(x, pre, out=y[..., :n])
+    np.fft.fft(y, axis=-1, out=y)
+    np.multiply(Fwk2, y, out=y)
+    np.fft.ifft(y, axis=-1, out=y)
     return y[..., n - 1:n + m - 1] * wk2[:m]
 
 

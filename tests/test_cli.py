@@ -12,7 +12,7 @@ from hypothesis import event, example, given, seed, settings, strategies as st
 
 from wignerwall import billiard_indicator, boundary_kernels, cli, kernel_from_indicator
 from wignerwall.cli import PRESETS, build_plan, load_config, main, parse_config
-from wignerwall.errors import ConfigError
+from wignerwall.errors import ConfigError, GridMismatch
 from wignerwall.oracle import FieldComparison
 from wignerwall.phase_grid import WignerField, read_field_binary, read_field_csv
 
@@ -233,6 +233,31 @@ def test_validate_agrees_with_simulate(tmp_path, capsys, text, code):
     # a set-up failure ends the run before any frame
     if code:
         assert not re.search("^t=", capsys.readouterr().out, re.M)
+
+
+def test_halfline_grid_without_x_mirrors_exits_2(tmp_path, capsys):
+    # x_min = -24.046875 puts -x between the nodes (-2 x_min / dx = 512.4995),
+    # so W0(-x, -p) = W0(x, p) could compare no point: validate and simulate
+    # refuse the grid, naming its x axis, before the symmetry guard reads
+    text = PRESETS["halfline-bounce"].replace("x_min = -24.0", "x_min = -24.046875")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    for command in ("validate", "simulate"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: no x node mirrors onto a node "
+                              "(x_min = -24.046875, dx = 0.09384155273), ")
+        assert not re.search("^(ok|t=)", out, re.M)
+    readings = []
+    token = cli.RECORD.set(readings)
+    try:
+        with pytest.raises(GridMismatch):
+            build_plan(parse_config(text))
+    finally:
+        cli.RECORD.reset(token)
+    assert [name for name, *_ in readings][-1] == "realness"  # W0's; no plan_symmetry
+    for preset in ("halfline-bounce", "box-traversal"):
+        assert main(["validate", "--preset", preset]) == 0
 
 
 def test_simulate_writes_artifacts(tmp_path):

@@ -33,12 +33,12 @@ from wignerwall.convolution_engine import (
     point_symmetry_defect,
 )
 from wignerwall.cli import load_config
-from wignerwall.errors import RECORD
+from wignerwall.errors import RECORD, RealnessViolation
 from wignerwall.oracle import images_reflect
 
 from conftest import lattice_rows, odd_extended_wave
 from test_guards import fires
-from test_row_blocks import one_shot_symmetry_defect
+from test_row_blocks import one_shot_amplitudes, one_shot_symmetry_defect
 
 # even-count grid with p = 0 at index n_p // 2; the momentum window spans
 # +-16 so the kernel rows keep their mass budget at the bounce
@@ -141,12 +141,16 @@ def two_interval_plan():
     return BoundedEvolutionPlan(kernel, ShearParams(0.0, 1.0), w0, check_support=False)
 
 
-@pytest.mark.parametrize("geometry", ["halfline", "box", "two-interval"])
+PLANS = {"halfline": lambda: bounce_plan()[1], "box": box_plan,
+         "two-interval": two_interval_plan}
+
+
+@pytest.mark.parametrize("geometry", PLANS)
 def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
     # convolving only the inside rows gives the bits of convolving every
-    # row and then zeroing the outside ones
-    plan = {"halfline": lambda: bounce_plan()[1], "box": box_plan,
-            "two-interval": two_interval_plan}[geometry]()
+    # row, against every row's real amplitudes, and then zeroing the
+    # outside ones
+    plan = PLANS[geometry]()
     grid = plan.initial.grid
     inside = plan.kernel.inside
     assert 0 < inside.sum() < grid.n_x
@@ -154,8 +158,8 @@ def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
     for t in (0.0, 1.3):
         sheared = shear_evolve(plan.initial, ShearParams(t, 1.0),
                                check_support=plan.check_support)
-        ref = _batched_fft_convolve(sheared.values, kernel_rows(plan), grid.dp,
-                                    grid.n_p - 1)
+        ref = _batched_fft_convolve(sheared.values, None, grid.dp, 0,
+                                    one_shot_amplitudes(kernel_rows(plan), grid.n_p))
         ref[~inside, :] = 0.0
         refs.append(ref)
     # the plan keeps its inside rows' spectrum: no frame evaluates kernel rows
@@ -164,6 +168,47 @@ def test_inside_rows_convolution_bit_identical(geometry, monkeypatch):
     for t, ref in zip((0.0, 1.3), refs):
         out = evolve_bounded(plan, t).values
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.3])
+@pytest.mark.parametrize("geometry", PLANS)
+def test_evolve_bounded_matches_complex_spectrum(geometry, t):
+    # the plan's real amplitudes at z0 = 0 against the complex spectrum of
+    # the same kernel rows at z0 = n_p - 1: the imaginary part they drop
+    # and the different circle move each value by rounding only
+    plan = PLANS[geometry]()
+    grid = plan.initial.grid
+    sheared = shear_evolve(plan.initial, ShearParams(t, 1.0), check_support=plan.check_support)
+    karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
+    ref = np.zeros((grid.n_x, grid.n_p))
+    ref[plan.kernel.inside] = _batched_fft_convolve(
+        sheared.values[plan.kernel.inside], plan.kernel.rows_at(karg), grid.dp, grid.n_p - 1)
+    out = evolve_bounded(plan, t).values
+    assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("geometry", PLANS)
+def test_plan_amplitudes_realness_recorded(geometry, monkeypatch):
+    # the kernel rows are even, so the imaginary residue the plan drops is
+    # rounding, recorded under realness far below its limit; a row that is
+    # not even (here shifted by one sample) is refused
+    plan = PLANS[geometry]()
+    readings = []
+    token = RECORD.set(readings)
+    try:
+        again = BoundedEvolutionPlan(plan.kernel, plan.shear, plan.initial, plan.check_support)
+    finally:
+        RECORD.reset(token)
+    amp = again._kernel_amplitudes[0]
+    assert [(name, limit) for name, _, limit in readings if name == "realness"] == [
+        ("realness", 1e-10 * np.abs(amp).max())]
+    residue = next(reading for name, reading, _ in readings if name == "realness")
+    assert residue <= 1e-14 * np.abs(amp).max()
+    rows_at = BoundaryKernel.rows_at
+    monkeypatch.setattr(BoundaryKernel, "rows_at",
+                        lambda k, p: np.roll(rows_at(k, p), 1, axis=1))
+    with pytest.raises(RealnessViolation, match="of BoundedEvolutionPlan's transform"):
+        BoundedEvolutionPlan(plan.kernel, plan.shear, plan.initial, plan.check_support)
 
 
 @pytest.mark.parametrize("n", [128, 129, 513])
@@ -247,12 +292,18 @@ def test_plan_rejects_asymmetric_initial():
         "half-step-x", "asym-p-low", "asym-p-high", "x-ends-at-0", "x-ends-below-0",
         "x-above-0", "n2", "n2-origin", "n2-half-step"])
 def test_point_symmetry_defect_matches_per_node_mirrors(grid, mirrored):
-    # the reversed view reads the per-node formula's float bit for bit
+    # the reversed view reads the per-node formula's float bit for bit;
+    # where no node has a mirror the formula compares nothing (0.0), and
+    # the reversed view refuses the grid, naming the axis
     rng = np.random.default_rng(grid.n_x * grid.n_p)
     w = WignerField(grid, rng.standard_normal((grid.n_x, grid.n_p)))
     ref = one_shot_symmetry_defect(w)
     assert (ref > 0.0) == mirrored
-    assert point_symmetry_defect(w) == ref
+    if mirrored:
+        assert point_symmetry_defect(w) == ref
+    else:
+        with pytest.raises(GridMismatch, match=f"^no x node .*x_min = {grid.x_min:g}, "):
+            point_symmetry_defect(w)
 
 
 @pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
@@ -397,5 +448,6 @@ def test_halfline_plan_scales_with_its_wave():
     for unit, scaled in zip(*runs):
         assert np.array_equal(scaled.values, 2.0**24 * unit.values)
     names = [name for name, *_ in readings]
-    assert names.count("realness") == 2 and names.count("plan_symmetry") == 2
+    # W0's transform and the plan's kernel amplitudes, once per run
+    assert names.count("realness") == 4 and names.count("plan_symmetry") == 2
     assert not any(fires(*entry) for entry in readings)

@@ -287,9 +287,10 @@ def test_run_records_set_up_and_each_frame(tmp_path, monkeypatch, times, code):
         assert cli.run(cfg, str(tmp_path)) == 0
     assert RECORD.get() is None
     setup = lists.pop("setup")
+    # W0's transform, the plan's symmetry check and its kernel amplitudes
     assert [name for name, *_ in setup] == ["packet_window", "packet_region",
                                             "transform_wave_edge", "realness",
-                                            "plan_symmetry"]
+                                            "plan_symmetry", "realness"]
     assert sorted(lists) == sorted(cfg.times)
     for t, frame in lists.items():
         names = [name for name, *_ in frame]

@@ -3,7 +3,8 @@
 shear paths (``_fourier_shift_rows``, ``map_coordinates``), the field
 comparison (``compare_fields``) and the field CSV (``write_field_csv``,
 compared byte for byte), and so do the plan's kernel rows
-(``_sinc_rows``) and its symmetry check (``point_symmetry_defect``). All
+(``_sinc_rows``), their real amplitudes and its symmetry check
+(``point_symmetry_defect``). All
 of them take their slices from ``phase_grid.row_blocks``, so patching its
 one ``_BLOCK_ROWS`` sets every stage's block size.
 Every row's arithmetic is the same whatever the block size, so each stage
@@ -15,13 +16,15 @@ float64 sums instead."""
 import numpy as np
 import pytest
 
-from wignerwall import (PhaseGrid, RealnessViolation, WignerField, boundary_kernels, cli,
-                        convolution_engine, evolve_bounded, free_evolution, oracle, phase_grid,
-                        wigner_transform)
+from wignerwall import (GridMismatch, PhaseGrid, RealnessViolation, WignerField,
+                        boundary_kernels, cli, convolution_engine, evolve_bounded,
+                        free_evolution, oracle, phase_grid, wigner_transform)
 from wignerwall.cli import _KINDS, _oracle_wave, load_config, oracle_field
-from wignerwall.convolution_engine import _batched_fft_convolve, point_symmetry_defect
+from wignerwall.convolution_engine import (BoundedEvolutionPlan, _batched_fft_convolve,
+                                           point_symmetry_defect)
 from wignerwall.free_evolution import ShearParams, shear_evolve
-from wignerwall.wigner_transform import correlation_matrix, fourier_over_separation
+from wignerwall.wigner_transform import (correlation_matrix, fourier_over_separation,
+                                         next_fast_len)
 
 BLOCKS = [1, 3, 100_000]
 
@@ -181,8 +184,8 @@ def test_evolve_bounded_blocks_bit_identical(preset, t, monkeypatch):
                            check_support=plan.check_support)
     inside = plan.kernel.inside
     ref = np.zeros((grid.n_x, grid.n_p))
-    ref[inside] = _batched_fft_convolve(sheared.values[inside], None, grid.dp, grid.n_p - 1,
-                                        plan._kernel_spectrum)
+    ref[inside] = _batched_fft_convolve(sheared.values[inside], None, grid.dp, 0,
+                                        plan._kernel_amplitudes)
     assert inside.sum() > 3
     for rows in BLOCKS:
         monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
@@ -285,6 +288,29 @@ def test_sinc_rows_blocks_bit_identical(preset, monkeypatch):
                 assert same_bits(boundary_kernels._sinc_rows(b, w, p), ref)
 
 
+def one_shot_amplitudes(rows, n):
+    """The real amplitudes of kernel rows on the 2 n - 1 point difference
+    lattice: every row zero padded to the alias-free circle and rolled so
+    that p = 0 sits at index 0, transformed at once."""
+    L = next_fast_len(2 * n - 1)
+    circle = np.roll(np.pad(rows, ((0, 0), (0, L - (2 * n - 1)))), -(n - 1), axis=1)
+    return np.fft.rfft(circle, axis=1).real, L
+
+
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_plan_amplitudes_blocks_bit_identical(preset, monkeypatch):
+    plan = cli.build_plan(load_config(None, preset))
+    grid = plan.initial.grid
+    karg = grid.dp * np.arange(-(grid.n_p - 1), grid.n_p)
+    ref, L = one_shot_amplitudes(plan.kernel.rows_at(karg), grid.n_p)
+    assert len(ref) > 3
+    for rows in BLOCKS:
+        monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
+        amp, length = BoundedEvolutionPlan(plan.kernel, plan.shear, plan.initial,
+                                           plan.check_support)._kernel_amplitudes
+        assert length == L and same_bits(amp, ref)
+
+
 def one_shot_symmetry_defect(w):
     # the per-node mirror formula: each node's mirror index rounded and
     # checked on its own, all compared in one gather
@@ -314,7 +340,11 @@ def test_point_symmetry_defect_blocks_identical(grid, monkeypatch):
     assert (ref > 0.0) == (grid.p_min < 0.0)
     for rows in BLOCKS:
         monkeypatch.setattr(phase_grid, "_BLOCK_ROWS", rows)
-        assert point_symmetry_defect(w) == ref
+        if ref > 0.0:
+            assert point_symmetry_defect(w) == ref
+        else:  # a grid on which the check would compare nothing is refused
+            with pytest.raises(GridMismatch, match="^no p node mirrors"):
+                point_symmetry_defect(w)
 
 
 @pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])
