@@ -42,6 +42,13 @@
 # module (a module that only one tree has reads 0 in the other), so that
 # a review sees where lines moved, and in total, then each tree's count of
 # settable config values, the keys of `cli._CONFIG` over all sections.
+# Before that tail, one table gives the traced peak of each stage of one
+# in-process `cli.run` of each dynamic preset (halfline-bounce and
+# box-traversal) at base and head: `build_plan`, `evolve_bounded`,
+# `write_field_csv`, `oracle_field` and `compare_fields`, each the largest
+# over its calls of the tracemalloc peak above the level at the call, and
+# the whole run's. It shows which stage holds a run's peak; it is for
+# reading only as well.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -106,6 +113,39 @@ for a_path in sorted(path for path in base.rglob("*.csv") if not is_field_csv(pa
         bound, name = ratios[k], names[k]
     print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e} (column {name})")'
 
+# prints "<stage>\t<MiB>" for each wrapped stage of one cli.run of the
+# preset argv[1], run in this process under tracemalloc: the largest peak
+# of its calls above the level at each call, then the whole run's peak
+# (the peak since each stage's reset is folded in before it resets)
+stages='import contextlib, io, sys, tempfile, tracemalloc
+from wignerwall import cli
+
+peaks = {"run": 0}
+
+def traced(name, fn):
+    def call(*args, **kwargs):
+        level, peak = tracemalloc.get_traced_memory()
+        peaks["run"] = max(peaks["run"], peak)
+        tracemalloc.reset_peak()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks[name] = max(peaks.get(name, 0), peak - level)
+            peaks["run"] = max(peaks["run"], peak)
+    return call
+
+names = ("build_plan", "evolve_bounded", "write_field_csv", "oracle_field", "compare_fields")
+for name in names:
+    setattr(cli, name, traced(name, getattr(cli, name)))
+cfg = cli.load_config(None, sys.argv[1])
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    tracemalloc.start()
+    cli.run(cfg, out)
+    peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+for name in (*names, "run"):
+    print(f"{name}\t{peaks.get(name, 0) / 2**20:.2f}")'
+
 # prints the count of code lines in the .py files under each of two
 # trees' src/, per module and in total: lines that are not blank, not `#`
 # comments and not docstrings, which ast finds as the first statement of
@@ -151,6 +191,18 @@ awk -F'\t' 'NR == FNR { b[$1] = $2; s[$1] = $3; c[$1] = $4; next }
     { printf "%-32s %10.1f %10.1f %+10.2f %8.2f %8.2f %8.2f %8.2f\n", $1, b[$1] / 1024,
              $2 / 1024, ($2 - b[$1]) / 1024, s[$1], $3, c[$1], $4 }' \
     "$out/rss/base.tsv" "$out/rss/head.tsv"
+echo "traced peak (tracemalloc, MiB) per cli.run stage:"
+printf '%-16s %-16s %10s %10s %10s\n' preset stage "base MiB" "head MiB" head-base
+for preset in halfline-bounce box-traversal; do
+    for side in base head; do
+        tree=$base
+        [ "$side" = head ] && tree=$head
+        PYTHONPATH="$tree/src" python -c "$stages" "$preset" >"$out/rss/stages-$side.tsv"
+    done
+    awk -F'\t' -v preset="$preset" 'NR == FNR { b[$1] = $2; next }
+        { printf "%-16s %-16s %10.2f %10.2f %+10.2f\n", preset, $1, b[$1], $2, $2 - b[$1] }' \
+        "$out/rss/stages-base.tsv" "$out/rss/stages-head.tsv"
+done
 src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l; }
 base_lines=$(src_lines "$base")
 head_lines=$(src_lines "$head")

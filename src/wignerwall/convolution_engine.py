@@ -13,7 +13,8 @@ momentum difference lattice from the kernel's jumps (``rows_at``) instead
 of reusing the grid-window samples; with window-limited rows the slow sinc
 tails are cut early enough to spoil oracle-level agreement near walls.
 Only the kernel's inside rows are evaluated, and the plan keeps only their
-spectrum, so each frame transforms those field rows alone.
+spectrum, so each frame shears and transforms the span of those field rows
+alone.
 
 Each row is convolved on a circle of the next fast length of 2 n_p - 1,
 the shortest on which the n_p kept outputs do not alias (the full linear
@@ -171,22 +172,24 @@ def evolve_bounded(plan: BoundedEvolutionPlan, t: float) -> WignerField:
     """Bounded field at time t.
 
     Shear first, then convolve each x row along p with its kernel row.
-    Only the inside rows are convolved, per ``row_blocks`` block, against
-    the matching rows of the plan's kernel amplitudes, keeping outputs
-    0 ... n_p - 1 of their circle; the rows outside the walls, whose kernel
-    row vanishes, are exactly +0.0.
+    The shear forms only the span of the kernel's inside rows; those rows
+    are convolved, per ``row_blocks`` block, against the matching rows of
+    the plan's kernel amplitudes, keeping outputs 0 ... n_p - 1 of their
+    circle. The rows outside the walls, whose kernel row vanishes, are
+    exactly +0.0.
 
     A box plan holds only up to a horizon, which ``interval_kernel``
     states.
     """
     grid = plan.initial.grid
-    sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
-                           check_support=plan.check_support)
-    out = np.zeros_like(sheared.values)
     inside, (amp, L) = np.flatnonzero(plan.kernel.inside), plan._kernel_amplitudes
+    lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
+    sheared = shear_evolve(plan.initial, ShearParams(t, plan.shear.m),
+                           check_support=plan.check_support, rows=slice(lo, hi))
+    out = np.zeros((grid.n_x, grid.n_p))
     for b in row_blocks(len(inside)):
         rows = inside[b]
-        out[rows] = _batched_fft_convolve(sheared.values[rows], None, grid.dp, 0, (amp[b], L))
+        out[rows] = _batched_fft_convolve(sheared[rows - lo], None, grid.dp, 0, (amp[b], L))
     del sheared
     out.flags.writeable = False  # a fresh array: the field keeps it
     return WignerField(grid, out)

@@ -18,12 +18,13 @@ x > 0. It exists for demonstration and contrast tests only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError, guard
-from .phase_grid import WignerField, row_blocks
+from .phase_grid import _RIM, WignerField, row_blocks
 
 _FOURIER_SAFE_RATIO = 1e-6
 _POLE = np.sqrt(3.0) - 2.0  # the cubic B-spline prefilter's pole
@@ -46,26 +47,41 @@ class ShearParams:
             raise ValidationError("time must be finite")
 
 
-def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray, rows: slice = slice(None),
+                        masses: list | None = None) -> np.ndarray:
     """Periodic band-limited samples of ``values`` at row ``i - shifts[j]``
-    of column ``j``, shifts in rows as ``map_coordinates`` takes them. The
-    phase ramps are applied per ``row_blocks`` block of columns, so no
-    spectrum-sized phase matrix is built."""
-    n = values.shape[0]
-    R, freq = np.fft.rfft(values, axis=0), np.fft.rfftfreq(n)
-    for cols in row_blocks(R.shape[1]):
-        R[:, cols] *= np.exp(-2j * np.pi * np.outer(freq, shifts[cols]))
-    return np.fft.irfft(R, n, axis=0)
+    of column ``j``, shifts in rows as ``map_coordinates`` takes them, for
+    the output ``rows``. Each ``row_blocks`` block of columns is shifted on
+    its own half spectrum over the whole x line, so no spectrum-sized
+    array or phase matrix is built. ``masses``, when given, gets each
+    block's |.| sum and rim |.| sum over its whole columns, the rim being
+    the rows and columns that ``WignerField.edge_mass`` counts."""
+    n, n_p = values.shape
+    freq = np.fft.rfftfreq(n)
+    out = np.empty((len(range(n)[rows]), n_p))
+    for cols in row_blocks(n_p):
+        R = np.fft.rfft(values[:, cols], axis=0)
+        R *= np.exp(-2j * np.pi * np.outer(freq, shifts[cols]))
+        shifted = np.fft.irfft(R, n, axis=0)
+        out[:, cols] = shifted[rows]
+        if masses is not None:
+            a, j = np.abs(shifted), np.arange(cols.start, cols.stop)
+            inner = a[_RIM:-_RIM]
+            rim = (a[:_RIM].sum() + a[-_RIM:].sum() + inner[:, j < _RIM].sum()
+                   + inner[:, j >= n_p - _RIM].sum())
+            masses.append((a.sum(), rim))
+    return out
 
 
-def _spline_coefficients(values: np.ndarray) -> np.ndarray:
+def _spline_coefficients(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # cubic B-spline coefficients along x with mirror boundaries, by the
     # causal and anticausal recursions of the pole z = sqrt(3) - 2 (Unser,
-    # Aldroubi & Eden 1993); the causal start sums z^k over the mirror-extended
-    # column, the anticausal start is the mirror's closed form; the powers
-    # of z underflow to zero past a few hundred rows, as they should
+    # Aldroubi & Eden 1993), into ``out`` when given; the causal start sums
+    # z^k over the mirror-extended column, the anticausal start is the
+    # mirror's closed form; the powers of z underflow to zero past a few
+    # hundred rows, as they should
     n = values.shape[0]
-    c = values * 6.0
+    c = np.multiply(values, 6.0, out=out)
     with np.errstate(under="ignore"):
         w = _POLE ** np.arange(n)
         w[1:n - 1] += _POLE ** np.arange(2 * n - 3, n - 1, -1)
@@ -78,12 +94,14 @@ def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     return c
 
 
-def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def map_coordinates(values: np.ndarray, shifts: np.ndarray,
+                    rows: slice = slice(None)) -> np.ndarray:
     """Cubic B-spline samples of ``values`` at row ``i - shifts[j]`` of each
-    column ``j`` (shifts in rows), as ``scipy.ndimage.map_coordinates`` with
-    ``order=3, mode="constant", cval=0.0`` gives them: the spline takes
-    mirror boundaries along x, so taps -1 and n_x inside the grid read the
-    mirrored coefficients, and every point outside [0, n_x - 1] is +0.0.
+    column ``j`` (shifts in rows), for the output ``rows``, as
+    ``scipy.ndimage.map_coordinates`` with ``order=3, mode="constant",
+    cval=0.0`` gives them: the spline takes mirror boundaries along x, so
+    taps -1 and n_x inside the grid read the mirrored coefficients, and
+    every point outside [0, n_x - 1] is +0.0.
 
     Each column moves by one shift, so its integer offset and its four
     weights are computed once and every output row is four gathered
@@ -95,8 +113,12 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """
     n, n_p = values.shape
     # rows -1 .. n + 1 of the mirror-extended coefficients (period 2n - 2)
-    rows = np.abs((np.arange(-1, n + 2) + n - 1) % (2 * n - 2) - (n - 1))
-    coef = _spline_coefficients(values)[rows].ravel()
+    # in one array: the spline's rows at 1 .. n, then the three mirrored ends
+    coef = np.empty((n + 3, n_p))
+    _spline_coefficients(values, coef[1:n + 1])
+    ends = np.array([0, n + 1, n + 2])
+    coef[ends] = coef[1 + np.abs((ends + n - 2) % (2 * n - 2) - (n - 1))]
+    coef = coef.ravel()
     # a column shifted by more than n + 1 rows is empty; the clip keeps
     # the integer offsets finite for any finite shift
     back = np.clip(-shifts, -n - 2.0, n + 2.0)
@@ -107,11 +129,12 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     weights = ((1.0 - t) ** 3 / 6.0, 2.0 / 3.0 - t2 + t3 / 2.0,
                (1.0 + 3.0 * (t + t2 - t3)) / 6.0, t3 / 6.0)
     base, last = start * n_p + np.arange(n_p), n - 1 - start - (t > 0.0)
-    out = np.empty((n, n_p))
-    for b in row_blocks(n):
+    at = range(n)[rows]
+    out = np.empty((len(at), n_p))
+    for b in row_blocks(len(at)):
         # flat index of tap 0 (coefficient row floor(i - shift) - 1) of each
         # point; points off the grid read clipped indices and are zeroed last
-        i = np.arange(b.start, b.stop)[:, None]
+        i = np.asarray(at[b])[:, None]
         flat, block = i * n_p + base, out[b]
         np.take(coef, flat, mode="clip", out=block)
         block *= weights[0]
@@ -121,8 +144,8 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-def shear_evolve(w0: WignerField, s: ShearParams,
-                 check_support: bool = True) -> WignerField:
+def shear_evolve(w0: WignerField, s: ShearParams, check_support: bool = True,
+                 rows: slice | None = None) -> WignerField | np.ndarray:
     """Translate momentum row j by +p_j t / m along x; out-of-grid fill 0.
 
     A field whose edge mass is at most 1e-6 of its absolute mass is
@@ -132,23 +155,40 @@ def shear_evolve(w0: WignerField, s: ShearParams,
     once, not on every frame. t = 0 returns a field on w0's own
     (immutable) values.
 
+    ``rows``, a slice of consecutive x rows, asks for those rows alone:
+    their values come back as a read-only array, not a field, since a
+    one-row span is no grid. The spectral path still shifts whole
+    columns, a block at a time, and sums the guard's masses over them as
+    it goes (equal to the whole field's ``edge_mass`` and ``abs_mass``
+    within a few ulps, not bit for bit); the cubic path gathers the
+    requested rows only, unless the support guard needs the whole field.
+
     Raises SupportEscaped when the post-shear edge mass fails guard
     ``shear_edge_mass``, a fraction of the field's absolute mass (with
     check_support on; scenario builders for deliberately extended states
     switch it off).
     """
-    grid = w0.grid
+    grid, values = w0.grid, w0.values
     if s.t == 0.0:
-        return WignerField(grid, w0.values)
+        return WignerField(grid, values) if rows is None else values[rows]
     shifts = grid.p_axis() * (s.t / s.m) / grid.dx  # in rows
 
     fourier = w0.edge_mass <= _FOURIER_SAFE_RATIO * w0.abs_mass  # a zero field too
-    shifted = (_fourier_shift_rows if fourier else map_coordinates)(w0.values, shifts)
-    shifted.flags.writeable = False  # a fresh array: the field keeps it
-    result = WignerField(grid, shifted)
+    if rows is None or (check_support and not fourier):
+        shifted = (_fourier_shift_rows if fourier else map_coordinates)(values, shifts)
+        shifted.flags.writeable = False  # a fresh array: the field keeps it
+        result = WignerField(grid, shifted)
+        if check_support:
+            guard("shear_edge_mass", result.edge_mass, scale=result.abs_mass)
+        return result if rows is None else shifted[rows]
+    masses = [] if check_support else None
+    shifted = (_fourier_shift_rows(values, shifts, rows, masses) if fourier
+               else map_coordinates(values, shifts, rows))
+    shifted.flags.writeable = False
     if check_support:
-        guard("shear_edge_mass", result.edge_mass, scale=result.abs_mass)
-    return result
+        total, rim = (math.fsum(m) * grid.dx * grid.dp for m in zip(*masses))
+        guard("shear_edge_mass", rim, scale=total)
+    return shifted
 
 
 def naive_bounded_evolve(w0: WignerField, s: ShearParams) -> WignerField:

@@ -107,11 +107,11 @@ def images_added(monkeypatch):
 
 
 def late_shear(monkeypatch):
-    """A method-layer defect: the shear runs to 1.01 t."""
+    """A method-layer defect: the shear runs to 1.01 t, on the rows asked for."""
     original = convolution_engine.shear_evolve
     monkeypatch.setattr(convolution_engine, "shear_evolve",
-                        lambda w0, s, check_support=True:
-                        original(w0, ShearParams(1.01 * s.t, s.m), check_support))
+                        lambda w0, s, check_support=True, rows=None:
+                        original(w0, ShearParams(1.01 * s.t, s.m), check_support, rows))
 
 
 DEFECTS = {

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -20,13 +21,16 @@ from wignerwall import (
     total_mass,
     wigner_of,
 )
-from wignerwall import free_evolution
+from wignerwall import cli, free_evolution
+from wignerwall.cli import load_config
 from wignerwall.convolution_engine import BoundedEvolutionPlan
 from wignerwall.boundary_kernels import halfline_kernel
 from wignerwall.free_evolution import wall_violation_mass
 from wignerwall.oracle import images_reflect
 
 from conftest import odd_extended_wave
+from test_guards import record  # noqa: F401 -- the open guard record fixture
+from test_row_blocks import same_bits
 
 GRID = PhaseGrid(-20.0, 20.0, 401, -8.0, 8.0, 257)
 
@@ -301,3 +305,83 @@ def test_naive_rejects_leaky_initial_field():
     w = moving_field(x0=0.0, p0=1.0)  # centered packet straddles the wall
     with pytest.raises(ValidationError):
         naive_bounded_evolve(w, ShearParams(1.0, 1.0))
+
+
+# The row-range shear: the rows asked for, as a read-only array, bit for
+# bit the whole shear's rows. The preset frames take both paths, spectral
+# on the half line (t = 1 ... 4) and cubic in the box (every time, t = 0
+# included); the spans are the kernel's inside rows, the whole axis, two
+# rows at either end and one row in the middle.
+def _spans(n, inside):
+    return [slice(inside[0], inside[-1] + 1), slice(0, n), slice(0, 2), slice(n - 2, n),
+            slice(n // 2, n // 2 + 1)]
+
+
+@pytest.mark.parametrize("preset, times", [("halfline-bounce", [1.0, 2.0, 3.0, 4.0]),
+                                           ("box-traversal", None)])
+def test_row_range_shear_is_the_whole_shears_rows(preset, times, monkeypatch):
+    cfg = load_config(None, preset)
+    plan = cli.build_plan(cfg)
+    w0, spans = plan.initial, _spans(cfg.grid.n_x, np.flatnonzero(plan.kernel.inside))
+    # the half line's W0 is edge-decayed (spectral), the box's image train is not
+    assert (w0.edge_mass <= 1e-6 * w0.abs_mass) == (preset == "halfline-bounce")
+    gathered, original = [], free_evolution.map_coordinates
+
+    def counting(v, shifts, rows=slice(None)):
+        gathered.append(len(range(len(v))[rows]))
+        return original(v, shifts, rows)
+    monkeypatch.setattr(free_evolution, "map_coordinates", counting)
+    for t in times or cfg.times:
+        s = ShearParams(t, plan.shear.m)
+        whole = shear_evolve(w0, s, check_support=plan.check_support)
+        for rows in spans:
+            part = shear_evolve(w0, s, check_support=plan.check_support, rows=rows)
+            assert not part.flags.writeable and same_bits(part, whole.values[rows])
+    # the spline gathers the rows asked for only: the whole axis once per
+    # time, then each span's rows
+    moving = len([t for t in times or cfg.times if t != 0.0])
+    assert gathered == ([] if times else moving * ([cfg.grid.n_x] + [
+        len(range(cfg.grid.n_x)[rows]) for rows in spans]))
+
+
+def test_row_range_guard_reading_is_the_whole_fields_masses(record):
+    # the spectral path sums the guard's masses over whole columns, a block
+    # at a time: the reading and the limit match the whole field's
+    # edge_mass and abs_mass to within 1e-15, not bit for bit (4e-16 at
+    # most on the half-line preset); by t = 7 and t = -3 the packet and its
+    # image have left the grid
+    cfg = load_config(None, "halfline-bounce")
+    w0, n = cli.build_plan(cfg).initial, cfg.grid.n_x
+    for t in (0.5, 1.0, 2.0, 4.0, 7.0, -3.0):
+        whole = shear_evolve(w0, ShearParams(t, 1.0), check_support=False)
+        fires = whole.edge_mass >= 1e-4 * whole.abs_mass
+        assert fires == (t in (7.0, -3.0))
+        for rows in (slice(257, n), slice(0, 2), slice(n - 2, n), slice(5, 6)):
+            del record[:]
+            with pytest.raises(SupportEscaped) if fires else contextlib.nullcontext():
+                shear_evolve(w0, ShearParams(t, 1.0), rows=rows)
+            [(name, reading, limit)] = record
+            assert name == "shear_edge_mass"
+            assert abs(reading - whole.edge_mass) <= 1e-15 * whole.edge_mass
+            assert abs(limit - 1e-4 * whole.abs_mass) <= 1e-15 * 1e-4 * whole.abs_mass
+
+
+def test_cubic_row_range_with_the_guard_on(record):
+    # a cubic field under the support guard (edge mass 1e-5 of its mass,
+    # on its first and last rows) is sheared whole for the guard, which
+    # reads the whole field's masses bit for bit, and fires as it does
+    w = moving_field()
+    v = w.values.copy()
+    v[[0, -1]] = 1e-5 * w.abs_mass / (2 * GRID.n_p * GRID.dx * GRID.dp)
+    rim = WignerField(GRID, v)
+    assert 1e-6 * rim.abs_mass < rim.edge_mass
+    whole = shear_evolve(rim, ShearParams(1.0, 1.0))
+    for rows in _spans(GRID.n_x, [150, 250]):
+        del record[:]
+        part = shear_evolve(rim, ShearParams(1.0, 1.0), rows=rows)
+        assert same_bits(part, whole.values[rows])
+        assert record == [("shear_edge_mass", whole.edge_mass, 1e-4 * whole.abs_mass)]
+    with pytest.raises(SupportEscaped):
+        shear_evolve(rim, ShearParams(12.0, 1.0))  # the packet leaves the grid
+    with pytest.raises(SupportEscaped):
+        shear_evolve(rim, ShearParams(12.0, 1.0), rows=slice(0, 2))

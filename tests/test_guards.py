@@ -306,8 +306,11 @@ def test_run_records_set_up_and_each_frame(tmp_path, monkeypatch, times, code):
 def test_run_records_a_failed_verdict(tmp_path, monkeypatch):
     lists = run_records(monkeypatch)
     oracle = cli.oracle_field
-    monkeypatch.setattr(cli, "oracle_field", lambda cfg, t: WignerField(
-        cfg.grid, oracle(cfg, t).values * (1.1 if t == 1.5 else 1.0)))
+
+    def perturbed(cfg, t):
+        w = oracle(cfg, t)
+        return WignerField(w.grid, w.values * (1.1 if t == 1.5 else 1.0))
+    monkeypatch.setattr(cli, "oracle_field", perturbed)
     cfg = parse_config(FAST_HALFLINE + "outputs = marginals\n")
     with pytest.raises(NumericalGuardError) as info:
         cli.run(cfg, str(tmp_path))

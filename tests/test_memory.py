@@ -18,7 +18,10 @@ symmetry check no longer form full-size differences or copies, so the
 comparison and the plan's set-up have ceilings too. The plan keeps its
 even kernel rows' spectrum as real amplitudes, and each chirp-z block
 works in one padded buffer; a whole ``simulate`` run of each dynamic
-preset is held to a ceiling as well.
+preset is held to a ceiling as well. Each frame shears only the span of
+the kernel's inside rows, and the CLI's oracle is transformed on the rows
+of its wave's support alone, so both have ceilings below a whole field's
+work.
 """
 
 import numpy as np
@@ -71,9 +74,11 @@ def test_halfline_oracle_transform_working_set(t):
 # every inside row convolved at once and the shear's phase matrix or gather
 # arrays over the whole field; 4.46 and 4.53 MiB in blocks of 16 rows
 # padded to the linear length 3 n_p - 2, 4.18 and 4.28 MiB in blocks of 8
-# padded to the alias-free 2 n_p - 1
-@pytest.mark.parametrize("preset, t, ceiling", [("halfline-bounce", 2.0, 4.3),
-                                                ("box-traversal", 1.25, 4.4)],
+# padded to the alias-free 2 n_p - 1; 3.17 and 2.62 MiB shearing the
+# inside rows' span alone (256 and 99 rows), the spectral shift per block
+# of columns and the spline's mirrored coefficients in one array
+@pytest.mark.parametrize("preset, t, ceiling", [("halfline-bounce", 2.0, 3.4),
+                                                ("box-traversal", 1.25, 2.8)],
                          ids=["halfline-bounce-2.0", "box-traversal-1.25"])
 def test_bounded_frame_working_set(preset, t, ceiling):
     plan = cli.build_plan(load_config(None, preset))
@@ -116,14 +121,27 @@ def test_plan_construction_working_set(preset, ceiling):
 # a whole simulate run of each dynamic preset as shipped (fields, marginals
 # and report): 9.2-9.5 MiB (half line) and 7.6-7.7 MiB (box) while the plan
 # kept its kernel rows' complex spectrum and each chirp-z block held three
-# padded temporaries; 8.0-8.3 and 7.1-7.2 MiB (the lower readings with the
-# chirp-z and formatter caches already built)
-@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 8.6),
-                                             ("box-traversal", 7.4)],
+# padded temporaries; 8.0-8.3 and 7.1-7.2 MiB while each frame sheared
+# every x row and each oracle was a whole-grid field; 7.0-7.2 and 5.5 MiB
+# on the inside span and the oracle's support rows (the lower readings
+# with the chirp-z and formatter caches already built)
+@pytest.mark.parametrize("preset, ceiling", [("halfline-bounce", 7.5),
+                                             ("box-traversal", 5.9)],
                          ids=["halfline-bounce", "box-traversal"])
 def test_simulate_working_set(preset, ceiling, tmp_path, capsys):
     cfg = load_config(None, preset)
     assert traced_peak_mib(lambda: cli.run(cfg, str(tmp_path))) <= ceiling
+
+
+# the CLI's oracle frame, its wave and transform: 2.96-3.07 MiB (half line)
+# and 2.64-2.68 MiB (box) on the whole grid, 1.97-2.07 and 0.98-1.03 MiB
+# on the rows of the wave's support (256 of 513 and 99 of 521)
+@pytest.mark.parametrize("preset, t, ceiling", [("halfline-bounce", 2.0, 2.3),
+                                                ("box-traversal", 1.25, 1.3)],
+                         ids=["halfline-bounce-2.0", "box-traversal-1.25"])
+def test_oracle_field_working_set(preset, t, ceiling):
+    cfg = load_config(None, preset)
+    assert traced_peak_mib(lambda: oracle_field(cfg, t)) <= ceiling
 
 
 @pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])

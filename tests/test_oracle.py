@@ -13,14 +13,16 @@ from wignerwall import (
     ValidationError,
     WignerField,
     box_evolve,
+    cli,
     compare_fields,
+    evolve_bounded,
     free_gaussian,
     images_reflect,
     project_gaussian_to_box,
     wigner_of,
 )
 from wignerwall.cli import load_config
-from wignerwall.oracle import require_in_window, require_inside
+from wignerwall.oracle import FieldComparison, require_in_window, require_inside
 
 
 AXIS = dict(x_min=-30.0, dx=0.02, n=3001)
@@ -368,3 +370,65 @@ def test_images_equals_free_restriction_early():
     psi_f = free_gaussian(g, 0.2, **AXIS)
     pos = psi_i.x_axis() > 0
     assert np.abs(psi_i.samples[pos] - psi_f.samples[pos]).max() < 1e-8
+
+
+def _embedded(ref, grid):
+    """The row-range reference ``ref`` on the whole ``grid``, +0.0 elsewhere."""
+    lo = round((ref.grid.x_min - grid.x_min) / grid.dx)
+    values = np.zeros((grid.n_x, grid.n_p))
+    values[lo:lo + ref.grid.n_x] = ref.values
+    return WignerField(grid, values)
+
+
+@pytest.mark.parametrize("preset", ["halfline-bounce", "box-traversal"])
+def test_row_range_reference_compares_as_the_whole_grid(preset):
+    # the CLI's oracle holds the rows on its wave's support (256 of 513 on
+    # the half line, 99 of 521 in the box); against it every frame's
+    # comparison is the whole-grid oracle's, bit for bit
+    cfg = load_config(None, preset)
+    plan = cli.build_plan(cfg)
+    for t in cfg.times:
+        w, ref = evolve_bounded(plan, t), cli.oracle_field(cfg, t)
+        assert ref.grid.n_x == {"halfline-bounce": 256, "box-traversal": 99}[preset]
+        whole = wigner_of(cli._oracle_wave(cfg, t), cfg.grid)
+        assert np.array_equal(_embedded(ref, cfg.grid).values.view(np.uint64),
+                              whole.values.view(np.uint64))
+        assert compare_fields(w, ref) == compare_fields(w, whole)
+
+
+def test_row_range_reference_compares_other_rows_with_zero(grid, gaussian_wave):
+    # a value planted in a field row outside the reference's rows moves
+    # every metric, as against a whole-grid reference that is zero there
+    w = wigner_of(gaussian_wave, grid)
+    sub = PhaseGrid(grid.x_at(100), grid.x_at(156), 57, grid.p_min, grid.p_max, grid.n_p)
+    ref = WignerField(sub, w.values[100:157])
+    base = compare_fields(WignerField(grid, _embedded(ref, grid).values), ref)
+    assert base == FieldComparison(0.0, 0.0, 0.0)
+    for row in (0, 99, 157, 256):
+        v = _embedded(ref, grid).values.copy()
+        v[row, 128] = 0.5
+        cmp = compare_fields(WignerField(grid, v), ref)
+        assert cmp == compare_fields(WignerField(grid, v), _embedded(ref, grid))
+        assert cmp.l2_rel > 0.0 and cmp.max_abs == 0.5
+        assert cmp.mass_diff == 0.5 * grid.dx * grid.dp
+
+
+def test_row_range_reference_needs_the_fields_axes(grid, gaussian_wave):
+    w = wigner_of(gaussian_wave, grid)
+    ref = w.values[100:157]
+    x0, x1 = grid.x_at(100), grid.x_at(156)
+    for sub, match in [
+            # another p axis: its count, then its ends
+            (PhaseGrid(x0, x1, 57, grid.p_min, grid.p_max, 255), "different grids"),
+            (PhaseGrid(x0, x1, 57, grid.p_min, 1.01 * grid.p_max, 257), "different grids"),
+            # another x step: the same first node and count, a longer range
+            (PhaseGrid(x0, x1 + grid.dx, 57, grid.p_min, grid.p_max, 257), "different grids"),
+            # the field's step, shifted by half a step or past the last row
+            (PhaseGrid(x0 + 0.5 * grid.dx, x1 + 0.5 * grid.dx, 57, grid.p_min, grid.p_max, 257),
+             "not a range"),
+            (PhaseGrid(grid.x_at(201), grid.x_at(257), 57, grid.p_min, grid.p_max, 257),
+             "not a range"),
+            (PhaseGrid(grid.x_at(-1), grid.x_at(55), 57, grid.p_min, grid.p_max, 257),
+             "not a range")]:
+        with pytest.raises(GridMismatch, match=match):
+            compare_fields(w, WignerField(sub, ref[:, :sub.n_p] if sub.n_p < 257 else ref))
