@@ -47,8 +47,10 @@
 # box-traversal) at base and head: `build_plan`, `evolve_bounded`,
 # `write_field_csv`, `oracle_field` and `compare_fields`, each the largest
 # over its calls of the tracemalloc peak above the level at the call, and
-# the whole run's. It shows which stage holds a run's peak; it is for
-# reading only as well.
+# the whole run's; then those of one `cli.demo_naive` of halfline-bounce,
+# the one command on the whole-field shear: `naive_bounded_evolve`,
+# `evolve_bounded` and `write_field_csv`, and the whole command's. It
+# shows which stage holds a run's peak; it is for reading only as well.
 set -uo pipefail
 
 base=$(cd "$1" && pwd)
@@ -113,37 +115,38 @@ for a_path in sorted(path for path in base.rglob("*.csv") if not is_field_csv(pa
         bound, name = ratios[k], names[k]
     print(f"{a_path.relative_to(base)}: max|a - b| / max|a| = {bound:.3e} (column {name})")'
 
-# prints "<stage>\t<MiB>" for each wrapped stage of one cli.run of the
-# preset argv[1], run in this process under tracemalloc: the largest peak
-# of its calls above the level at each call, then the whole run's peak
+# prints "<stage>\t<MiB>" for each wrapped stage argv[3:] of one call of
+# the cli function argv[2] (run or demo_naive) on the preset argv[1], run
+# in this process under tracemalloc: the largest peak of its calls above
+# the level at each call, then the whole call's peak under its own name
 # (the peak since each stage's reset is folded in before it resets)
 stages='import contextlib, io, sys, tempfile, tracemalloc
 from wignerwall import cli
 
-peaks = {"run": 0}
+command, names = sys.argv[2], sys.argv[3:]
+peaks = {command: 0}
 
 def traced(name, fn):
     def call(*args, **kwargs):
         level, peak = tracemalloc.get_traced_memory()
-        peaks["run"] = max(peaks["run"], peak)
+        peaks[command] = max(peaks[command], peak)
         tracemalloc.reset_peak()
         try:
             return fn(*args, **kwargs)
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             peaks[name] = max(peaks.get(name, 0), peak - level)
-            peaks["run"] = max(peaks["run"], peak)
+            peaks[command] = max(peaks[command], peak)
     return call
 
-names = ("build_plan", "evolve_bounded", "write_field_csv", "oracle_field", "compare_fields")
 for name in names:
     setattr(cli, name, traced(name, getattr(cli, name)))
 cfg = cli.load_config(None, sys.argv[1])
 with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
     tracemalloc.start()
-    cli.run(cfg, out)
-    peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
-for name in (*names, "run"):
+    getattr(cli, command)(cfg, out)
+    peaks[command] = max(peaks[command], tracemalloc.get_traced_memory()[1])
+for name in (*names, command):
     print(f"{name}\t{peaks.get(name, 0) / 2**20:.2f}")'
 
 # prints the count of code lines in the .py files under each of two
@@ -191,18 +194,25 @@ awk -F'\t' 'NR == FNR { b[$1] = $2; s[$1] = $3; c[$1] = $4; next }
     { printf "%-32s %10.1f %10.1f %+10.2f %8.2f %8.2f %8.2f %8.2f\n", $1, b[$1] / 1024,
              $2 / 1024, ($2 - b[$1]) / 1024, s[$1], $3, c[$1], $4 }' \
     "$out/rss/base.tsv" "$out/rss/head.tsv"
-echo "traced peak (tracemalloc, MiB) per cli.run stage:"
-printf '%-16s %-16s %10s %10s %10s\n' preset stage "base MiB" "head MiB" head-base
-for preset in halfline-bounce box-traversal; do
+echo "traced peak (tracemalloc, MiB) per stage of cli.run and cli.demo_naive:"
+printf '%-16s %-22s %10s %10s %10s\n' preset stage "base MiB" "head MiB" head-base
+run_stages="build_plan evolve_bounded write_field_csv oracle_field compare_fields"
+while read -r preset command names; do
     for side in base head; do
         tree=$base
         [ "$side" = head ] && tree=$head
-        PYTHONPATH="$tree/src" python -c "$stages" "$preset" >"$out/rss/stages-$side.tsv"
+        # $names unquoted: one argument per stage name
+        PYTHONPATH="$tree/src" python -c "$stages" "$preset" "$command" $names \
+            >"$out/rss/stages-$side.tsv" </dev/null
     done
     awk -F'\t' -v preset="$preset" 'NR == FNR { b[$1] = $2; next }
-        { printf "%-16s %-16s %10.2f %10.2f %+10.2f\n", preset, $1, b[$1], $2, $2 - b[$1] }' \
+        { printf "%-16s %-22s %10.2f %10.2f %+10.2f\n", preset, $1, b[$1], $2, $2 - b[$1] }' \
         "$out/rss/stages-base.tsv" "$out/rss/stages-head.tsv"
-done
+done <<EOF
+halfline-bounce run $run_stages
+box-traversal run $run_stages
+halfline-bounce demo_naive naive_bounded_evolve evolve_bounded write_field_csv
+EOF
 src_lines() { find "$1/src" -name '*.py' -exec cat {} + | wc -l; }
 base_lines=$(src_lines "$base")
 head_lines=$(src_lines "$head")

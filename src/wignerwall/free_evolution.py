@@ -7,8 +7,9 @@ its half spectrum (exact for band-limited data), any other field's by a
 cubic spline, which does not wrap. The spline is built here on NumPy, a
 cubic B-spline prefilter and a four-tap gather with the semantics of
 ``scipy.ndimage.map_coordinates(order=3, mode="constant", cval=0.0)``;
-it keeps that function's name, ``map_coordinates``, because the
-benchmark tracer wraps it. No SciPy module is imported.
+it keeps that function's name, ``map_coordinates``, and ``shear_evolve``
+looks it up at each call, because the benchmark tracer wraps it. No
+SciPy module is imported.
 
 Also provides the naive bounded evolution: masking the initial field
 with theta(x) and then shearing, which visibly violates the hard-wall
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, guard
-from .phase_grid import _RIM, WignerField, row_blocks
+from .phase_grid import WignerField, column_masses, row_blocks
 
 _FOURIER_SAFE_RATIO = 1e-6
 _POLE = np.sqrt(3.0) - 2.0  # the cubic B-spline prefilter's pole
@@ -54,8 +55,7 @@ def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray, rows: slice = sl
     the output ``rows``. Each ``row_blocks`` block of columns is shifted on
     its own half spectrum over the whole x line, so no spectrum-sized
     array or phase matrix is built. ``masses``, when given, gets each
-    block's |.| sum and rim |.| sum over its whole columns, the rim being
-    the rows and columns that ``WignerField.edge_mass`` counts."""
+    block's ``column_masses``."""
     n, n_p = values.shape
     freq = np.fft.rfftfreq(n)
     out = np.empty((len(range(n)[rows]), n_p))
@@ -65,11 +65,7 @@ def _fourier_shift_rows(values: np.ndarray, shifts: np.ndarray, rows: slice = sl
         shifted = np.fft.irfft(R, n, axis=0)
         out[:, cols] = shifted[rows]
         if masses is not None:
-            a, j = np.abs(shifted), np.arange(cols.start, cols.stop)
-            inner = a[_RIM:-_RIM]
-            rim = (a[:_RIM].sum() + a[-_RIM:].sum() + inner[:, j < _RIM].sum()
-                   + inner[:, j >= n_p - _RIM].sum())
-            masses.append((a.sum(), rim))
+            masses.append(column_masses(shifted, cols, n_p))
     return out
 
 
@@ -94,8 +90,8 @@ def _spline_coefficients(values: np.ndarray, out: np.ndarray | None = None) -> n
     return c
 
 
-def map_coordinates(values: np.ndarray, shifts: np.ndarray,
-                    rows: slice = slice(None)) -> np.ndarray:
+def map_coordinates(values: np.ndarray, shifts: np.ndarray, rows: slice = slice(None),
+                    masses: list | None = None) -> np.ndarray:
     """Cubic B-spline samples of ``values`` at row ``i - shifts[j]`` of each
     column ``j`` (shifts in rows), for the output ``rows``, as
     ``scipy.ndimage.map_coordinates`` with ``order=3, mode="constant",
@@ -106,10 +102,8 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray,
     Each column moves by one shift, so its integer offset and its four
     weights are computed once and every output row is four gathered
     coefficient rows, gathered per ``row_blocks`` block of output rows so
-    that the index and tap arrays stay block-sized. The name stays a
-    module attribute that ``shear_evolve`` looks up at call time, because
-    the benchmark tracer wraps ``free_evolution.map_coordinates`` and
-    requires its span under ``shear_evolve``.
+    that the index and tap arrays stay block-sized. With ``masses`` every
+    row is gathered, and each column block's ``column_masses`` appended.
     """
     n, n_p = values.shape
     # rows -1 .. n + 1 of the mirror-extended coefficients (period 2n - 2)
@@ -129,7 +123,7 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray,
     weights = ((1.0 - t) ** 3 / 6.0, 2.0 / 3.0 - t2 + t3 / 2.0,
                (1.0 + 3.0 * (t + t2 - t3)) / 6.0, t3 / 6.0)
     base, last = start * n_p + np.arange(n_p), n - 1 - start - (t > 0.0)
-    at = range(n)[rows]
+    at = range(n)[rows if masses is None else slice(None)]
     out = np.empty((len(at), n_p))
     for b in row_blocks(len(at)):
         # flat index of tap 0 (coefficient row floor(i - shift) - 1) of each
@@ -141,7 +135,9 @@ def map_coordinates(values: np.ndarray, shifts: np.ndarray,
         for k in (1, 2, 3):
             block += np.take(coef[k * n_p:], flat, mode="clip") * weights[k]
         np.copyto(block, 0.0, where=(i < -start) | (i > last))
-    return out
+    if masses is not None:
+        masses.extend(column_masses(out[:, cols], cols, n_p) for cols in row_blocks(n_p))
+    return out if len(at) == len(range(n)[rows]) else out[rows]
 
 
 def shear_evolve(w0: WignerField, s: ShearParams, check_support: bool = True,
@@ -155,40 +151,30 @@ def shear_evolve(w0: WignerField, s: ShearParams, check_support: bool = True,
     once, not on every frame. t = 0 returns a field on w0's own
     (immutable) values.
 
-    ``rows``, a slice of consecutive x rows, asks for those rows alone:
-    their values come back as a read-only array, not a field, since a
-    one-row span is no grid. The spectral path still shifts whole
-    columns, a block at a time, and sums the guard's masses over them as
-    it goes (equal to the whole field's ``edge_mass`` and ``abs_mass``
-    within a few ulps, not bit for bit); the cubic path gathers the
-    requested rows only, unless the support guard needs the whole field.
+    ``rows``, a slice of consecutive x rows, asks for those rows alone as
+    a read-only array, not a field, since a one-row span is no grid;
+    without it every row is sheared the same way and wrapped in a field.
+    The support guard reads the ``column_masses`` the shift sums per block
+    of whole columns (the spline then gathers every row), so its reading
+    and limit are the sheared field's ``edge_mass`` and ``1e-4 * abs_mass``.
 
-    Raises SupportEscaped when the post-shear edge mass fails guard
-    ``shear_edge_mass``, a fraction of the field's absolute mass (with
-    check_support on; scenario builders for deliberately extended states
-    switch it off).
+    Raises SupportEscaped when the sheared edge mass fails guard
+    ``shear_edge_mass`` (with check_support on; scenario builders for
+    deliberately extended states switch it off).
     """
     grid, values = w0.grid, w0.values
     if s.t == 0.0:
         return WignerField(grid, values) if rows is None else values[rows]
     shifts = grid.p_axis() * (s.t / s.m) / grid.dx  # in rows
-
     fourier = w0.edge_mass <= _FOURIER_SAFE_RATIO * w0.abs_mass  # a zero field too
-    if rows is None or (check_support and not fourier):
-        shifted = (_fourier_shift_rows if fourier else map_coordinates)(values, shifts)
-        shifted.flags.writeable = False  # a fresh array: the field keeps it
-        result = WignerField(grid, shifted)
-        if check_support:
-            guard("shear_edge_mass", result.edge_mass, scale=result.abs_mass)
-        return result if rows is None else shifted[rows]
     masses = [] if check_support else None
-    shifted = (_fourier_shift_rows(values, shifts, rows, masses) if fourier
-               else map_coordinates(values, shifts, rows))
-    shifted.flags.writeable = False
+    shifted = (_fourier_shift_rows if fourier else map_coordinates)(
+        values, shifts, slice(None) if rows is None else rows, masses)
+    shifted.flags.writeable = False  # a fresh array: a field keeps it
     if check_support:
         total, rim = (math.fsum(m) * grid.dx * grid.dp for m in zip(*masses))
         guard("shear_edge_mass", rim, scale=total)
-    return shifted
+    return WignerField(grid, shifted) if rows is None else shifted
 
 
 def naive_bounded_evolve(w0: WignerField, s: ShearParams) -> WignerField:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -111,24 +112,39 @@ class WignerField:
             v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    # each mass is kept in the field object's own __dict__, once per field:
-    # a field cannot be a cache key, because fields compare by grid only
+    # both masses, summed per block of whole columns as the shear's guard sums them,
+    # kept in the field object's own __dict__ (fields compare by grid only)
     @functools.cached_property
+    def _masses(self) -> tuple[float, float]:
+        g = self.grid
+        sums = [column_masses(self.values[:, cols], cols, g.n_p) for cols in row_blocks(g.n_p)]
+        return tuple(math.fsum(m) * g.dx * g.dp for m in zip(*sums))
+
+    @property
     def abs_mass(self) -> float:
         """Integral of |W|; the scale against which edge mass is judged."""
-        return float(np.abs(self.values).sum() * self.grid.dx * self.grid.dp)
+        return self._masses[0]
 
-    @functools.cached_property
+    @property
     def edge_mass(self) -> float:
-        """|W| mass in the outermost two rows and columns.
+        """|W| mass on the rim, the outermost two rows and columns: for a field
+        supported inside the grid a negligible fraction of abs_mass."""
+        return self._masses[1]
 
-        Compact support inside the grid means this is a negligible fraction
-        of abs_mass; shear and transform guards compare the two.
-        """
-        v = self.values
-        total = np.abs(v[:_RIM, :]).sum() + np.abs(v[-_RIM:, :]).sum()
-        total += np.abs(v[_RIM:-_RIM, :_RIM]).sum() + np.abs(v[_RIM:-_RIM, -_RIM:]).sum()
-        return float(total * self.grid.dx * self.grid.dp)
+
+@functools.cache
+def _rim(n: int) -> np.ndarray:
+    """The outermost ``_RIM`` samples at either end of an n-sample axis, as a read-only mask."""
+    rim = np.minimum(np.arange(n), np.arange(n - 1, -1, -1)) < _RIM
+    rim.flags.writeable = False
+    return rim
+
+
+def column_masses(block: np.ndarray, cols: slice, n_p: int) -> tuple[float, float]:
+    """|.| sum of ``block``, the whole columns ``cols`` of an ``n_p``-column
+    field, and the part of that sum on the field's rim, each cell once."""
+    a = np.abs(block, order="C")
+    return a.sum(), a[_rim(len(a))[:, None] | _rim(n_p)[None, cols]].sum()
 
 
 def row_blocks(n: int):
@@ -193,9 +209,7 @@ def wave_edge_fraction(psi: ComplexWave) -> float:
     """Fraction of |psi|^2 mass sitting in the outermost two axis samples."""
     d = np.abs(psi.samples) ** 2
     tot = d.sum()
-    if tot == 0.0:
-        return 0.0
-    return float((d[:_RIM].sum() + d[-_RIM:].sum()) / tot)
+    return float(d[_rim(psi.n)].sum() / tot) if tot else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,23 @@ def test_oracle_field_working_set(preset, t, ceiling):
     assert traced_peak_mib(lambda: oracle_field(cfg, t)) <= ceiling
 
 
+def test_whole_shear_working_set():
+    plan = cli.build_plan(load_config(None, "halfline-bounce"))
+    # the half line's whole-field shear under its support guard: 4.02 MiB
+    # with np.abs of the whole sheared field for each of its two masses,
+    # 2.16 MiB summing them per block of columns as the shift goes (the
+    # field itself is 2.0 MiB)
+    assert traced_peak_mib(lambda: shear_evolve(plan.initial, ShearParams(2.0, 1.0))) <= 2.5
+
+
+def test_field_masses_working_set():
+    grid = load_config(None, "halfline-bounce").grid
+    w = WignerField(grid, np.random.default_rng(5).standard_normal((grid.n_x, grid.n_p)))
+    # both masses of a fresh 513 x 513 field: 2.01 MiB with np.abs of the
+    # whole field, 0.07 MiB per block of columns
+    assert traced_peak_mib(lambda: (w.abs_mass, w.edge_mass)) <= 0.25
+
+
 @pytest.mark.parametrize("preset, t", [("halfline-bounce", 2.0), ("box-traversal", 1.25)])
 def test_compare_fields_working_set(preset, t):
     cfg = load_config(None, preset)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,14 +165,28 @@ def test_edge_mass_diagnostic(grid, gaussian_wave):
 
 
 @pytest.mark.parametrize("shape", [(513, 513), (521, 513), (65, 65), (5, 7), (4, 4)])
-def test_edge_mass_bit_identical_to_abs_of_whole_field(shape):
-    # |W| of the four rim slices sums to the same bits as the rims of |W|
+def test_masses_are_the_fsum_of_every_cell(shape):
+    # both masses are summed per block of whole columns, and the blocks'
+    # sums added by math.fsum: within 1e-15 of the correctly rounded sum
+    # of every |cell|, and of every rim cell
     rng = np.random.default_rng(shape[0] * shape[1])
     grid = PhaseGrid(-1.0, 1.0, shape[0], -2.0, 2.0, shape[1])
     w = WignerField(grid, rng.standard_normal(shape))
-    v = np.abs(w.values)
-    total = v[:2, :].sum() + v[-2:, :].sum() + v[2:-2, :2].sum() + v[2:-2, -2:].sum()
-    assert w.edge_mass == float(total * grid.dx * grid.dp)
+    v, rim = np.abs(w.values), np.zeros(shape, bool)
+    rim[:2] = rim[-2:] = rim[:, :2] = rim[:, -2:] = True
+    for mass, cells in ((w.abs_mass, v), (w.edge_mass, v[rim])):
+        exact = math.fsum(cells.ravel().tolist()) * grid.dx * grid.dp
+        assert abs(mass - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 3), (5, 3), (2, 2), (4, 4)])
+def test_rim_counts_each_cell_once(shape):
+    # on an axis of at most four samples every cell is on the rim, once:
+    # a field of ones has all of its mass there, and so has a wave of ones
+    w = WignerField(PhaseGrid(-1.0, 1.0, shape[0], -2.0, 2.0, shape[1]), np.ones(shape))
+    assert w.edge_mass / w.abs_mass == 1.0
+    for n in (n for n in shape if n <= 4):
+        assert wave_edge_fraction(ComplexWave(0.0, 0.5, n, np.ones(n))) == 1.0
 
 
 def test_masses_are_kept_per_field_object(grid):
